@@ -16,7 +16,7 @@ from .linkforest import (AckermannTable, AdaptiveLinkForest, LinkForest,
                          a_inv, alpha)
 from .microset import Microset
 from .multilevel import MultilevelInc, edmonds_tree, linear_tree
-from .numeric import LogTable, Rational, cmp_rational, lsb, msb
+from .numeric import LogTable, Rational
 from .stats import Stats
 from .traces import (Trace, TraceOp, RunReport, compatible_engines,
                      format_trace, generate, make_engine, minimize,
@@ -30,8 +30,7 @@ __all__ = [
     "assign_numbers", "CaTriple", "Forest", "combine_rerooted", "oracle_ca",
     "rerooted_ca", "IncrementalTree", "AckermannTable", "AdaptiveLinkForest",
     "LinkForest", "a_inv", "alpha", "Microset", "MultilevelInc",
-    "edmonds_tree", "linear_tree", "LogTable", "Rational", "cmp_rational",
-    "lsb", "msb", "Stats", "Trace", "TraceOp", "RunReport",
-    "compatible_engines", "format_trace", "generate", "make_engine",
-    "minimize", "parse_trace", "run", "__version__",
+    "edmonds_tree", "linear_tree", "LogTable", "Rational", "Stats", "Trace",
+    "TraceOp", "RunReport", "compatible_engines", "format_trace", "generate",
+    "make_engine", "minimize", "parse_trace", "run", "__version__",
 ]

@@ -16,3 +16,14 @@ class TraceParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
+
+
+def check_id(v, n):
+    """Raise ValueError unless v is an allocated node id in [0, n).
+
+    Any int subclass counts as an id except bool, whose True and False
+    would otherwise stand in for nodes 1 and 0.
+    """
+    if (type(v) is not int and (type(v) is bool or not isinstance(v, int))
+            or not 0 <= v < n):
+        raise ValueError(f"unallocated node id {v!r}")

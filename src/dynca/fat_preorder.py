@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConfigError
+from .errors import ConfigError, check_id
 from .forest import CaTriple
 from .numeric import LogTable, Rational
 from .stats import Stats
@@ -345,17 +345,14 @@ class StaticCa(FatQueryMixin):
     def __len__(self):
         return len(self.piT)
 
-    def check_id(self, v):
-        if not isinstance(v, int) or not 0 <= v < len(self.piT):
-            raise ValueError(f"unallocated node id {v!r}")
-
     def _tree_root(self, x):
         return self._roots[self.tree[x]]
 
     def ca(self, x, y):
         """Meet and its two approach children, or None across trees."""
-        self.check_id(x)
-        self.check_id(y)
+        n = len(self.piT)
+        check_id(x, n)
+        check_id(y, n)
         if x == y:
             self.stats.note_query(0)
             return CaTriple(x, x, x)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
+from .errors import check_id
+
 
 class CaTriple(NamedTuple):
     a: int
@@ -49,10 +51,6 @@ class Forest:
         self._off.append(0)
         return v
 
-    def check_id(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < len(self.parent):
-            raise ValueError(f"unallocated node id {v!r}")
-
     def _find(self, v: int) -> int:
         uf = self._uf
         r = v
@@ -66,22 +64,22 @@ class Forest:
         return self._find(x) == self._find(y)
 
     def depth(self, v: int) -> int:
-        self.check_id(v)
+        check_id(v, len(self.parent))
         return self._raw[v] + self._off[self._find(v)]
 
     def is_singleton(self, v: int) -> bool:
         return self.parent[v] is None and not self.children[v]
 
     def root_of(self, v: int) -> int:
-        self.check_id(v)
+        check_id(v, len(self.parent))
         while self.parent[v] is not None:
             v = self.parent[v]
         return v
 
     def add_leaf(self, x: int, y: int) -> None:
         """Attach the fresh singleton y as a new child of x."""
-        self.check_id(x)
-        self.check_id(y)
+        check_id(x, len(self.parent))
+        check_id(y, len(self.parent))
         if x == y or not self.is_singleton(y):
             raise ValueError(f"add_leaf target {y} is not a fresh node")
         self.parent[y] = x
@@ -91,8 +89,8 @@ class Forest:
 
     def add_root(self, y: int, old_root: int) -> None:
         """Make the fresh singleton y the new root above old_root's tree."""
-        self.check_id(y)
-        self.check_id(old_root)
+        check_id(y, len(self.parent))
+        check_id(old_root, len(self.parent))
         if y == old_root or not self.is_singleton(y):
             raise ValueError(f"add_root target {y} is not a fresh node")
         if self.parent[old_root] is not None:
@@ -106,8 +104,8 @@ class Forest:
 
     def link(self, x: int, y: int) -> None:
         """Make the root y a child of x, merging y's tree into x's."""
-        self.check_id(x)
-        self.check_id(y)
+        check_id(x, len(self.parent))
+        check_id(y, len(self.parent))
         if self.parent[y] is not None:
             raise ValueError(f"link target {y} is not a root")
         rx = self._find(x)
@@ -130,8 +128,8 @@ def oracle_ca(f: Forest, x: int, y: int) -> Optional[CaTriple]:
 
     Returns None when x and y lie in different trees.
     """
-    f.check_id(x)
-    f.check_id(y)
+    check_id(x, len(f.parent))
+    check_id(y, len(f.parent))
     if x == y:
         return CaTriple(x, x, x)
     if not f.same_tree(x, y):
@@ -187,7 +185,7 @@ def rerooted_ca(
 ) -> CaTriple:
     """ca(x, y) in f's tree rerooted at z, using exactly three ca_fn calls."""
     for v in (x, y, z):
-        f.check_id(v)
+        check_id(v, len(f.parent))
     if not (f.same_tree(x, y) and f.same_tree(x, z)):
         raise ValueError("rerooted_ca requires x, y, z in one tree")
     cxy = ca_fn(x, y)
@@ -199,7 +197,7 @@ def rerooted_ca(
 
 def reroot_physical(f: Forest, z: int) -> Forest:
     """Copy f with z's tree rerooted at z (parent edges reversed on z's root path)."""
-    f.check_id(z)
+    check_id(z, len(f.parent))
     g = Forest()
     for _ in range(len(f)):
         g.make_node()

@@ -13,7 +13,7 @@ against the stored rooting.
 """
 
 from .arena import Arena
-from .errors import CapacityError
+from .errors import CapacityError, check_id
 from .fat_preorder import DYNAMIC_PARAMS, EPS, FatQueryMixin, assign_numbers, shared_log_table
 from .forest import CaTriple, combine_rerooted
 from .stats import Stats
@@ -71,16 +71,12 @@ class IncrementalTree(FatQueryMixin):
     def root(self):
         return self.varrho
 
-    def check_id(self, v):
-        if not isinstance(v, int) or not 0 <= v < len(self.piT):
-            raise ValueError(f"unallocated node id {v!r}")
-
     def _tree_root(self, x):
         return 0
 
     def add_leaf(self, x):
         """Attach and return a new child of x."""
-        self.check_id(x)
+        check_id(x, len(self.piT))
         if len(self.piT) >= self.max_n:
             raise CapacityError(f"tree is at its declared capacity {self.max_n}")
         piD = self.piD
@@ -250,8 +246,9 @@ class IncrementalTree(FatQueryMixin):
 
     def ca(self, x, y):
         """Characteristic ancestors of x and y under the current root."""
-        self.check_id(x)
-        self.check_id(y)
+        n = len(self.piT)
+        check_id(x, n)
+        check_id(y, n)
         if x == y:
             self.stats.note_query(0)
             return CaTriple(x, x, x)
@@ -268,5 +265,5 @@ class IncrementalTree(FatQueryMixin):
 
     def children(self, u):
         """Stored children of u, in attachment order."""
-        self.check_id(u)
+        check_id(u, len(self.piT))
         return self.arena.read(self.ch_h[u], 0, self.ch_n[u])

@@ -11,6 +11,11 @@ stage is rebuilt once as a single subtree of the next stage.  The level
 count is the inverse-Ackermann value of the operation counts, tracked by
 a wrapper that rebuilds the whole forest whenever that value drifts.
 
+Meets across subtrees run through Leveled._c in levels.py, the recursion
+the multilevel engine shares: each staged subtree is a _Sub record
+exposing root, up and ca(x, y) in level ids, a stage-0 tree keeps None
+in sub, and _flat walks its bare parent lists.
+
 Discarded structures are abandoned in place; reachability through the
 current subtree references is what defines the live state.
 """
@@ -18,10 +23,11 @@ current subtree references is what defines the live state.
 from functools import lru_cache
 
 from .arena import Arena
-from .errors import CapacityError
+from .errors import CapacityError, check_id
 from .fat_preorder import DYNAMIC_PARAMS
 from .forest import CaTriple
 from .incremental import IncrementalTree
+from .levels import Leveled
 from .stats import Stats
 
 
@@ -77,8 +83,9 @@ class AckermannTable:
     """Ackermann values A(i, j) for i, j in [1..ceil(log2 n)].
 
     Row 1 doubles, row i at j applies row i-1 to the value one step left.
-    Entries that would exceed n are stored as None and compare as infinite,
-    which is all the staging logic ever needs from them.
+    Entries come from _acap clamped at n + 1, so those that would exceed n
+    are stored as None and compare as infinite, which is all the staging
+    logic ever needs from them.
     """
 
     __slots__ = ("n", "size", "rows")
@@ -90,22 +97,10 @@ class AckermannTable:
         self.n = n
         k = _bits(n)
         self.size = k
-        row = [None] * (k + 1)
-        for j in range(1, k + 1):
-            v = 1 << j
-            row[j] = v if v <= n else None
-        rows = [None, row]
-        for i in range(2, k + 1):
-            prev = rows[i - 1]
-            row = [None] * (k + 1)
-            row[1] = 2
-            for j in range(2, k + 1):
-                t = row[j - 1]
-                # once the left neighbour tops ceil(log2 n), applying any
-                # row to it lands past n
-                row[j] = None if t is None or t > k else prev[t]
-            rows.append(row)
-        self.rows = rows
+        self.rows = [None] + [
+            [None] + [v if (v := _acap(i, j, n + 1)) <= n else None
+                      for j in range(1, k + 1)]
+            for i in range(1, k + 1)]
 
     def value(self, i, j):
         """A(i, j), or None when it exceeds n.
@@ -120,39 +115,6 @@ class AckermannTable:
         if j > self.size:
             return None
         return self.rows[i][j]
-
-    def a_inv(self, i, n=None):
-        """Least j with A(i, j) >= n, read off row i."""
-        if n is None:
-            n = self.n
-        if n > self.n:
-            raise ValueError("target beyond the tabulated bound")
-        row = self.rows[i] if 1 <= i <= self.size else None
-        if row is None:
-            raise ValueError(f"row {i} outside [1, {self.size}]")
-        for j in range(1, self.size + 1):
-            v = row[j]
-            if v is None or v >= n:
-                return j
-        return self.size + 1
-
-    def alpha(self, m, n=None):
-        """Least row reaching n at argument 4*ceil(m/n)."""
-        if n is None:
-            n = self.n
-        if m < 1 or n < 1:
-            raise ValueError("alpha needs positive operation and node counts")
-        if n > self.n:
-            raise ValueError("target beyond the tabulated bound")
-        j = 4 * ((m + n - 1) // n)
-        if j > self.size:
-            # the doubling row alone reaches n within ceil(log2 n) steps
-            return 1
-        for i in range(1, self.size + 1):
-            v = self.rows[i][j]
-            if v is None or v >= n:
-                return i
-        return self.size
 
     def check_identities(self):
         """Sweep the tabulated doubling, level-shift, and shift-robustness laws.
@@ -188,7 +150,8 @@ class _Sub:
 
     ids maps level nodes to incremental ids, rev inverts it, and up is
     the node this subtree contracts to one level down (None only for the
-    single subtree of a bottom-level tree).
+    single subtree of a bottom-level tree).  root and ca(x, y) speak
+    level ids, as the meet recursion in levels.py expects.
     """
 
     __slots__ = ("inc", "ids", "rev", "up")
@@ -199,12 +162,19 @@ class _Sub:
         self.rev = []
         self.up = None
 
-    def top(self):
+    @property
+    def root(self):
         """The level node at the subtree's current root."""
         return self.rev[self.inc.varrho]
 
+    def ca(self, x, y):
+        """Characteristic ancestors of members x and y, in level ids."""
+        t = self.inc.ca(self.ids[x], self.ids[y])
+        rev = self.rev
+        return CaTriple(rev[t.a], rev[t.ax], rev[t.ay])
 
-class LinkForest:
+
+class LinkForest(Leveled):
     """Forest under make_node / link / ca at a fixed level count.
 
     Vertices live on level `level`; contractions run down to level 1.
@@ -247,10 +217,6 @@ class LinkForest:
     def n(self):
         return len(self.pi[self.L])
 
-    def check_id(self, v):
-        if not isinstance(v, int) or not 0 <= v < len(self.pi[self.L]):
-            raise ValueError(f"unallocated node id {v!r}")
-
     def make_node(self):
         """Create and return a fresh singleton vertex."""
         if len(self.pi[self.L]) >= self.max_n:
@@ -260,12 +226,12 @@ class LinkForest:
         return v
 
     def parent(self, v):
-        self.check_id(v)
+        check_id(v, len(self.pi[self.L]))
         return self.pi[self.L][v]
 
     def find_root(self, x):
         """Root of x's tree: one subtree hop per level, then back up."""
-        self.check_id(x)
+        check_id(x, len(self.pi[self.L]))
         k = self.L
         while True:
             S = self.sub[k][x]
@@ -275,27 +241,33 @@ class LinkForest:
                 while pi[t] is not None:
                     t = pi[t]
             else:
-                t = S.top()
+                t = S.root
                 if self.pi[k][t] is not None:
                     x = S.up
                     k -= 1
                     continue
             while k < self.L:
-                t = self.down[k][t].top()
+                t = self.down[k][t].root
                 k += 1
             return t
 
     def link(self, x, y):
         """Make the root y a child of x, merging y's tree into x's."""
-        self.check_id(x)
-        self.check_id(y)
+        r = self._link_root(x, y)
+        self.roots.discard(y)
+        self._l(r, x, y, self.L)
+
+    def _link_root(self, x, y):
+        """Root of x's tree; raises unless y is a root of another tree."""
+        n = len(self.pi[self.L])
+        check_id(x, n)
+        check_id(y, n)
         if self.pi[self.L][y] is not None:
             raise ValueError(f"link target {y} is not a root")
         r = self.find_root(x)
         if r == y:
             raise ValueError("link within one tree")
-        self.roots.discard(y)
-        self._l(r, x, y, self.L)
+        return r
 
     def _l(self, r, x, y, k):
         """Merge, then re-add as little as the stage gap allows.
@@ -326,7 +298,7 @@ class LinkForest:
         if lim is not None and ts[r] >= 2 * lim:
             self._rebuild(r, k, sg + 1)
         elif sx > sy:
-            self._absorb(self.sub[k][x], y, k, sx)
+            self._fill(self.sub[k][x], y, (), None, k, sx)
         elif sx < sy:
             S = self.sub[k][y]
             sub = self.sub[k]
@@ -341,7 +313,7 @@ class LinkForest:
                 S.rev.append(v)
                 sub[v] = S
                 stage[v] = sy
-            self._absorb_rest(S, r, y, k, sy, set(path))
+            self._fill(S, r, set(path), y, k, sy)
         elif sg > 0:
             assert k > 1, "equal stages above 0 cannot meet at the bottom level"
             sub = self.sub[k]
@@ -350,34 +322,24 @@ class LinkForest:
 
     def _rebuild(self, r, k, sg):
         """The whole level-k tree becomes one fresh subtree in stage sg."""
-        ch = self.ch[k]
-        sub = self.sub[k]
-        stage = self.stage[k]
-        inc = IncrementalTree(self.max_n, self.params,
-                              stats=self.stats, arena=self.arena)
-        S = _Sub(inc)
+        S = _Sub(IncrementalTree(self.max_n, self.params,
+                                 stats=self.stats, arena=self.arena))
         S.ids[r] = 0
         S.rev.append(r)
-        sub[r] = S
-        stage[r] = sg
-        queue = [r]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in ch[v]:
-                S.ids[w] = inc.add_leaf(S.ids[v])
-                S.rev.append(w)
-                sub[w] = S
-                stage[w] = sg
-                queue.append(w)
+        self.sub[k][r] = S
+        self.stage[k][r] = sg
+        self._fill(S, r, (r,), None, k, sg)
         if k > 1:
             z = self._new_node(k - 1)
             S.up = z
             self.down[k - 1][z] = S
 
-    def _absorb(self, S, top, k, sg):
-        """Add the tree under top (inclusive) to subtree S, parents first."""
+    def _fill(self, S, top, have, skip, k, sg):
+        """Add top and the nodes below it to subtree S, parents first.
+
+        Members listed in have are walked through without being added
+        again; the subtree under skip is left out entirely.
+        """
         inc = S.inc
         ids = S.ids
         rev = S.rev
@@ -390,34 +352,14 @@ class LinkForest:
         while qi < len(queue):
             v = queue[qi]
             qi += 1
-            ids[v] = inc.add_leaf(ids[pi[v]])
-            rev.append(v)
-            sub[v] = S
-            stage[v] = sg
-            queue.extend(ch[v])
-
-    def _absorb_rest(self, S, r, y, k, sg, have):
-        """Add what the root path left out, skipping y's whole old tree."""
-        inc = S.inc
-        ids = S.ids
-        rev = S.rev
-        ch = self.ch[k]
-        sub = self.sub[k]
-        stage = self.stage[k]
-        queue = [r]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
+            if v not in have:
+                ids[v] = inc.add_leaf(ids[pi[v]])
+                rev.append(v)
+                sub[v] = S
+                stage[v] = sg
             for w in ch[v]:
-                if w == y:
-                    continue
-                if w not in have:
-                    ids[w] = inc.add_leaf(ids[v])
-                    rev.append(w)
-                    sub[w] = S
-                    stage[w] = sg
-                queue.append(w)
+                if w != skip:
+                    queue.append(w)
 
     def adopt_tree(self, order, parent):
         """Install a prebuilt tree at its proper stage.
@@ -451,8 +393,9 @@ class LinkForest:
 
     def ca(self, x, y):
         """Characteristic ancestors, or None across trees."""
-        self.check_id(x)
-        self.check_id(y)
+        n = len(self.pi[self.L])
+        check_id(x, n)
+        check_id(y, n)
         if x == y:
             self.stats.note_query(0)
             return CaTriple(x, x, x)
@@ -464,38 +407,7 @@ class LinkForest:
         t = self.ca(x, y)
         return None if t is None else t.a
 
-    def _c(self, x, y, k):
-        """Meet of distinct x, y, known to share their level-k tree."""
-        sub = self.sub[k]
-        Sx = sub[x]
-        if Sx is None:
-            return self._scan(x, y, k)
-        Sy = sub[y]
-        if Sx is Sy:
-            t = Sx.inc.ca(Sx.ids[x], Sx.ids[y])
-            rev = Sx.rev
-            return CaTriple(rev[t.a], rev[t.ax], rev[t.ay])
-        # different subtrees: ask the contracted tree, re-enter the
-        # subtree holding the meet, and patch a component back to a
-        # subtree root when its side only reached the entry point
-        down = self.down[k - 1]
-        pi = self.pi[k]
-        A, AX, AY = self._c(Sx.up, Sy.up, k - 1)
-        D = down[A]
-        xk = x if AX == A else pi[down[AX].top()]
-        yk = y if AY == A else pi[down[AY].top()]
-        t = D.inc.ca(D.ids[xk], D.ids[yk])
-        rev = D.rev
-        b = rev[t.a]
-        bx = rev[t.ax]
-        by = rev[t.ay]
-        if AX != A and bx == b:
-            bx = down[AX].top()
-        if AY != A and by == b:
-            by = down[AY].top()
-        return CaTriple(b, bx, by)
-
-    def _scan(self, x, y, k):
+    def _flat(self, x, y, k):
         """Meet inside a stage-0 tree: walk the bare parent lists."""
         pi = self.pi[k]
         px = [x]
@@ -576,7 +488,7 @@ class LinkForest:
                 for S in subs:
                     assert S.up is not None and self.down[k - 1][S.up] is S
                     ups.add(S.up)
-                    t = S.top()
+                    t = S.root
                     pt = self.pi[k][t]
                     if pt is None:
                         kr = S.up
@@ -621,10 +533,6 @@ class AdaptiveLinkForest:
     def reorg_log(self):
         return self.stats.reorg_log
 
-    def check_id(self, v):
-        if not isinstance(v, int) or not 0 <= v < len(self.counted):
-            raise ValueError(f"unallocated node id {v!r}")
-
     def make_node(self):
         """Create and return a fresh singleton vertex."""
         if len(self.counted) >= self.max_n:
@@ -637,15 +545,24 @@ class AdaptiveLinkForest:
         return v
 
     def find_root(self, x):
-        self.check_id(x)
+        check_id(x, len(self.counted))
         if self.lf is None:
             return x
         return self.lf.find_root(x)
 
     def link(self, x, y):
-        """Make the root y a child of x, merging y's tree into x's."""
-        self.check_id(x)
-        self.check_id(y)
+        """Make the root y a child of x, merging y's tree into x's.
+
+        A rejected link raises before anything is counted or rebuilt.
+        """
+        if self.lf is not None:
+            self.lf._link_root(x, y)
+        else:
+            n = len(self.counted)
+            check_id(x, n)
+            check_id(y, n)
+            if x == y:
+                raise ValueError("link within one tree")
         self.ops += 1
         self.m1 += 1
         if not self.counted[x]:
@@ -663,8 +580,9 @@ class AdaptiveLinkForest:
 
     def ca(self, x, y):
         """Characteristic ancestors, or None across trees."""
-        self.check_id(x)
-        self.check_id(y)
+        n = len(self.counted)
+        check_id(x, n)
+        check_id(y, n)
         if self.lf is None:
             # nothing linked yet: all singletons, nothing to count
             if x == y:

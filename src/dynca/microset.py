@@ -7,7 +7,9 @@ the deepest common ancestor carries the largest id.  The id-to-node map
 lives in the shared arena, one slot per id.
 
 The host owns the mid and anc arrays, indexed by its node ids, so one
-flat pair serves every microset on a level.
+flat pair serves every microset on a level.  A microset is also the
+subtree record that the meet recursion in levels.py walks: root, up and
+ca(x, y) over the host's node ids.
 """
 
 from .forest import CaTriple
@@ -16,7 +18,7 @@ from .forest import CaTriple
 class Microset:
     """One packed subtree.  Capacity mu must be in [2, 63]."""
 
-    __slots__ = ("mu", "n", "root", "vh", "mid", "anc", "arena", "stats")
+    __slots__ = ("mu", "n", "root", "up", "vh", "mid", "anc", "arena", "stats")
 
     def __init__(self, root, mu, mid, anc, arena, stats):
         if not 2 <= mu <= 63:
@@ -24,6 +26,7 @@ class Microset:
         self.mu = mu
         self.n = 1
         self.root = root
+        self.up = None  # node one level down, set by the host when full
         self.mid = mid
         self.anc = anc
         self.arena = arena

@@ -10,8 +10,11 @@ A query recurses: the level below names the subtree holding the meet,
 the two entry nodes into that subtree stand in for x and y, and a packed
 microset query inside it finishes the job.  When a stand-in turns out to
 be the meet itself, the answer component is patched back to the subtree
-root it stands for.  Queries under a moved root combine three stored
-root queries at the vertex level.
+root it stands for.  That recursion is Leveled._c in levels.py, shared
+with the link forest; here each microset is its own subtree record
+(root, up, ca), sub[1] holds None for every level-1 node, and _flat asks
+the level-1 tree.  Queries under a moved root combine three stored root
+queries at the vertex level.
 
 Two presets: two levels with mu = floor(log2 cap) gives O(log n) total
 growth work per vertex below the packed layer; three levels with
@@ -21,25 +24,16 @@ mu = ceil(log2 cap) brings total growth work down to O(n).
 from math import ceil, log2
 
 from .arena import Arena
-from .errors import CapacityError
+from .errors import CapacityError, check_id
 from .fat_preorder import DYNAMIC_PARAMS
 from .forest import CaTriple, combine_rerooted
 from .incremental import IncrementalTree
+from .levels import Leveled
 from .microset import Microset
 from .stats import Stats
 
 
-class _Sub:
-    """One subtree on a level at or above 2: a microset and its contraction."""
-
-    __slots__ = ("ms", "up")
-
-    def __init__(self, ms):
-        self.ms = ms
-        self.up = None  # node one level down, set when the subtree fills
-
-
-class MultilevelInc:
+class MultilevelInc(Leveled):
     """Incremental tree with vertex ids 0..n-1, vertex 0 the first root."""
 
     def __init__(self, max_n, levels=3, mu=None, params=DYNAMIC_PARAMS, stats=None, arena=None):
@@ -55,9 +49,10 @@ class MultilevelInc:
         self.params = params
         self.stats = stats if stats is not None else Stats()
         self.arena = arena if arena is not None else Arena()
-        # per-level node arrays, levels L..2; level 1 lives in the inc tree
-        self.piL = {l: [] for l in range(2, levels + 1)}
-        self.subref = {l: [] for l in range(2, levels + 1)}
+        # per-level node arrays, levels L..2; level 1 lives in the inc tree,
+        # and sub[1] holds only None so the shared recursion stops there
+        self.pi = {l: [] for l in range(2, levels + 1)}
+        self.sub = {l: [] for l in range(1, levels + 1)}
         self.mid = {l: [] for l in range(2, levels + 1)}
         self.anc = {l: [] for l in range(2, levels + 1)}
         self.down = {l: [] for l in range(1, levels)}
@@ -65,26 +60,22 @@ class MultilevelInc:
         self._inc_cap = max(2, max_n // mu ** (levels - 1) + 1)
         self.varrho = 0
         self._register(levels)
-        self.subref[levels][0] = self._singleton(0, levels)
+        self.sub[levels][0] = self._singleton(0, levels)
         self.stats.eta += 1
 
     @property
     def n(self):
-        return len(self.piL[self.L])
+        return len(self.pi[self.L])
 
     @property
     def root(self):
         return self.varrho
 
-    def check_id(self, v):
-        if not isinstance(v, int) or not 0 <= v < len(self.piL[self.L]):
-            raise ValueError(f"unallocated node id {v!r}")
-
     def _register(self, l):
         """Allocate the next node id on level l, parentless and unplaced."""
-        y = len(self.piL[l])
-        self.piL[l].append(None)
-        self.subref[l].append(None)
+        y = len(self.pi[l])
+        self.pi[l].append(None)
+        self.sub[l].append(None)
         self.mid[l].append(0)
         self.anc[l].append(0)
         if l < self.L:
@@ -92,12 +83,12 @@ class MultilevelInc:
         return y
 
     def _singleton(self, y, l):
-        return _Sub(Microset(y, self.mu, self.mid[l], self.anc[l], self.arena, self.stats))
+        return Microset(y, self.mu, self.mid[l], self.anc[l], self.arena, self.stats)
 
     def add_leaf(self, x):
         """Attach and return a new child vertex of x."""
-        self.check_id(x)
-        if len(self.piL[self.L]) >= self.max_n:
+        check_id(x, len(self.pi[self.L]))
+        if len(self.pi[self.L]) >= self.max_n:
             raise CapacityError(f"tree is at its declared capacity {self.max_n}")
         y = self._attach(x, self.L)
         self.stats.eta += 1
@@ -113,21 +104,21 @@ class MultilevelInc:
         """Grow level l with a new node under x, contracting filled subtrees."""
         if l == 1:
             y = self.inc.add_leaf(x)
-            if len(self.down[1]) <= y:
-                self.down[1].append(None)
+            self.down[1].append(None)
+            self.sub[1].append(None)
             return y
         y = self._register(l)
-        self.piL[l][y] = x
-        P = self.subref[l][x]
-        if P.ms.full:
-            self.subref[l][y] = self._singleton(y, l)
+        self.pi[l][y] = x
+        P = self.sub[l][x]
+        if P.full:
+            self.sub[l][y] = self._singleton(y, l)
             return y
-        ok = P.ms.add(x, y)
+        ok = P.add(x, y)
         assert ok
-        self.subref[l][y] = P
-        if P.ms.full:
-            r = P.ms.root
-            w = self.piL[l][r]
+        self.sub[l][y] = P
+        if P.full:
+            r = P.root
+            w = self.pi[l][r]
             if w is None:
                 # the whole level was this one subtree; seed the next level
                 if l - 1 == 1:
@@ -135,67 +126,26 @@ class MultilevelInc:
                                                stats=self.stats, arena=self.arena)
                     z = 0
                     self.down[1].append(None)
+                    self.sub[1].append(None)
                 else:
                     z = self._register(l - 1)
-                    self.subref[l - 1][z] = self._singleton(z, l - 1)
+                    self.sub[l - 1][z] = self._singleton(z, l - 1)
             else:
-                W = self.subref[l][w]
+                W = self.sub[l][w]
                 assert W.up is not None, "parent subtree at the frontier must be full"
                 z = self._attach(W.up, l - 1)
             P.up = z
             self.down[l - 1][z] = P
         return y
 
-    def _c(self, x, y, l):
-        """Characteristic ancestors of l-nodes x and y within level l."""
-        if l == 1:
-            return self.inc.ca(x, y)
-        piL = self.piL[l]
-        sub = self.subref[l]
-        Px = sub[x]
-        Py = sub[y]
-        if Px is Py:
-            return Px.ms.ca(x, y)
-        # stand-ins for nodes of nonfull subtrees: the parent of the
-        # subtree root, which the frontier invariant puts in a full one
-        rx = ry = None
-        if Px.up is None:
-            rx = Px.ms.root
-            x = piL[rx]
-            Px = sub[x]
-        if Py.up is None:
-            ry = Py.ms.root
-            y = piL[ry]
-            Py = sub[y]
-        x2 = x
-        y2 = y
-        if Px is Py:
-            b, bx, by = Px.ms.ca(x, y)
-        else:
-            down = self.down[l - 1]
-            A, AX, AY = self._c(Px.up, Py.up, l - 1)
-            if AX != A:
-                x = piL[down[AX].ms.root]
-            if AY != A:
-                y = piL[down[AY].ms.root]
-            b, bx, by = down[A].ms.ca(x, y)
-            if bx == b and AX != A:
-                bx = down[AX].ms.root
-            if by == b and AY != A:
-                by = down[AY].ms.root
-        # a stand-in that turns out to be the meet reports the subtree
-        # root it stood for; when the inner replacement fired instead,
-        # the meet lies in another subtree and this comparison is false
-        if rx is not None and b == x2:
-            bx = rx
-        if ry is not None and b == y2:
-            by = ry
-        return CaTriple(b, bx, by)
+    def _flat(self, x, y, k):
+        return self.inc.ca(x, y)
 
     def ca(self, x, y):
         """Characteristic ancestors of vertices x and y under the current root."""
-        self.check_id(x)
-        self.check_id(y)
+        n = len(self.pi[self.L])
+        check_id(x, n)
+        check_id(y, n)
         if x == y:
             self.stats.note_query(0)
             return CaTriple(x, x, x)
@@ -205,15 +155,15 @@ class MultilevelInc:
         cxy = self._c(x, y, self.L)
         cxz = CaTriple(x, x, x) if x == z else self._c(x, z, self.L)
         cyz = CaTriple(y, y, y) if y == z else self._c(y, z, self.L)
-        return combine_rerooted(cxy, cxz, cyz, self.piL[self.L].__getitem__)
+        return combine_rerooted(cxy, cxz, cyz, self.pi[self.L].__getitem__)
 
     def nca(self, x, y):
         return self.ca(x, y).a
 
     def parent(self, v):
         """Stored parent of vertex v (root handle not applied)."""
-        self.check_id(v)
-        return self.piL[self.L][v]
+        check_id(v, len(self.pi[self.L]))
+        return self.pi[self.L][v]
 
 
 def edmonds_tree(max_n, stats=None, arena=None):

@@ -1,4 +1,4 @@
-"""Arithmetic kernel: exact rationals, floor-log tables, bit helpers.
+"""Arithmetic kernel: exact rationals and floor-log tables.
 
 Preorder numbers ("ordinals") are plain Python ints. With the dynamic
 parameter set (c=5, e=4) they reach c*n**4, which clears 64 bits once n
@@ -21,52 +21,6 @@ class Rational(NamedTuple):
     den: int
 
 
-def cmp_rational(a: Rational, b: Rational) -> int:
-    """Three-way compare of two rationals by comparing a.num*b.den and b.num*a.den.
-
-    Returns -1, 0, or 1. Denominators must be positive.
-    """
-    if a[1] <= 0 or b[1] <= 0:
-        raise ValueError("rational denominators must be positive")
-    lhs = a[0] * b[1]
-    rhs = b[0] * a[1]
-    if lhs < rhs:
-        return -1
-    if lhs > rhs:
-        return 1
-    return 0
-
-
-def msb(b: int) -> int:
-    """Index of the most significant set bit, 0-indexed. msb(0b0110) == 2."""
-    if b <= 0:
-        raise ValueError("msb requires a positive word")
-    return b.bit_length() - 1
-
-
-def lsb(b: int) -> int:
-    """Index of the least significant set bit, 0-indexed. lsb(0b0110) == 1."""
-    if b <= 0:
-        raise ValueError("lsb requires a positive word")
-    return (b & -b).bit_length() - 1
-
-
-def _scan_msb(b: int) -> int:
-    i = -1
-    while b:
-        b >>= 1
-        i += 1
-    return i
-
-
-def _scan_lsb(b: int) -> int:
-    i = 0
-    while not b & 1:
-        b >>= 1
-        i += 1
-    return i
-
-
 class LogTable:
     """Floor-log machinery for a fixed rational base beta > 1.
 
@@ -77,10 +31,6 @@ class LogTable:
     exponent, which leaves thresholds strictly increasing and resolves
     an equal-threshold lookup to the right answer. For beta == 2 the
     answer is r.bit_length() - 1 directly.
-
-    The byte tables _msb8/_lsb8 are the portable reference for the bit
-    scans; msb()/lsb() use int.bit_length, and msb_by_table/lsb_by_table
-    walk the word in 8-bit chunks. Tests hold all three paths equal.
     """
 
     def __init__(self, beta: Rational, max_r: int):
@@ -110,11 +60,6 @@ class LogTable:
             i += 1
         self.thresholds = thresholds
         self.expos = expos
-        self._msb8 = [0] * 256
-        self._lsb8 = [0] * 256
-        for v in range(1, 256):
-            self._msb8[v] = _scan_msb(v)
-            self._lsb8[v] = _scan_lsb(v)
 
     def floor_log_beta(self, r: int) -> int:
         """Largest i with beta**i <= r, for 1 <= r <= max_r."""
@@ -125,25 +70,3 @@ class LogTable:
         if self._beta_is_two:
             return r.bit_length() - 1
         return self.expos[bisect_right(self.thresholds, r) - 1]
-
-    def msb(self, b: int) -> int:
-        return msb(b)
-
-    def lsb(self, b: int) -> int:
-        return lsb(b)
-
-    def msb_by_table(self, b: int) -> int:
-        if b <= 0:
-            raise ValueError("msb requires a positive word")
-        shift = 0
-        while b >> (shift + 8):
-            shift += 8
-        return shift + self._msb8[b >> shift]
-
-    def lsb_by_table(self, b: int) -> int:
-        if b <= 0:
-            raise ValueError("lsb requires a positive word")
-        shift = 0
-        while not b & (0xFF << shift):
-            shift += 8
-        return shift + self._lsb8[(b >> shift) & 0xFF]

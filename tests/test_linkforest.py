@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -38,9 +39,9 @@ def test_table_argument_errors():
     with pytest.raises(ValueError):
         t.value(1, 0)
     with pytest.raises(ValueError):
-        t.a_inv(1, 1000)
+        a_inv(1, 0)
     with pytest.raises(ValueError):
-        t.alpha(0)
+        alpha(0, t.n)
 
 
 def test_alpha_frozen():
@@ -62,10 +63,7 @@ def test_a_inv_frozen():
     assert a_inv(2, 65536) == 4
     with pytest.raises(ValueError):
         a_inv(0, 5)
-    t = AckermannTable(65536)
-    assert t.a_inv(1) == 16
-    assert t.a_inv(2, 5) == 3
-    assert t.a_inv(2) == 4
+    assert a_inv(1, 65536) == 16
 
 
 def test_identities_hold_on_small_tables():
@@ -259,6 +257,26 @@ def test_adaptive_first_link_counts():
     assert af.reorg_log == []
     assert af.nca(v[0], v[1]) == v[0]
     assert af.m1 == 2                     # meets count once linking starts
+
+
+def test_adaptive_rejected_link_changes_nothing():
+    af = AdaptiveLinkForest(4)
+    for _ in range(4):
+        af.make_node()
+    with pytest.raises(ValueError):
+        af.link(2, 2)                     # one tree before the first link
+    assert af.lf is None and (af.ops, af.m1, af.n1) == (0, 0, 0)
+    af.link(0, 1)
+
+    def state():
+        return (af.ops, af.m1, af.n1, list(af.counted), list(af.reorg_log),
+                copy.deepcopy(af.stats))
+
+    before = state()
+    for x, y in ((1, 0), (0, 1), (3, 1)):
+        with pytest.raises(ValueError):
+            af.link(x, y)
+    assert state() == before
 
 
 def test_adaptive_reorg_at_population_crossing():

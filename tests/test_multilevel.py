@@ -10,43 +10,43 @@ from dynca import (CapacityError, Forest, MultilevelInc, edmonds_tree,
 def check_levels(t):
     """Structural sweep: partition, frontier, and contraction wiring."""
     for l in range(t.L, 1, -1):
-        n_l = len(t.piL[l])
+        n_l = len(t.pi[l])
         seen = set()
         subs = []
         for v in range(n_l):
-            P = t.subref[l][v]
+            P = t.sub[l][v]
             assert P is not None
             if not any(P is Q for Q in subs):
                 subs.append(P)
         for P in subs:
-            mem = P.ms.members()
+            mem = P.members()
             assert 0 < len(mem) <= t.mu
-            assert P.ms.root == mem[0]
+            assert P.root == mem[0]
             for v in mem:
-                assert t.subref[l][v] is P
+                assert t.sub[l][v] is P
                 assert v not in seen
                 seen.add(v)
-                if v != P.ms.root:
+                if v != P.root:
                     # parents inside a packed set stay inside it
-                    assert t.subref[l][t.piL[l][v]] is P
+                    assert t.sub[l][t.pi[l][v]] is P
             # contraction node exists exactly when the set is full
-            assert (P.up is not None) == P.ms.full
+            assert (P.up is not None) == P.full
             if P.up is not None:
                 assert t.down[l - 1][P.up] is P
-            w = t.piL[l][P.ms.root]
+            w = t.pi[l][P.root]
             if w is not None:
-                W = t.subref[l][w]
+                W = t.sub[l][w]
                 assert W is not P
                 # frontier: only full sets carry child sets
-                assert W.ms.full and W.up is not None
+                assert W.full and W.up is not None
                 if P.up is not None:
                     par = (t.inc.piT[P.up] if l - 1 == 1
-                           else t.piL[l - 1][P.up])
+                           else t.pi[l - 1][P.up])
                     assert par == W.up
         assert seen == set(range(n_l))
         # each full mu-set contracted to exactly one node one level down
-        full = sum(1 for P in subs if P.ms.full)
-        below = len(t.piL[l - 1]) if l - 1 >= 2 else (t.inc.n if t.inc else 0)
+        full = sum(1 for P in subs if P.full)
+        below = len(t.pi[l - 1]) if l - 1 >= 2 else (t.inc.n if t.inc else 0)
         assert below == full
         assert below <= n_l // t.mu
 
@@ -178,8 +178,8 @@ def test_contracted_levels_shrink_geometrically(rng):
     t = linear_tree(n)
     for _ in range(n - 1):
         t.add_leaf(rng.randrange(t.n))
-    assert len(t.piL[3]) == n
-    assert len(t.piL[2]) <= n // t.mu
+    assert len(t.pi[3]) == n
+    assert len(t.pi[2]) <= n // t.mu
     assert t.inc is not None and t.inc.n <= n // t.mu ** 2
 
 

@@ -1,33 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
-from dynca import LogTable, Rational, cmp_rational, lsb, msb
-
-
-def test_cmp_rational_frozen():
-    assert cmp_rational(Rational(10, 7), Rational(3, 2)) == -1  # 20 < 21
-    assert cmp_rational(Rational(6, 5), Rational(12, 10)) == 0
-    assert cmp_rational(Rational(2, 1), Rational(10, 7)) == 1
-
-
-def test_cmp_rational_rejects_bad_denominator():
-    with pytest.raises(ValueError):
-        cmp_rational(Rational(1, 0), Rational(1, 1))
-    with pytest.raises(ValueError):
-        cmp_rational(Rational(1, 2), Rational(1, -3))
-
-
-def test_bit_helpers_frozen():
-    assert msb(0b0110) == 2
-    assert lsb(0b0110) == 1
-    assert msb(1) == 0 and lsb(1) == 0
-    assert msb(2 ** 40) == 40
-    with pytest.raises(ValueError):
-        msb(0)
-    with pytest.raises(ValueError):
-        lsb(0)
+from dynca import LogTable, Rational
 
 
 def test_floor_log_frozen():
@@ -58,24 +33,3 @@ def test_threshold_list_strictly_increasing():
     for beta in (Rational(2, 1), Rational(10, 7), Rational(3, 2)):
         t = LogTable(beta, 10 ** 6)
         assert all(a < b for a, b in zip(t.thresholds, t.thresholds[1:]))
-
-
-@given(st.integers(min_value=1, max_value=2 ** 63 - 1))
-def test_bit_scans_agree_three_ways(w):
-    t = LogTable(Rational(2, 1), 4)
-    assert msb(w) == t.msb_by_table(w)
-    assert lsb(w) == t.lsb_by_table(w)
-    # positional semantics
-    assert w >> msb(w) == 1
-    assert (w >> lsb(w)) & 1 == 1
-
-
-def test_bit_scan_random_words(rng):
-    t = LogTable(Rational(2, 1), 4)
-    for _ in range(10 ** 5):
-        w = rng.getrandbits(rng.randrange(1, 64)) | 1
-        w <<= rng.randrange(0, 4)
-        if w == 0:
-            continue
-        assert msb(w) == t.msb_by_table(w) == w.bit_length() - 1
-        assert lsb(w) == t.lsb_by_table(w)
