@@ -225,7 +225,7 @@ class FatQueryMixin:
             ay = self.succ[at]
             steps += 1
         self.stats.note_query(steps)
-        return CaTriple(at, ax, ay)
+        return tuple.__new__(CaTriple, (at, ax, ay))
 
     def table_entry(self, x, i):
         """Ancestor table with its implicit tail.

@@ -159,8 +159,10 @@ def combine_rerooted(
 ) -> CaTriple:
     """Combine ca(x,y), ca(x,z), ca(y,z) into ca(x,y) under root z.
 
-    parent_of reads parents in the stored rooting. Shared by every
-    engine that answers queries relative to a moved root.
+    parent_of reads parents in the stored rooting. The growing engines
+    answer rerooted queries from spine meets instead, with at most one
+    stored query; through rerooted_ca this reduction is the reference
+    they are tested against.
     """
     if cxz.a == cyz.a:
         return cxy

@@ -8,14 +8,19 @@ apex of its own, numbered from its compressed parent's packing cursor.
 
 add_root does not touch the numbering at all.  The new node is stored as
 a physical leaf under the previous logical root and only a root handle
-moves; queries against the current root are assembled from three queries
-against the stored rooting.
+moves.  The roots added so far form the spine, a stored path whose ids
+grow toward the current root, and every node records its spine meet sm:
+the deepest spine node on its stored root path.  Nodes with one spine
+meet keep their stored meet under any root; otherwise the deeper spine
+meet is the meet itself, so a rerooted query costs at most one stored
+query.
 """
 
 from .arena import Arena
 from .errors import CapacityError, check_id
 from .fat_preorder import DYNAMIC_PARAMS, EPS, FatQueryMixin, assign_numbers, shared_log_table
-from .forest import CaTriple, combine_rerooted
+# combine_rerooted stays in this namespace: bench/tracing.py wraps it here
+from .forest import CaTriple, combine_rerooted  # noqa: F401
 from .stats import Stats
 
 
@@ -60,6 +65,7 @@ class IncrementalTree(FatQueryMixin):
         self._width = width
         self.iq = [width]
         self.tab = [[EPS] * width]
+        self.sm = [0]
         self.varrho = 0
         self.stats.eta += 1
 
@@ -77,6 +83,16 @@ class IncrementalTree(FatQueryMixin):
     def add_leaf(self, x):
         """Attach and return a new child of x."""
         check_id(x, len(self.piT))
+        y = self._add(x)
+        self.stats.eta += 1
+        return y
+
+    def _add(self, x):
+        """add_leaf without the id check or the vertex count in eta.
+
+        A leveled host grows its level-1 tree through here: those nodes
+        stand for contracted subtrees, not for vertices.
+        """
         if len(self.piT) >= self.max_n:
             raise CapacityError(f"tree is at its declared capacity {self.max_n}")
         piD = self.piD
@@ -100,9 +116,9 @@ class IncrementalTree(FatQueryMixin):
         self.ch_n.append(0)
         self.iq.append(0)
         self.tab.append(None)
+        self.sm.append(self.sm[x])
         self.arena.append_at(self.ch_h[x], self.ch_n[x], y)
         self.ch_n[x] += 1
-        self.stats.eta += 1
 
         # count the new descendant along the apex chain and find the
         # shallowest ancestor that outgrew its recorded weight
@@ -146,6 +162,7 @@ class IncrementalTree(FatQueryMixin):
     def add_root(self):
         """Attach and return a new root above the current one."""
         y = self.add_leaf(self.varrho)
+        self.sm[y] = y
         self.varrho = y
         return y
 
@@ -251,14 +268,20 @@ class IncrementalTree(FatQueryMixin):
         check_id(y, n)
         if x == y:
             self.stats.note_query(0)
-            return CaTriple(x, x, x)
-        z = self.varrho
-        if z == 0:
+            return tuple.__new__(CaTriple, (x, x, x))
+        sm = self.sm
+        sx = sm[x]
+        sy = sm[y]
+        # one spine meet: the stored meet holds under any root; otherwise
+        # the deeper spine meet is the meet, its stored parent on the way
+        # to the other side
+        if sx == sy:
             return self._ca_stored(x, y)
-        cxy = self._ca_stored(x, y)
-        cxz = CaTriple(x, x, x) if x == z else self._ca_stored(x, z)
-        cyz = CaTriple(y, y, y) if y == z else self._ca_stored(y, z)
-        return combine_rerooted(cxy, cxz, cyz, self.piT.__getitem__)
+        if sx < sy:
+            return tuple.__new__(CaTriple, (
+                sy, self.piT[sy], y if y == sy else self._ca_stored(sy, y)[2]))
+        return tuple.__new__(CaTriple, (
+            sx, x if x == sx else self._ca_stored(sx, x)[2], self.piT[sx]))
 
     def nca(self, x, y):
         return self.ca(x, y).a

@@ -65,4 +65,4 @@ class Leveled:
             bx = rx
         if ry is not None and b == y2:
             by = ry
-        return CaTriple(b, bx, by)
+        return tuple.__new__(CaTriple, (b, bx, by))

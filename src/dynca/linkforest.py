@@ -2,14 +2,16 @@
 
 Trees at the top level hold the real vertices.  A tree of fewer than four
 nodes is kept as bare parent lists; anything larger is partitioned into
-subtrees, each one incremental tree, and contracting every subtree yields
-the tree one level down, where the same scheme repeats.  Stages classify
-tree sizes by a row of Ackermann's function, one row per level, so a link
-between trees of unequal stages only re-adds the smaller side, links
-between equal stages recurse one level down, and a tree that outgrows its
-stage is rebuilt once as a single subtree of the next stage.  The level
-count is the inverse-Ackermann value of the operation counts, tracked by
-a wrapper that rebuilds the whole forest whenever that value drifts.
+subtrees, each one three-level incremental tree of linear total growth
+(the linear_tree shape in multilevel.py), and contracting every subtree
+yields the tree one level down, where the same scheme repeats.  Stages
+classify tree sizes by a row of Ackermann's function, one row per level,
+so a link between trees of unequal stages only re-adds the smaller side,
+links between equal stages recurse one level down, and a tree that
+outgrows its stage is rebuilt once as a single subtree of the next stage.
+The level count is the inverse-Ackermann value of the operation counts,
+tracked by a wrapper that rebuilds the whole forest whenever that value
+drifts.
 
 Meets across subtrees run through Leveled._c in levels.py, the recursion
 the multilevel engine shares: each staged subtree is a _Sub record
@@ -26,8 +28,8 @@ from .arena import Arena
 from .errors import CapacityError, check_id
 from .fat_preorder import DYNAMIC_PARAMS
 from .forest import CaTriple
-from .incremental import IncrementalTree
 from .levels import Leveled
+from .multilevel import MultilevelInc
 from .stats import Stats
 
 
@@ -146,7 +148,7 @@ class AckermannTable:
 
 
 class _Sub:
-    """One staged subtree: an incremental tree plus its id maps.
+    """One staged subtree: a three-level incremental tree plus its id maps.
 
     ids maps level nodes to incremental ids, rev inverts it, and up is
     the node this subtree contracts to one level down (None only for the
@@ -169,9 +171,9 @@ class _Sub:
 
     def ca(self, x, y):
         """Characteristic ancestors of members x and y, in level ids."""
-        t = self.inc.ca(self.ids[x], self.ids[y])
+        a, ax, ay = self.inc._ca(self.ids[x], self.ids[y])
         rev = self.rev
-        return CaTriple(rev[t.a], rev[t.ax], rev[t.ay])
+        return tuple.__new__(CaTriple, (rev[a], rev[ax], rev[ay]))
 
 
 class LinkForest(Leveled):
@@ -232,6 +234,10 @@ class LinkForest(Leveled):
     def find_root(self, x):
         """Root of x's tree: one subtree hop per level, then back up."""
         check_id(x, len(self.pi[self.L]))
+        return self._find_root(x)
+
+    def _find_root(self, x):
+        """find_root without the id check."""
         k = self.L
         while True:
             S = self.sub[k][x]
@@ -253,9 +259,7 @@ class LinkForest(Leveled):
 
     def link(self, x, y):
         """Make the root y a child of x, merging y's tree into x's."""
-        r = self._link_root(x, y)
-        self.roots.discard(y)
-        self._l(r, x, y, self.L)
+        self._join(self._link_root(x, y), x, y)
 
     def _link_root(self, x, y):
         """Root of x's tree; raises unless y is a root of another tree."""
@@ -264,10 +268,15 @@ class LinkForest(Leveled):
         check_id(y, n)
         if self.pi[self.L][y] is not None:
             raise ValueError(f"link target {y} is not a root")
-        r = self.find_root(x)
+        r = self._find_root(x)
         if r == y:
             raise ValueError("link within one tree")
         return r
+
+    def _join(self, r, x, y):
+        """The merge behind a validated link; r is the root of x's tree."""
+        self.roots.discard(y)
+        self._l(r, x, y, self.L)
 
     def _l(self, r, x, y, k):
         """Merge, then re-add as little as the stage gap allows.
@@ -322,8 +331,8 @@ class LinkForest(Leveled):
 
     def _rebuild(self, r, k, sg):
         """The whole level-k tree becomes one fresh subtree in stage sg."""
-        S = _Sub(IncrementalTree(self.max_n, self.params,
-                                 stats=self.stats, arena=self.arena))
+        S = _Sub(MultilevelInc(self.max_n, levels=3, params=self.params,
+                               stats=self.stats, arena=self.arena))
         S.ids[r] = 0
         S.rev.append(r)
         self.sub[k][r] = S
@@ -396,10 +405,14 @@ class LinkForest(Leveled):
         n = len(self.pi[self.L])
         check_id(x, n)
         check_id(y, n)
+        return self._ca(x, y)
+
+    def _ca(self, x, y):
+        """ca without the id checks."""
         if x == y:
             self.stats.note_query(0)
-            return CaTriple(x, x, x)
-        if self.find_root(x) != self.find_root(y):
+            return tuple.__new__(CaTriple, (x, x, x))
+        if self._find_root(x) != self._find_root(y):
             return None
         return self._c(x, y, self.L)
 
@@ -422,7 +435,8 @@ class LinkForest(Leveled):
             v = pi[v]
         i = px.index(v)
         self.stats.note_query(len(px) + 2)
-        return CaTriple(v, px[i - 1] if i else v, cy if cy is not None else v)
+        return tuple.__new__(CaTriple, (
+            v, px[i - 1] if i else v, cy if cy is not None else v))
 
     def tree_nodes(self, r, k=None):
         """Nodes of r's level-k tree, parents before children."""
@@ -554,15 +568,18 @@ class AdaptiveLinkForest:
         """Make the root y a child of x, merging y's tree into x's.
 
         A rejected link raises before anything is counted or rebuilt.
+        The root of x's tree found by that check survives a
+        reorganization, which re-seats every tree under its own root.
         """
         if self.lf is not None:
-            self.lf._link_root(x, y)
+            r = self.lf._link_root(x, y)
         else:
             n = len(self.counted)
             check_id(x, n)
             check_id(y, n)
             if x == y:
                 raise ValueError("link within one tree")
+            r = x  # nothing linked yet: every tree is a singleton
         self.ops += 1
         self.m1 += 1
         if not self.counted[x]:
@@ -576,7 +593,7 @@ class AdaptiveLinkForest:
             self._open(lv)
         elif lv != self.level and lv != self.level - 1:
             self._reorganize(lv)
-        self.lf.link(x, y)
+        self.lf._join(r, x, y)
 
     def ca(self, x, y):
         """Characteristic ancestors, or None across trees."""
@@ -587,14 +604,14 @@ class AdaptiveLinkForest:
             # nothing linked yet: all singletons, nothing to count
             if x == y:
                 self.stats.note_query(0)
-                return CaTriple(x, x, x)
+                return tuple.__new__(CaTriple, (x, x, x))
             return None
         self.ops += 1
         self.m1 += 1
         lv = alpha(self.m1, self.n1)
         if lv != self.level and lv != self.level - 1:
             self._reorganize(lv)
-        return self.lf.ca(x, y)
+        return self.lf._ca(x, y)
 
     def nca(self, x, y):
         t = self.ca(x, y)

@@ -6,10 +6,11 @@ highest bit of anc(x) & anc(y): ancestor ids grow along any root path, so
 the deepest common ancestor carries the largest id.  The id-to-node map
 lives in the shared arena, one slot per id.
 
-The host owns the mid and anc arrays, indexed by its node ids, so one
-flat pair serves every microset on a level.  A microset is also the
-subtree record that the meet recursion in levels.py walks: root, up and
-ca(x, y) over the host's node ids.
+The host owns the anc array, indexed by its node ids, so one flat array
+serves every microset on a level; a member's own id is the top bit of
+its anc word.  A microset is also the subtree record that the meet
+recursion in levels.py walks: root, up and ca(x, y) over the host's
+node ids.
 """
 
 from .forest import CaTriple
@@ -18,22 +19,20 @@ from .forest import CaTriple
 class Microset:
     """One packed subtree.  Capacity mu must be in [2, 63]."""
 
-    __slots__ = ("mu", "n", "root", "up", "vh", "mid", "anc", "arena", "stats")
+    __slots__ = ("mu", "n", "root", "up", "vh", "anc", "arena", "stats")
 
-    def __init__(self, root, mu, mid, anc, arena, stats):
+    def __init__(self, root, mu, anc, arena, stats):
         if not 2 <= mu <= 63:
             raise ValueError(f"microset capacity {mu} outside [2, 63]")
         self.mu = mu
         self.n = 1
         self.root = root
         self.up = None  # node one level down, set by the host when full
-        self.mid = mid
         self.anc = anc
         self.arena = arena
         self.stats = stats
         self.vh = arena.new_array()
         arena.set(self.vh, 0, root)
-        mid[root] = 1
         anc[root] = 2
 
     @property
@@ -46,7 +45,6 @@ class Microset:
             return False
         self.n += 1
         j = self.n
-        self.mid[y] = j
         self.anc[y] = self.anc[x] | (1 << j)
         self.arena.append_at(self.vh, j - 1, y)
         self.stats.work += 1
@@ -56,28 +54,30 @@ class Microset:
         """Characteristic ancestors of members x and y."""
         if x == y:
             self.stats.note_query(0)
-            return CaTriple(x, x, x)
+            return tuple.__new__(CaTriple, (x, x, x))
         anc = self.anc
         arena = self.arena
-        vh = self.vh
+        vals = arena.backing
+        # bit j has bit_length j + 1, and id j sits in slot j - 1
+        o = arena.off[self.vh] - 2
         ax = anc[x]
         ay = anc[y]
         steps = 5
-        a = arena.get(vh, (ax & ay).bit_length() - 2)
+        a = vals[o + (ax & ay).bit_length()]
         if a == x:
             cx = x
         else:
             d = ax & ~ay
-            cx = arena.get(vh, (d & -d).bit_length() - 2)
+            cx = vals[o + (d & -d).bit_length()]
             steps += 3
         if a == y:
             cy = y
         else:
             d = ay & ~ax
-            cy = arena.get(vh, (d & -d).bit_length() - 2)
+            cy = vals[o + (d & -d).bit_length()]
             steps += 3
         self.stats.note_query(steps)
-        return CaTriple(a, cx, cy)
+        return tuple.__new__(CaTriple, (a, cx, cy))
 
     def members(self):
         """Current members in insertion order."""

@@ -13,8 +13,9 @@ be the meet itself, the answer component is patched back to the subtree
 root it stands for.  That recursion is Leveled._c in levels.py, shared
 with the link forest; here each microset is its own subtree record
 (root, up, ca), sub[1] holds None for every level-1 node, and _flat asks
-the level-1 tree.  Queries under a moved root combine three stored root
-queries at the vertex level.
+the level-1 tree.  Queries under a moved root use the vertex level's
+spine meets as IncrementalTree does, at the cost of at most one stored
+query.
 
 Two presets: two levels with mu = floor(log2 cap) gives O(log n) total
 growth work per vertex below the packed layer; three levels with
@@ -26,7 +27,8 @@ from math import ceil, log2
 from .arena import Arena
 from .errors import CapacityError, check_id
 from .fat_preorder import DYNAMIC_PARAMS
-from .forest import CaTriple, combine_rerooted
+# combine_rerooted stays in this namespace: bench/tracing.py wraps it here
+from .forest import CaTriple, combine_rerooted  # noqa: F401
 from .incremental import IncrementalTree
 from .levels import Leveled
 from .microset import Microset
@@ -53,11 +55,11 @@ class MultilevelInc(Leveled):
         # and sub[1] holds only None so the shared recursion stops there
         self.pi = {l: [] for l in range(2, levels + 1)}
         self.sub = {l: [] for l in range(1, levels + 1)}
-        self.mid = {l: [] for l in range(2, levels + 1)}
         self.anc = {l: [] for l in range(2, levels + 1)}
         self.down = {l: [] for l in range(1, levels)}
         self.inc = None
         self._inc_cap = max(2, max_n // mu ** (levels - 1) + 1)
+        self.sm = [0]  # spine meets of the vertices, as in IncrementalTree
         self.varrho = 0
         self._register(levels)
         self.sub[levels][0] = self._singleton(0, levels)
@@ -76,14 +78,13 @@ class MultilevelInc(Leveled):
         y = len(self.pi[l])
         self.pi[l].append(None)
         self.sub[l].append(None)
-        self.mid[l].append(0)
         self.anc[l].append(0)
         if l < self.L:
             self.down[l].append(None)
         return y
 
     def _singleton(self, y, l):
-        return Microset(y, self.mu, self.mid[l], self.anc[l], self.arena, self.stats)
+        return Microset(y, self.mu, self.anc[l], self.arena, self.stats)
 
     def add_leaf(self, x):
         """Attach and return a new child vertex of x."""
@@ -91,19 +92,21 @@ class MultilevelInc(Leveled):
         if len(self.pi[self.L]) >= self.max_n:
             raise CapacityError(f"tree is at its declared capacity {self.max_n}")
         y = self._attach(x, self.L)
+        self.sm.append(self.sm[x])
         self.stats.eta += 1
         return y
 
     def add_root(self):
         """Attach and return a new root above the current one."""
         y = self.add_leaf(self.varrho)
+        self.sm[y] = y
         self.varrho = y
         return y
 
     def _attach(self, x, l):
         """Grow level l with a new node under x, contracting filled subtrees."""
         if l == 1:
-            y = self.inc.add_leaf(x)
+            y = self.inc._add(x)
             self.down[1].append(None)
             self.sub[1].append(None)
             return y
@@ -122,8 +125,11 @@ class MultilevelInc(Leveled):
             if w is None:
                 # the whole level was this one subtree; seed the next level
                 if l - 1 == 1:
+                    # built on a sink of its own, so its seed, a contracted
+                    # subtree rather than a vertex, stays out of eta
                     self.inc = IncrementalTree(self._inc_cap, self.params,
-                                               stats=self.stats, arena=self.arena)
+                                               arena=self.arena)
+                    self.inc.stats = self.stats
                     z = 0
                     self.down[1].append(None)
                     self.sub[1].append(None)
@@ -139,23 +145,34 @@ class MultilevelInc(Leveled):
         return y
 
     def _flat(self, x, y, k):
-        return self.inc.ca(x, y)
+        return self.inc._ca_stored(x, y)
 
     def ca(self, x, y):
         """Characteristic ancestors of vertices x and y under the current root."""
         n = len(self.pi[self.L])
         check_id(x, n)
         check_id(y, n)
+        return self._ca(x, y)
+
+    def _ca(self, x, y):
+        """ca without the id checks: the spine meets pick the case."""
         if x == y:
             self.stats.note_query(0)
-            return CaTriple(x, x, x)
-        z = self.varrho
-        if z == 0:
-            return self._c(x, y, self.L)
-        cxy = self._c(x, y, self.L)
-        cxz = CaTriple(x, x, x) if x == z else self._c(x, z, self.L)
-        cyz = CaTriple(y, y, y) if y == z else self._c(y, z, self.L)
-        return combine_rerooted(cxy, cxz, cyz, self.pi[self.L].__getitem__)
+            return tuple.__new__(CaTriple, (x, x, x))
+        L = self.L
+        sm = self.sm
+        sx = sm[x]
+        sy = sm[y]
+        # one spine meet: the stored meet holds under any root; otherwise
+        # the deeper spine meet is the meet, its stored parent on the way
+        # to the other side
+        if sx == sy:
+            return self._c(x, y, L)
+        if sx < sy:
+            return tuple.__new__(CaTriple, (
+                sy, self.pi[L][sy], y if y == sy else self._c(sy, y, L)[2]))
+        return tuple.__new__(CaTriple, (
+            sx, x if x == sx else self._c(sx, x, L)[2], self.pi[L][sx]))
 
     def nca(self, x, y):
         return self.ca(x, y).a

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Stats:
-    eta: int = 0                 # add_leaf/add_root operations issued to incremental trees
+    eta: int = 0                 # vertex additions, first vertices included; inner levels add none
     recompressions: int = 0
     recompression_nodes: int = 0  # nodes renumbered across all recompressions
     table_entries: int = 0        # ancestor table entries written

@@ -132,7 +132,7 @@ def test_criterion_3_constant_query_steps():
 
     rng = random.Random(5)
     st = Stats()
-    ms = Microset(0, 63, [0] * 64, [0] * 64, Arena(), st)
+    ms = Microset(0, 63, [0] * 64, Arena(), st)
     mem = [0]
     for v in range(1, 63):
         ms.add(rng.choice(mem), v)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dynca import linkforest
 from dynca import (AckermannTable, AdaptiveLinkForest, CapacityError, Forest,
                    LinkForest, a_inv, alpha, oracle_ca)
 
@@ -337,3 +338,71 @@ def test_adaptive_capacity_and_id_errors():
         af.ca(0, 5)
     with pytest.raises(ValueError):
         af.link(0, 9)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_pour_moves_subtree_root(level, rng):
+    """Staged roots linked under small bare trees: the sx < sy pour.
+
+    Each pour re-roots the staged subtree through add_root, so its root
+    moves while the subtree record stays.  Invariants and every pair are
+    checked against the oracle after each link.
+    """
+    n = 48
+    lf = LinkForest(level, AckermannTable(2 * n), n)
+    f = Forest()
+    for _ in range(n):
+        lf.make_node()
+        f.make_node()
+
+    def link(x, y):
+        lf.link(x, y)
+        f.link(x, y)
+        lf.check_invariants()
+        for a in range(n):
+            for b in range(n):
+                assert lf.ca(a, b) == oracle_ca(f, a, b), (a, b)
+
+    for v in range(1, 8):
+        link(v - 1, v)
+    big = 0
+    fresh = 8
+    pours = 0
+    while fresh < n:
+        k = min(rng.randrange(1, 4), n - fresh)
+        small = list(range(fresh, fresh + k))
+        fresh += k
+        for u, v in zip(small, small[1:]):
+            link(u, v)
+        S = lf.sub[level][big]
+        link(rng.choice(small), big)
+        if lf.sub[level][big] is S:
+            assert S.root == small[0]
+            pours += 1
+        big = small[0]
+    assert pours >= 5
+
+
+def test_eta_counts_each_subtree_add_once(rng, monkeypatch):
+    """Every staged-subtree member costs one eta, inner levels none."""
+    made = []
+    init = linkforest._Sub.__init__
+
+    def record(self, inc):
+        init(self, inc)
+        made.append(self)
+
+    monkeypatch.setattr(linkforest._Sub, "__init__", record)
+    n = 400
+    lf = LinkForest(1, AckermannTable(2 * n), n)
+    for _ in range(n):
+        lf.make_node()
+    roots = list(range(n))
+    while len(roots) > 1:
+        i, j = rng.sample(range(len(roots)), 2)
+        x, y = roots[i], roots[j]
+        roots.remove(y)
+        lf.link(x, y)
+        assert lf.stats.eta == sum(len(S.rev) for S in made)
+    # the last subtree is big enough to have grown its level-1 tree
+    assert lf.sub[1][0].inc.inc is not None

@@ -9,24 +9,23 @@ from dynca import Arena, Forest, Microset, Stats, oracle_ca
 def fresh(mu=63, cap=256):
     arena = Arena()
     stats = Stats()
-    mid = [0] * cap
     anc = [0] * cap
-    m = Microset(7, mu, mid, anc, arena, stats)
-    return m, mid, anc
+    m = Microset(7, mu, anc, arena, stats)
+    return m, anc
 
 
 def test_frozen_root_encoding():
-    m, mid, anc = fresh()
-    assert mid[7] == 1
+    m, anc = fresh()
+    assert anc[7].bit_length() - 1 == 1
     assert anc[7] == 0b10
     assert m.members() == [7]
     assert not m.full
 
 
 def test_frozen_add_encoding():
-    m, mid, anc = fresh()
+    m, anc = fresh()
     assert m.add(7, 20)          # id 2, child of the root
-    assert mid[20] == 2
+    assert anc[20].bit_length() - 1 == 2
     assert anc[20] == 0b110
     assert m.add(7, 31)          # id 3, second child of the root
     assert anc[31] == 0b1010
@@ -34,7 +33,7 @@ def test_frozen_add_encoding():
 
 
 def test_frozen_meet_of_siblings():
-    m, mid, anc = fresh()
+    m, anc = fresh()
     m.add(7, 20)
     m.add(7, 31)
     # anc(20) & anc(31) = 0b10, highest bit 1 -> the root
@@ -47,11 +46,11 @@ def test_capacity_bounds():
     arena = Arena()
     for bad in (0, 1, 64, 100):
         with pytest.raises(ValueError):
-            Microset(0, bad, [0] * 4, [0] * 4, arena, Stats())
+            Microset(0, bad, [0] * 4, arena, Stats())
 
 
 def test_add_refuses_when_full():
-    m, mid, anc = fresh(mu=3)
+    m, anc = fresh(mu=3)
     assert m.add(7, 1)
     assert m.add(7, 2)
     assert m.full
@@ -60,7 +59,7 @@ def test_add_refuses_when_full():
 
 
 def test_anc_is_parent_anc_plus_own_bit(rng):
-    m, mid, anc = fresh()
+    m, anc = fresh()
     members = [7]
     parent = {7: None}
     for v in range(100, 162):
@@ -68,7 +67,7 @@ def test_anc_is_parent_anc_plus_own_bit(rng):
         assert m.add(x, v)
         members.append(v)
         parent[v] = x
-        assert anc[v] == anc[x] | (1 << mid[v])
+        assert anc[v] == anc[x] | (1 << (anc[v].bit_length() - 1))
     # popcount of anc equals depth+1
     for v in members:
         d = 0
@@ -80,7 +79,7 @@ def test_anc_is_parent_anc_plus_own_bit(rng):
 
 
 def test_step_budget(rng):
-    m, mid, anc = fresh()
+    m, anc = fresh()
     members = [7]
     for v in range(100, 162):
         m.add(rng.choice(members), v)
@@ -94,11 +93,10 @@ def test_differential_against_oracle(rng):
     for trial in range(30):
         mu = rng.randrange(2, 21)
         arena = Arena()
-        mid = [0] * 64
         anc = [0] * 64
         f = Forest()
         root = f.make_node()
-        m = Microset(root, mu, mid, anc, arena, Stats())
+        m = Microset(root, mu, anc, arena, Stats())
         members = [root]
         while not m.full:
             x = rng.choice(members)
@@ -117,11 +115,10 @@ def test_differential_against_oracle(rng):
 def test_microset_property(seed, mu):
     r = random.Random(seed)
     arena = Arena()
-    mid = [0] * 80
     anc = [0] * 80
     f = Forest()
     root = f.make_node()
-    m = Microset(root, mu, mid, anc, arena, Stats())
+    m = Microset(root, mu, anc, arena, Stats())
     members = [root]
     for _ in range(mu - 1):
         x = r.choice(members)

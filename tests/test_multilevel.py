@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynca import (CapacityError, Forest, MultilevelInc, edmonds_tree,
-                   linear_tree, oracle_ca)
+from dynca import (CapacityError, Forest, IncrementalTree, MultilevelInc,
+                   edmonds_tree, linear_tree, oracle_ca, rerooted_ca)
 
 
 def check_levels(t):
@@ -199,3 +199,75 @@ def test_multilevel_property(seed, n, mu, root_rate):
         x = r.randrange(n)
         y = r.randrange(n)
         assert t.ca(x, y) == oracle_ca(f, x, y)
+
+
+ENGINES = {
+    "inc": IncrementalTree,
+    "edmonds": edmonds_tree,
+    "linear": linear_tree,
+    "mu2": lambda cap: MultilevelInc(cap, levels=3, mu=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=40),
+       st.floats(min_value=0.0, max_value=0.5))
+def test_rerooted_meets_match_three_query_combine(name, seed, steps, root_rate):
+    """Mixed add_leaf/add_root against the stored tree rerooted at z.
+
+    f keeps the stored rooting (a new root is a leaf under the old one),
+    and rerooted_ca answers from three oracle queries in it.  After every
+    op, each pair involving the current root or a spine node is checked,
+    so both spine cases, meets at the root and queries before the first
+    add_root all come up; the last tree is checked on every pair.
+    """
+    r = random.Random(seed)
+    f = Forest()
+    f.make_node()
+    t = ENGINES[name](steps + 1)
+    z = 0
+    spine = [0]
+
+    def check(x, y):
+        want = rerooted_ca(f, x, y, z, lambda a, b: oracle_ca(f, a, b))
+        assert t.ca(x, y) == want, (x, y, z)
+
+    for _ in range(steps):
+        n = len(f)
+        check(r.randrange(n), r.randrange(n))
+        y = f.make_node()
+        if r.random() < root_rate:
+            f.add_leaf(z, y)
+            assert t.add_root() == y
+            z = y
+            spine.append(y)
+        else:
+            x = r.randrange(n)
+            f.add_leaf(x, y)
+            assert t.add_leaf(x) == y
+        assert t.root == z
+        for s in spine:
+            for v in range(len(f)):
+                check(s, v)
+                check(v, s)
+    for x in range(len(f)):
+        for y in range(len(f)):
+            check(x, y)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_eta_counts_vertex_additions_only(name, rng):
+    """Inner levels and the level-1 seed stay out of eta."""
+    n = 4096
+    t = ENGINES[name](n)
+    for _ in range(n - 1):
+        if rng.random() < 0.1:
+            t.add_root()
+        else:
+            t.add_leaf(rng.randrange(t.n))
+    assert t.n == n
+    assert t.stats.eta == n
+    if name != "inc":
+        assert t.inc is not None and t.inc.n > 1
