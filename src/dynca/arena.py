@@ -73,11 +73,6 @@ class Arena:
         self.s[h] = 2 * s
         self.cells_copied += n
 
-    def get(self, h: int, idx: int):
-        if not 0 <= idx < self.n[h]:
-            raise IndexError(f"index {idx} out of range for array {h}")
-        return self.backing[self.off[h] + idx]
-
     def set(self, h: int, idx: int, v) -> None:
         if not 0 <= idx < self.n[h]:
             raise IndexError(f"index {idx} out of range for array {h}")

@@ -6,6 +6,13 @@ renumbering covers the shallowest such ancestor, so the recorded weights
 keep their geometric growth along compressed root paths.  A new leaf is an
 apex of its own, numbered from its compressed parent's packing cursor.
 
+A renumbering is one top-down pass over the subtree in breadth-first
+order, which settles each node's compression, carves its interval from
+its compressed parent's cursor and copies its ancestor row from that
+parent's; a leaf added without drift takes the same step.  Breadth-first
+order packs compressed siblings as assign_numbers does.  Rows are
+machine-int arrays, 32-bit unless the capacity needs 64.
+
 add_root does not touch the numbering at all.  The new node is stored as
 a physical leaf under the previous logical root and only a root handle
 moves.  The roots added so far form the spine, a stored path whose ids
@@ -16,9 +23,14 @@ meet is the meet itself, so a rerooted query costs at most one stored
 query.
 """
 
+from array import array
+
 from .arena import Arena
 from .errors import CapacityError, check_id
-from .fat_preorder import DYNAMIC_PARAMS, EPS, FatQueryMixin, assign_numbers, shared_log_table
+from .fat_preorder import DYNAMIC_PARAMS, EPS, FatQueryMixin, shared_log_table
+# bench/tracing.py wraps assign_numbers in this namespace; renumbering
+# no longer calls it, so its span here stays empty
+from .fat_preorder import assign_numbers  # noqa: F401
 # combine_rerooted stays in this namespace: bench/tracing.py wraps it here
 from .forest import CaTriple, combine_rerooted  # noqa: F401
 from .stats import Stats
@@ -45,6 +57,10 @@ class IncrementalTree(FatQueryMixin):
         self._aden = params.alpha.den
         self._lt = shared_log_table(params.beta, c * max(max_n, 2) ** e)
         self._flb = self._lt.floor_log_beta
+        # rows hold node ids below max_n and EPS, so 32-bit cells do
+        # unless the capacity itself needs more
+        self._tc = "i" if max_n < 2 ** 31 else "q"
+        self._rungs = {}
         # node 0, a one-node heavy path filling its own interval
         self.piT = [None]
         self.s = [1]
@@ -61,10 +77,10 @@ class IncrementalTree(FatQueryMixin):
         self.renum = [0]
         self.ch_h = [self.arena.new_array()]
         self.ch_n = [0]
-        width = self._flb(c - 2) + 1
+        width = self._rung(1)[1]
         self._width = width
         self.iq = [width]
-        self.tab = [[EPS] * width]
+        self.tab = [array(self._tc, (EPS,)) * width]
         self.sm = [0]
         self.varrho = 0
         self.stats.eta += 1
@@ -138,24 +154,9 @@ class IncrementalTree(FatQueryMixin):
             self._recompress(viol)
             return y
 
-        # no drift: carve the leaf's interval out of its parent's packing zone
-        c = self._c
-        u0 = piD[y]
-        lo = self.Qbar[u0]
-        self.Qbar[u0] = lo + c
-        if self.Qbar[u0] > self.q[u0]:
-            raise AssertionError("packing cursor ran past the high guard")
-        self.pbar[y] = lo
-        self.p[y] = lo + 1
-        self.qbar[y] = lo + c
-        self.q[y] = lo + c - 1
-        self.Qbar[y] = lo + 2
-        i_y = self._flb(c - 2) + 1
-        row = self.tab[u0][:]
-        for i in range(i_y, self.iq[u0]):
-            row[i] = y
-        self.tab[y] = row
-        self.iq[y] = i_y
+        # no drift: the leaf settles as a weight-1 apex under its
+        # compressed parent, exactly as a renumbered leaf would
+        self._settle((y,))
         self.stats.table_entries += self._width
         return y
 
@@ -166,100 +167,135 @@ class IncrementalTree(FatQueryMixin):
         self.varrho = y
         return y
 
+    def _rung(self, sg):
+        """Keep and return (sg^e, first ancestor-row index weight sg fills).
+
+        Weights repeat a lot, so callers look in _rungs first; a weight
+        seen for the first time still goes through the checked floor log.
+        """
+        w = sg ** self._e
+        r = self._rungs[sg] = (w, self._flb((self._c - 2) * w) + 1)
+        return r
+
     def _recompress(self, v):
         """Rebuild the compression and numbering of the physical subtree at v.
 
         Everything under v gets fresh weights, heavy paths, fat numbers and
-        ancestor tables.  The new interval is carved from the packing zone
-        of v's compressed parent, or restarts at zero when v is the stored
-        root (that is the only event that changes the table width).
+        ancestor rows.  A breadth-first walk read straight off the child
+        arrays lists the subtree, subtree sizes go bottom-up into s and
+        heavy children into succ, and one top-down pass (_settle) does the
+        rest.  v's new interval is carved from its compressed parent's
+        packing zone, or restarts at zero when v is the stored root (the
+        only event that changes the row width).
         """
-        arena = self.arena
-        piT = self.piT
+        backing = self.arena.backing
+        off = self.arena.off
         ch_h = self.ch_h
         ch_n = self.ch_n
+        piT = self.piT
+        s = self.s
+        succ = self.succ
+        renum = self.renum
         order = [v]
-        k = 0
-        while k < len(order):
-            u = order[k]
-            k += 1
+        # the loop also walks the children it appends
+        for u in order:
+            s[u] = 1
+            succ[u] = None
+            renum[u] += 1
             cn = ch_n[u]
             if cn:
-                order.extend(arena.read(ch_h[u], 0, cn))
-        stt = dict.fromkeys(order, 1)
-        for u in reversed(order):
-            if u != v:
-                stt[piT[u]] += stt[u]
-        hv = {}
-        for u in order:
-            if u != v:
-                t = piT[u]
-                if 2 * stt[u] > stt[t]:
-                    hv[t] = u
+                o = off[ch_h[u]]
+                order += backing[o:o + cn]
+        rest = order[1:]
+        for u in reversed(rest):
+            s[piT[u]] += s[u]
+        for u in rest:
+            t = piT[u]
+            if 2 * s[u] > s[t]:
+                succ[t] = u
+        if self.piD[v] is None:
+            # v is the stored root: a fresh interval and a new row width
+            sg = self.sigma[v] = s[v]
+            w, width = self._rungs.get(sg) or self._rung(sg)
+            c = self._c
+            self._width = width
+            self.stats.reorgs += 1
+            self.pbar[v] = 0
+            self.p[v] = w
+            self.Qbar[v] = w + 1
+            self.q[v] = (c - 1) * w
+            self.qbar[v] = c * w
+            self.tab[v] = array(self._tc, (EPS,)) * width
+            self.iq[v] = width
+            self._settle(rest)
+        else:
+            self._settle(order)
+        m = len(order)
+        width = self._width
+        st = self.stats
+        st.recompressions += 1
+        st.recompression_nodes += m
+        st.table_entries += width * m
+        st.work += (width + 1) * m
+
+    def _settle(self, nodes):
+        """Compress, number and give a row to each of nodes, top-down.
+
+        Each node's stored parent is settled already or comes earlier in
+        nodes; s holds subtree sizes and succ heavy children.  A node
+        takes the next c*sigma^e cells at its compressed parent d's
+        cursor, and d's row with the entries [i_u, iq[d]) pointing at it:
+        the thresholds it is narrow enough for and d is not.
+        """
+        piT = self.piT
+        s = self.s
+        succ = self.succ
         apex = self.apex
         pos = self.pos
         piD = self.piD
         sigma = self.sigma
-        s = self.s
-        succ = self.succ
-        for u in order:
-            if u != v:
-                t = piT[u]
-                ap = hv.get(t) != u
-                apex[u] = ap
-                pos[u] = 0 if ap else pos[t] + 1
-                piD[u] = t if apex[t] else piD[t]
-            else:
-                pos[u] = 0
-            succ[u] = hv.get(u)
-            if apex[u]:
-                s[u] = sigma[u] = stt[u]
-            else:
-                # a path member is a leaf of the compressed tree
-                s[u] = sigma[u] = 1
-        dch = {u: [] for u in order}
-        for u in order:
-            if u != v:
-                dch[piD[u]].append(u)
-        c = self._c
-        e = self._e
-        flb = self._flb
-        u0 = piD[v]
-        if u0 is None:
-            lo = 0
-            self._width = flb((c - 2) * sigma[v] ** e) + 1
-            self.stats.reorgs += 1
-        else:
-            lo = self.Qbar[u0]
-            self.Qbar[u0] = lo + c * sigma[v] ** e
-            if self.Qbar[u0] > self.q[u0]:
-                raise AssertionError("packing cursor ran past the high guard")
-        assign_numbers(v, lo, sigma, dch.__getitem__, c, e,
-                       self.pbar, self.p, self.q, self.qbar, self.Qbar)
-        width = self._width
+        pbar = self.pbar
+        p = self.p
+        q = self.q
+        qbar = self.qbar
+        Qbar = self.Qbar
         tab = self.tab
         iq = self.iq
-        renum = self.renum
-        cm2 = c - 2
-        for u in order:
-            i_u = flb(cm2 * sigma[u] ** e) + 1
-            t = piD[u]
-            if t is None:
-                row = [EPS] * width
+        c = self._c
+        rungs = self._rungs
+        one = array(self._tc, (0,))
+        for u in nodes:
+            t = piT[u]
+            if succ[t] == u:
+                apex[u] = False
+                pos[u] = pos[t] + 1
+                s[u] = sg = 1
             else:
-                row = tab[t][:]
-                if i_u > iq[t]:
-                    raise AssertionError("weight order broke along the apex chain")
-                for i in range(i_u, iq[t]):
-                    row[i] = u
+                apex[u] = True
+                pos[u] = 0
+                sg = s[u]
+            sigma[u] = sg
+            d = t if apex[t] else piD[t]
+            piD[u] = d
+            w, i_u = rungs.get(sg) or self._rung(sg)
+            lo = Qbar[d]
+            hi = lo + c * w
+            if hi > q[d]:
+                raise AssertionError("packing cursor ran past the high guard")
+            Qbar[d] = hi
+            pbar[u] = lo
+            p[u] = lo + w
+            Qbar[u] = lo + w + 1
+            q[u] = hi - w
+            qbar[u] = hi
+            top = iq[d]
+            if i_u > top:
+                raise AssertionError("weight order broke along the apex chain")
+            row = tab[d][:]
+            one[0] = u
+            row[i_u:top] = one * (top - i_u)
             tab[u] = row
             iq[u] = i_u
-            renum[u] += 1
-        st = self.stats
-        st.recompressions += 1
-        st.recompression_nodes += len(order)
-        st.table_entries += width * len(order)
-        st.work += (width + 1) * len(order)
 
     def ca(self, x, y):
         """Characteristic ancestors of x and y under the current root."""

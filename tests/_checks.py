@@ -9,6 +9,7 @@ containment, geometric weight growth, and laminarity of live intervals.
 from bisect import bisect_left
 
 from dynca import Forest
+from dynca.fat_preorder import EPS
 
 
 def dchildren(obj, nodes):
@@ -139,3 +140,22 @@ def build_random_tree(rng, n, forest=None):
 
 def tree_nodes_of(sca, tid):
     return [u for u in range(len(sca.piT)) if sca.tree[u] == tid]
+
+
+def naive_table_entry(sca, x, i, beta, cm2, e):
+    """Last qualifying node walking x's compressed path toward the root.
+
+    Qualifying means the interval is narrower than beta^i; weights grow
+    upward, so qualifiers form a prefix of the walk and the last one is
+    the shallowest. EPS when even x is too wide.
+    """
+    bn, bd = beta
+    lhs = cm2 * bd ** i
+    rhs = bn ** i
+    best = EPS
+    u = x
+    while u is not None:
+        if lhs * sca.sigma[u] ** e < rhs:
+            best = u
+        u = sca.piD[u]
+    return best

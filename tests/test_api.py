@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import dynca
@@ -11,6 +14,29 @@ def test_public_names_resolve():
     ns = {}
     exec("from dynca import *", ns)
     assert set(dynca.__all__) <= set(ns)
+
+
+def test_tracer_wraps_resolve():
+    """Every name the benchmark's tracer wraps is bound where it looks.
+
+    The tracer replaces module and class attributes in place, so a name
+    that moves or goes unbound breaks the traced run, not the engines.
+    """
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    if not path.is_file():
+        pytest.skip("no bench/tracing.py beside the tests")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(dynca)  # reads owner.__dict__[name] for each wrap
+        wrapped = {(owner.__name__, name) for owner, name, _ in tracer._undo}
+    finally:
+        tracer.uninstall()
+    assert ("dynca.incremental", "assign_numbers") in wrapped
+    assert ("dynca.incremental", "combine_rerooted") in wrapped
+    assert dynca.incremental.assign_numbers is dynca.fat_preorder.assign_numbers
 
 
 def _forest():

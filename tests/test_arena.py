@@ -66,7 +66,7 @@ def test_append_at_contract():
     with pytest.raises(IndexError):
         ar.append_at(h, 5, 9)
     with pytest.raises(IndexError):
-        ar.get(h, 3)
+        ar.read(h, 3, 4)
     assert ar.read(h, 0, 3) == [1, 2, 3]
 
 

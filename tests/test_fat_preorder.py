@@ -9,7 +9,7 @@ from dynca import (DYNAMIC_PARAMS, STATIC_PARAMS, ConfigError, FatParams,
 from dynca.fat_preorder import EPS
 
 from _checks import (build_random_tree, check_compression_exact,
-                     check_fat_order, tree_nodes_of)
+                     check_fat_order, naive_table_entry, tree_nodes_of)
 
 
 def test_static_params_exact():
@@ -144,23 +144,6 @@ def test_table_frozen_examples():
     # above the stored width the accessor hands back the root
     assert sca.table_entry(1, len(sca.tab[1])) == 0
     assert sca.table_entry(1, 10 ** 6) == 0
-
-
-def naive_table_entry(sca, x, i, beta, cm2, e):
-    """Last qualifying node walking x's compressed path toward the root.
-
-    Qualifying means the interval is narrower than beta^i; weights grow
-    upward, so qualifiers form a prefix of the walk and the last one is
-    the shallowest. EPS when even x is too wide.
-    """
-    bn, bd = beta
-    best = EPS
-    u = x
-    while u is not None:
-        if cm2 * sca.sigma[u] ** e * bd ** i < bn ** i:
-            best = u
-        u = sca.piD[u]
-    return best
 
 
 @pytest.mark.parametrize("n", [2, 7, 40, 160])

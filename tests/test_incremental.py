@@ -7,7 +7,7 @@ from dynca import (DYNAMIC_PARAMS, CapacityError, Forest, IncrementalTree,
                    oracle_ca)
 from dynca.fat_preorder import shared_log_table
 
-from _checks import check_fat_order
+from _checks import check_fat_order, naive_table_entry
 
 
 def test_first_node_frozen_numbers():
@@ -65,6 +65,49 @@ def test_differential_add_leaf(rng):
         x = rng.randrange(500)
         y = rng.randrange(500)
         assert t.ca(x, y) == oracle_ca(f, x, y), (x, y)
+
+
+def test_rows_match_naive_scan(rng):
+    """Every ancestor row entry after every op, against the path walk."""
+    params = DYNAMIC_PARAMS
+    cm2 = params.c - 2
+    e = params.e
+    t = IncrementalTree(320)
+    for _ in range(299):
+        if rng.random() < 0.2:
+            t.add_root()
+        else:
+            t.add_leaf(rng.randrange(t.n))
+        for x in range(t.n):
+            row = t.tab[x]
+            assert t.iq[x] == t._flb(cm2 * t.sigma[x] ** e) + 1
+            for i in range(len(row)):
+                assert row[i] == naive_table_entry(t, x, i, params.beta, cm2, e), (x, i)
+        assert sum(t.renum) == t.stats.recompression_nodes
+
+
+def test_capacity_beyond_32_bit_ids(rng):
+    """A capacity of 2^31 takes 64-bit rows and grows like any other tree."""
+    assert IncrementalTree(2 ** 31 - 1).tab[0].typecode == "i"
+    f = Forest()
+    f.make_node()
+    t = IncrementalTree(2 ** 31)
+    assert t.tab[0].typecode == "q"
+    root = 0
+    for _ in range(79):
+        if rng.random() < 0.25:
+            y = f.make_node()
+            f.add_root(y, root)
+            root = y
+            assert t.add_root() == y
+        else:
+            x = rng.randrange(t.n)
+            y = f.make_node()
+            f.add_leaf(x, y)
+            assert t.add_leaf(x) == y
+    for x in range(t.n):
+        for y in range(t.n):
+            assert t.ca(x, y) == oracle_ca(f, x, y), (x, y)
 
 
 def test_add_root_chain():
@@ -143,7 +186,7 @@ def test_query_counter_budget(rng):
         t.add_root()
     for _ in range(3000):
         t.ca(rng.randrange(t.n), rng.randrange(t.n))
-    # three stored queries per rerooted ca, each within the fixed budget
+    # a rerooted ca makes at most one stored query, within the fixed budget
     assert t.stats.max_query_steps <= 12
 
 
