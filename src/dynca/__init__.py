@@ -10,7 +10,7 @@ from .arena import Arena
 from .errors import CapacityError, ConfigError, TraceParseError
 from .fat_preorder import (DYNAMIC_PARAMS, STATIC_PARAMS, FatParams, StaticCa,
                            assign_numbers)
-from .forest import CaTriple, Forest, combine_rerooted, oracle_ca, rerooted_ca
+from .forest import CaTriple, Forest, combine_rerooted, oracle_ca
 from .incremental import IncrementalTree
 from .linkforest import (AckermannTable, AdaptiveLinkForest, LinkForest,
                          a_inv, alpha)
@@ -28,7 +28,7 @@ __all__ = [
     "Arena", "CapacityError", "ConfigError", "TraceParseError",
     "DYNAMIC_PARAMS", "STATIC_PARAMS", "FatParams", "StaticCa",
     "assign_numbers", "CaTriple", "Forest", "combine_rerooted", "oracle_ca",
-    "rerooted_ca", "IncrementalTree", "AckermannTable", "AdaptiveLinkForest",
+    "IncrementalTree", "AckermannTable", "AdaptiveLinkForest",
     "LinkForest", "a_inv", "alpha", "Microset", "MultilevelInc",
     "edmonds_tree", "linear_tree", "LogTable", "Rational", "Stats", "Trace",
     "TraceOp", "RunReport", "compatible_engines", "format_trace", "generate",

@@ -5,8 +5,7 @@ The accounting target: at any instant the backing store holds at most
 reclaimed. Every array starts with two granted slots (s=1, capacity 2)
 and, when a push finds n == 2s, relocates to a fresh region of size 4s
 at the end of the store, copying its n cells and doubling s. Handles
-are stable across relocations; the only reclamation primitive is a
-whole-arena reset.
+are stable across relocations.
 """
 
 from __future__ import annotations
@@ -97,11 +96,3 @@ class Arena:
             raise IndexError(f"range [{start}:{stop}] out of bounds for array {h}")
         o = self.off[h]
         return self.backing[o + start:o + stop]
-
-    def reset(self) -> None:
-        self.backing.clear()
-        self.off.clear()
-        self.cap.clear()
-        self.n.clear()
-        self.s.clear()
-        self.total_live = 0

@@ -9,6 +9,10 @@ is numbered with fat intervals: a node of weight s owns c*s^e consecutive
 integers, sits at depth s^e inside its own interval, and packs its
 children left to right between guard zones of width s^e at either end.
 
+Both halves are one pass, assign_numbers, over a subtree listed
+breadth-first.  StaticCa runs it once per tree; IncrementalTree runs it on
+every subtree it renumbers and on every leaf it adds without drift.
+
 A query compares the two fat numbers, takes one floor log of the gap, and
 reads a per-node ancestor table to land on the deepest ancestor whose
 interval is wide enough to decide containment.  Everything after that is a
@@ -16,6 +20,7 @@ constant number of pointer reads, so a query costs around ten word
 operations regardless of tree size.
 """
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -109,30 +114,88 @@ STATIC_PARAMS = FatParams(alpha=None, beta=Rational(2, 1), c=4, e=2)
 DYNAMIC_PARAMS = FatParams(alpha=Rational(6, 5), beta=Rational(10, 7), c=5, e=4)
 
 
-def assign_numbers(root, lo, sigma, dch, c, e, pbar, p, q, qbar, Qbar):
-    """Number the compressed subtree under root into [lo, lo + c*sigma^e).
+def assign_numbers(t, order):
+    """Compress, number and give ancestor rows to a subtree of host t.
 
-    dch maps a node to its compressed children.  Children are packed
-    leftmost, starting right after the parent's low guard; Qbar is left at
-    the first free cell so later arrivals continue where packing stopped.
-    The parameter constraints make overflow impossible, so running past
-    the high guard is a hard internal error.
+    order lists the subtree breadth-first from its top node, each member
+    with s = 1 and succ = None.  Subtree sizes go bottom-up into s and
+    heavy children into succ; then one top-down pass settles each node.
+    A stored root takes a fresh interval at 0 and an all-EPS row.  Any
+    other node takes the next c*sigma^e cells at its compressed parent
+    d's cursor Qbar[d], and d's row with the entries [i_u, iq[d])
+    pointing at it: the thresholds it is narrow enough for and d is not.
+    Breadth-first order packs compressed siblings left to right.
+    (sigma^e, i_u) is kept per weight in t._rungs.  Returns the width of
+    the tree's rows.
     """
-    stack = [(root, lo)]
-    while stack:
-        u, at = stack.pop()
-        w = sigma[u] ** e
-        pbar[u] = at
-        p[u] = at + w
-        qbar[u] = at + c * w
-        q[u] = qbar[u] - w
-        cur = p[u] + 1
-        for v in dch(u):
-            stack.append((v, cur))
-            cur += c * sigma[v] ** e
-        Qbar[u] = cur
-        if cur > q[u]:
-            raise AssertionError("child intervals ran past the high guard")
+    piT = t.piT
+    s = t.s
+    succ = t.succ
+    apex = t.apex
+    pos = t.pos
+    piD = t.piD
+    sigma = t.sigma
+    pbar = t.pbar
+    p = t.p
+    q = t.q
+    qbar = t.qbar
+    Qbar = t.Qbar
+    tab = t.tab
+    iq = t.iq
+    c = t._c
+    e = t._e
+    flb = t._flb
+    rungs = t._rungs
+    rest = order[1:]
+    for u in reversed(rest):
+        s[piT[u]] += s[u]
+    for u in rest:
+        a = piT[u]
+        if 2 * s[u] > s[a]:
+            succ[a] = u
+    one = array(t._tc, (0,))
+    for u in order:
+        a = piT[u]
+        if a is not None and succ[a] == u:
+            apex[u] = False
+            pos[u] = pos[a] + 1
+            s[u] = sg = 1
+        else:
+            apex[u] = True
+            pos[u] = 0
+            sg = s[u]
+        sigma[u] = sg
+        r = rungs.get(sg)
+        if r is None:
+            w = sg ** e
+            r = rungs[sg] = (w, flb((c - 2) * w) + 1)
+        w, i_u = r
+        if a is None:
+            lo = 0
+            hi = c * w
+            row = array(t._tc, (EPS,)) * i_u
+        else:
+            d = a if apex[a] else piD[a]
+            piD[u] = d
+            lo = Qbar[d]
+            hi = lo + c * w
+            top = iq[d]
+            if hi > q[d]:
+                raise AssertionError("packing cursor ran past the high guard")
+            if i_u > top:
+                raise AssertionError("weight order broke along the apex chain")
+            Qbar[d] = hi
+            row = tab[d][:]
+            one[0] = u
+            row[i_u:top] = one * (top - i_u)
+        pbar[u] = lo
+        p[u] = lo + w
+        Qbar[u] = lo + w + 1
+        q[u] = hi - w
+        qbar[u] = hi
+        tab[u] = row
+        iq[u] = i_u
+    return len(row)
 
 
 class FatQueryMixin:
@@ -227,19 +290,6 @@ class FatQueryMixin:
         self.stats.note_query(steps)
         return tuple.__new__(CaTriple, (at, ax, ay))
 
-    def table_entry(self, x, i):
-        """Ancestor table with its implicit tail.
-
-        Stored rows stop at the root's own threshold; everything above it
-        is the root.  Queries stay below the stored width because fat
-        numbers of one tree differ by less than (c-2)*sigma(root)^e, so the
-        tail exists for inspection, not for the hot path.
-        """
-        row = self.tab[x]
-        if i < len(row):
-            return row[i]
-        return self._tree_root(x)
-
 
 class StaticCa(FatQueryMixin):
     """Frozen forest with O(1) characteristic-ancestor queries.
@@ -256,11 +306,14 @@ class StaticCa(FatQueryMixin):
         n = len(forest.parent)
         if n == 0:
             raise ConfigError("empty forest")
-        c = params.c
-        e = params.e
+        self._c = c = params.c
+        self._e = e = params.e
+        # rows hold node ids below n and EPS
+        self._tc = "i" if n < 2 ** 31 else "q"
+        self._rungs = {}
         piT = list(forest.parent)
         self.piT = piT
-        self.tree = [0] * n
+        self.tree = [0] * n  # the root of each node's tree
         self.s = [1] * n
         self.apex = [False] * n
         self.succ = [None] * n
@@ -274,79 +327,25 @@ class StaticCa(FatQueryMixin):
         self.Qbar = [0] * n
         self.tab = [None] * n
         self.iq = [0] * n
-        self._roots = []
         self._lt = shared_log_table(params.beta, c * n ** e)
         self._flb = self._lt.floor_log_beta
         for r in range(n):
             if piT[r] is None:
-                self._build_tree(forest, r, len(self._roots))
-                self._roots.append(r)
+                self._build_tree(forest.children, r)
 
-    def _build_tree(self, forest, r, tid):
-        c = self.params.c
-        e = self.params.e
-        piT = self.piT
-        s = self.s
-        apex = self.apex
-        succ = self.succ
-        pos = self.pos
-        piD = self.piD
-        sigma = self.sigma
+    def _build_tree(self, children, r):
         tree = self.tree
-        children = forest.children
         order = [r]
-        k = 0
-        while k < len(order):
-            u = order[k]
-            k += 1
-            order.extend(children[u])
+        # the loop also walks the children it appends
         for u in order:
-            tree[u] = tid
-        for u in reversed(order):
-            if u != r:
-                s[piT[u]] += s[u]
-        for u in order:
-            if u != r:
-                t = piT[u]
-                if 2 * s[u] > s[t]:
-                    succ[t] = u
-        for u in order:
-            apex[u] = u == r or succ[piT[u]] != u
-        for u in order:
-            if u != r:
-                t = piT[u]
-                pos[u] = 0 if apex[u] else pos[t] + 1
-                piD[u] = t if apex[t] else piD[t]
-            sigma[u] = s[u] if apex[u] else 1
-        dch = {u: [] for u in order}
-        for u in order:
-            if u != r:
-                dch[piD[u]].append(u)
-        assign_numbers(r, 0, sigma, dch.__getitem__, c, e,
-                       self.pbar, self.p, self.q, self.qbar, self.Qbar)
-        flb = self._flb
-        tab = self.tab
-        iq = self.iq
-        width = flb((c - 2) * sigma[r] ** e) + 1
-        for u in order:
-            i_u = flb((c - 2) * sigma[u] ** e) + 1
-            t = piD[u]
-            if t is None:
-                row = [EPS] * width
-            else:
-                row = tab[t][:]
-                for i in range(i_u, iq[t]):
-                    row[i] = u
-            tab[u] = row
-            iq[u] = i_u
+            tree[u] = r
+            order += children[u]
+        width = assign_numbers(self, order)
         self.stats.table_entries += width * len(order)
         self.stats.work += len(order)
 
     def __len__(self):
         return len(self.piT)
-
-    def _tree_root(self, x):
-        return self._roots[self.tree[x]]
 
     def ca(self, x, y):
         """Meet and its two approach children, or None across trees."""

@@ -161,8 +161,7 @@ def combine_rerooted(
 
     parent_of reads parents in the stored rooting. The growing engines
     answer rerooted queries from spine meets instead, with at most one
-    stored query; through rerooted_ca this reduction is the reference
-    they are tested against.
+    stored query; the tests check them against this reduction.
     """
     if cxz.a == cyz.a:
         return cxy
@@ -176,51 +175,3 @@ def combine_rerooted(
     pa = parent_of(a)
     assert pa is not None
     return CaTriple(a, ax, pa)
-
-
-def rerooted_ca(
-    f: Forest,
-    x: int,
-    y: int,
-    z: int,
-    ca_fn: Callable[[int, int], Optional[CaTriple]],
-) -> CaTriple:
-    """ca(x, y) in f's tree rerooted at z, using exactly three ca_fn calls."""
-    for v in (x, y, z):
-        check_id(v, len(f.parent))
-    if not (f.same_tree(x, y) and f.same_tree(x, z)):
-        raise ValueError("rerooted_ca requires x, y, z in one tree")
-    cxy = ca_fn(x, y)
-    cxz = ca_fn(x, z)
-    cyz = ca_fn(y, z)
-    assert cxy is not None and cxz is not None and cyz is not None
-    return combine_rerooted(cxy, cxz, cyz, lambda v: f.parent[v])
-
-
-def reroot_physical(f: Forest, z: int) -> Forest:
-    """Copy f with z's tree rerooted at z (parent edges reversed on z's root path)."""
-    check_id(z, len(f.parent))
-    g = Forest()
-    for _ in range(len(f)):
-        g.make_node()
-    new_parent: list[Optional[int]] = list(f.parent)
-    v: Optional[int] = z
-    prev: Optional[int] = None
-    while v is not None:
-        nxt = f.parent[v]
-        new_parent[v] = prev
-        prev, v = v, nxt
-    g.parent = new_parent
-    for u, p in enumerate(new_parent):
-        if p is not None:
-            g.children[p].append(u)
-    for u, p in enumerate(new_parent):
-        if p is None:
-            g._off[u] = 0
-            stack = [(u, 0)]
-            while stack:
-                w, d = stack.pop()
-                g._raw[w] = d
-                g._uf[w] = u
-                stack.extend((t, d + 1) for t in g.children[w])
-    return g

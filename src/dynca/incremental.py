@@ -6,11 +6,9 @@ renumbering covers the shallowest such ancestor, so the recorded weights
 keep their geometric growth along compressed root paths.  A new leaf is an
 apex of its own, numbered from its compressed parent's packing cursor.
 
-A renumbering is one top-down pass over the subtree in breadth-first
-order, which settles each node's compression, carves its interval from
-its compressed parent's cursor and copies its ancestor row from that
-parent's; a leaf added without drift takes the same step.  Breadth-first
-order packs compressed siblings as assign_numbers does.  Rows are
+A renumbering lists the subtree breadth-first off the child arrays and
+hands it to assign_numbers, the one pass that also numbers a frozen
+forest; a leaf added without drift goes through the same pass.  Rows are
 machine-int arrays, 32-bit unless the capacity needs 64.
 
 add_root does not touch the numbering at all.  The new node is stored as
@@ -23,14 +21,10 @@ meet is the meet itself, so a rerooted query costs at most one stored
 query.
 """
 
-from array import array
-
 from .arena import Arena
 from .errors import CapacityError, check_id
-from .fat_preorder import DYNAMIC_PARAMS, EPS, FatQueryMixin, shared_log_table
-# bench/tracing.py wraps assign_numbers in this namespace; renumbering
-# no longer calls it, so its span here stays empty
-from .fat_preorder import assign_numbers  # noqa: F401
+from .fat_preorder import (DYNAMIC_PARAMS, FatQueryMixin, assign_numbers,
+                           shared_log_table)
 # combine_rerooted stays in this namespace: bench/tracing.py wraps it here
 from .forest import CaTriple, combine_rerooted  # noqa: F401
 from .stats import Stats
@@ -61,7 +55,7 @@ class IncrementalTree(FatQueryMixin):
         # unless the capacity itself needs more
         self._tc = "i" if max_n < 2 ** 31 else "q"
         self._rungs = {}
-        # node 0, a one-node heavy path filling its own interval
+        # node 0, the stored root; assign_numbers gives it its interval
         self.piT = [None]
         self.s = [1]
         self.sigma = [1]
@@ -70,19 +64,18 @@ class IncrementalTree(FatQueryMixin):
         self.pos = [0]
         self.piD = [None]
         self.pbar = [0]
-        self.p = [1]
-        self.q = [c - 1]
-        self.qbar = [c]
-        self.Qbar = [2]
+        self.p = [0]
+        self.q = [0]
+        self.qbar = [0]
+        self.Qbar = [0]
         self.renum = [0]
         self.ch_h = [self.arena.new_array()]
         self.ch_n = [0]
-        width = self._rung(1)[1]
-        self._width = width
-        self.iq = [width]
-        self.tab = [array(self._tc, (EPS,)) * width]
+        self.iq = [0]
+        self.tab = [None]
         self.sm = [0]
         self.varrho = 0
+        assign_numbers(self, (0,))
         self.stats.eta += 1
 
     @property
@@ -92,9 +85,6 @@ class IncrementalTree(FatQueryMixin):
     @property
     def root(self):
         return self.varrho
-
-    def _tree_root(self, x):
-        return 0
 
     def add_leaf(self, x):
         """Attach and return a new child of x."""
@@ -156,8 +146,7 @@ class IncrementalTree(FatQueryMixin):
 
         # no drift: the leaf settles as a weight-1 apex under its
         # compressed parent, exactly as a renumbered leaf would
-        self._settle((y,))
-        self.stats.table_entries += self._width
+        self.stats.table_entries += assign_numbers(self, (y,))
         return y
 
     def add_root(self):
@@ -167,32 +156,20 @@ class IncrementalTree(FatQueryMixin):
         self.varrho = y
         return y
 
-    def _rung(self, sg):
-        """Keep and return (sg^e, first ancestor-row index weight sg fills).
-
-        Weights repeat a lot, so callers look in _rungs first; a weight
-        seen for the first time still goes through the checked floor log.
-        """
-        w = sg ** self._e
-        r = self._rungs[sg] = (w, self._flb((self._c - 2) * w) + 1)
-        return r
-
     def _recompress(self, v):
         """Rebuild the compression and numbering of the physical subtree at v.
 
         Everything under v gets fresh weights, heavy paths, fat numbers and
         ancestor rows.  A breadth-first walk read straight off the child
-        arrays lists the subtree, subtree sizes go bottom-up into s and
-        heavy children into succ, and one top-down pass (_settle) does the
-        rest.  v's new interval is carved from its compressed parent's
-        packing zone, or restarts at zero when v is the stored root (the
-        only event that changes the row width).
+        arrays lists the subtree for assign_numbers.  v's new interval is
+        carved from its compressed parent's packing zone, or restarts at
+        zero when v is the stored root (the only event that changes the
+        row width).
         """
         backing = self.arena.backing
         off = self.arena.off
         ch_h = self.ch_h
         ch_n = self.ch_n
-        piT = self.piT
         s = self.s
         succ = self.succ
         renum = self.renum
@@ -206,96 +183,15 @@ class IncrementalTree(FatQueryMixin):
             if cn:
                 o = off[ch_h[u]]
                 order += backing[o:o + cn]
-        rest = order[1:]
-        for u in reversed(rest):
-            s[piT[u]] += s[u]
-        for u in rest:
-            t = piT[u]
-            if 2 * s[u] > s[t]:
-                succ[t] = u
-        if self.piD[v] is None:
-            # v is the stored root: a fresh interval and a new row width
-            sg = self.sigma[v] = s[v]
-            w, width = self._rungs.get(sg) or self._rung(sg)
-            c = self._c
-            self._width = width
-            self.stats.reorgs += 1
-            self.pbar[v] = 0
-            self.p[v] = w
-            self.Qbar[v] = w + 1
-            self.q[v] = (c - 1) * w
-            self.qbar[v] = c * w
-            self.tab[v] = array(self._tc, (EPS,)) * width
-            self.iq[v] = width
-            self._settle(rest)
-        else:
-            self._settle(order)
-        m = len(order)
-        width = self._width
         st = self.stats
+        if v == 0:
+            st.reorgs += 1  # the stored root's interval restarts at zero
+        width = assign_numbers(self, order)
+        m = len(order)
         st.recompressions += 1
         st.recompression_nodes += m
         st.table_entries += width * m
         st.work += (width + 1) * m
-
-    def _settle(self, nodes):
-        """Compress, number and give a row to each of nodes, top-down.
-
-        Each node's stored parent is settled already or comes earlier in
-        nodes; s holds subtree sizes and succ heavy children.  A node
-        takes the next c*sigma^e cells at its compressed parent d's
-        cursor, and d's row with the entries [i_u, iq[d]) pointing at it:
-        the thresholds it is narrow enough for and d is not.
-        """
-        piT = self.piT
-        s = self.s
-        succ = self.succ
-        apex = self.apex
-        pos = self.pos
-        piD = self.piD
-        sigma = self.sigma
-        pbar = self.pbar
-        p = self.p
-        q = self.q
-        qbar = self.qbar
-        Qbar = self.Qbar
-        tab = self.tab
-        iq = self.iq
-        c = self._c
-        rungs = self._rungs
-        one = array(self._tc, (0,))
-        for u in nodes:
-            t = piT[u]
-            if succ[t] == u:
-                apex[u] = False
-                pos[u] = pos[t] + 1
-                s[u] = sg = 1
-            else:
-                apex[u] = True
-                pos[u] = 0
-                sg = s[u]
-            sigma[u] = sg
-            d = t if apex[t] else piD[t]
-            piD[u] = d
-            w, i_u = rungs.get(sg) or self._rung(sg)
-            lo = Qbar[d]
-            hi = lo + c * w
-            if hi > q[d]:
-                raise AssertionError("packing cursor ran past the high guard")
-            Qbar[d] = hi
-            pbar[u] = lo
-            p[u] = lo + w
-            Qbar[u] = lo + w + 1
-            q[u] = hi - w
-            qbar[u] = hi
-            top = iq[d]
-            if i_u > top:
-                raise AssertionError("weight order broke along the apex chain")
-            row = tab[d][:]
-            one[0] = u
-            row[i_u:top] = one * (top - i_u)
-            tab[u] = row
-            iq[u] = i_u
 
     def ca(self, x, y):
         """Characteristic ancestors of x and y under the current root."""

@@ -590,7 +590,8 @@ class AdaptiveLinkForest:
             self.n1 += 1
         lv = alpha(self.m1, self.n1)
         if self.lf is None:
-            self._open(lv)
+            self.lf = self._fresh(lv)
+            self.level = lv
         elif lv != self.level and lv != self.level - 1:
             self._reorganize(lv)
         self.lf._join(r, x, y)
@@ -617,25 +618,21 @@ class AdaptiveLinkForest:
         t = self.ca(x, y)
         return None if t is None else t.a
 
-    def _open(self, lv):
+    def _fresh(self, lv):
+        """An empty lv-level LinkForest over every vertex made so far."""
         ack = AckermannTable(max(4, 2 * self.n1))
         lf = LinkForest(lv, ack, self.max_n, self.params,
                         stats=self.stats, arena=self.arena)
         for _ in self.counted:
             lf.make_node()
-        self.lf = lf
-        self.level = lv
+        return lf
 
     def _reorganize(self, lv):
         """Re-seat every current tree for the new level count."""
         old = self.lf
         self.stats.reorgs += 1
         self.stats.reorg_log.append((self.ops, self.level, lv))
-        ack = AckermannTable(max(4, 2 * self.n1))
-        lf = LinkForest(lv, ack, self.max_n, self.params,
-                        stats=self.stats, arena=self.arena)
-        for _ in self.counted:
-            lf.make_node()
+        lf = self._fresh(lv)
         top = old.pi[old.L]
         for r in old.roots:
             order = old.tree_nodes(r)

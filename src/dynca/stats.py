@@ -25,14 +25,3 @@ class Stats:
         if steps > self.max_query_steps:
             self.max_query_steps = steps
         self.work += steps
-
-    def reset(self):
-        self.eta = 0
-        self.recompressions = 0
-        self.recompression_nodes = 0
-        self.table_entries = 0
-        self.reorgs = 0
-        self.queries = 0
-        self.max_query_steps = 0
-        self.work = 0
-        self.reorg_log.clear()

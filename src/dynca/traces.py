@@ -250,63 +250,14 @@ class OracleEngine(_Engine):
             return oracle_ca(f, op.a, op.b)
 
 
-class _GrowEngine(_Engine):
-    """Single grown tree: make_node once, then add_leaf / add_root / queries."""
-
-    ops = frozenset(("make_node", "add_leaf", "add_root", "nca", "ca"))
-
-    def make(self):
-        raise NotImplementedError
-
-    def __init__(self, name, max_n):
-        super().__init__(name, max_n)
-        self.t = None
-
-    def apply(self, op):
-        k = op.kind
-        if k == "make_node":
-            if self.t is not None:
-                raise ConfigError(f"engine {self.name} holds a single tree")
-            self.t = self.make()
-            self.arena = self.t.arena
-            return
-        if self.t is None:
-            raise ConfigError(f"engine {self.name} needs make_node first")
-        if k == "add_leaf":
-            v = self.t.add_leaf(op.a)
-            assert v == op.b
-        elif k == "add_root":
-            v = self.t.add_root()
-            assert v == op.a
-        else:
-            return self.t.ca(op.a, op.b)
-
-
-class IncEngine(_GrowEngine):
-    def make(self):
-        return IncrementalTree(self.max_n, stats=self.stats)
-
-
-class IncLog2Engine(_GrowEngine):
-    def make(self):
-        return edmonds_tree(self.max_n, stats=self.stats)
-
-
-class IncLinearEngine(_GrowEngine):
-    def make(self):
-        return linear_tree(self.max_n, stats=self.stats)
-
-
-class StaticEngine(_Engine):
-    """Builds once from the structural prefix; queries freeze it."""
+class StaticEngine(OracleEngine):
+    """Grows the oracle's forest; the first query freezes it into a StaticCa."""
 
     ops = frozenset(("make_node", "add_leaf", "add_root", "nca", "ca"))
 
     def __init__(self, name, max_n):
         super().__init__(name, max_n)
-        self.f = Forest()
         self.sca = None
-        self.root = None
 
     def precheck(self, trace):
         super().precheck(trace)
@@ -319,22 +270,44 @@ class StaticEngine(_Engine):
                     "engine static cannot mutate after its first query")
 
     def apply(self, op):
+        if op.kind not in QUERIES:
+            return super().apply(op)
+        if self.sca is None:
+            self.sca = StaticCa(self.f, stats=self.stats)
+        return self.sca.ca(op.a, op.b)
+
+
+GROWN = {"inc": IncrementalTree, "inc-log2": edmonds_tree,
+         "inc-linear": linear_tree}
+
+
+class GrowEngine(_Engine):
+    """Single grown tree: make_node once, then add_leaf / add_root / queries."""
+
+    ops = frozenset(("make_node", "add_leaf", "add_root", "nca", "ca"))
+
+    def __init__(self, name, max_n):
+        super().__init__(name, max_n)
+        self.t = None
+
+    def apply(self, op):
         k = op.kind
         if k == "make_node":
-            v = self.f.make_node()
-            if self.root is None:
-                self.root = v
-        elif k == "add_leaf":
-            v = self.f.make_node()
-            self.f.add_leaf(op.a, v)
+            if self.t is not None:
+                raise ConfigError(f"engine {self.name} holds a single tree")
+            self.t = GROWN[self.name](self.max_n, stats=self.stats)
+            self.arena = self.t.arena
+            return
+        if self.t is None:
+            raise ConfigError(f"engine {self.name} needs make_node first")
+        if k == "add_leaf":
+            v = self.t.add_leaf(op.a)
+            assert v == op.b
         elif k == "add_root":
-            v = self.f.make_node()
-            self.f.add_root(v, self.f.root_of(self.root))
-            self.root = v
+            v = self.t.add_root()
+            assert v == op.a
         else:
-            if self.sca is None:
-                self.sca = StaticCa(self.f, stats=self.stats)
-            return self.sca.ca(op.a, op.b)
+            return self.t.ca(op.a, op.b)
 
 
 class LinkEngine(_Engine):
@@ -364,9 +337,9 @@ class LinkEngine(_Engine):
 ENGINES = {
     "oracle": OracleEngine,
     "static": StaticEngine,
-    "inc": IncEngine,
-    "inc-log2": IncLog2Engine,
-    "inc-linear": IncLinearEngine,
+    "inc": GrowEngine,
+    "inc-log2": GrowEngine,
+    "inc-linear": GrowEngine,
     "link": LinkEngine,
 }
 

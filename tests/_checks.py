@@ -4,11 +4,15 @@ Every sweep takes a numbered structure (StaticCa or IncrementalTree; both
 expose the same flat arrays) plus the node set of one stored tree, and
 asserts the numbering contract: interval shape, guard emptiness, subtree
 containment, geometric weight growth, and laminarity of live intervals.
+The references the engines are compared against live here too: ancestor
+table entries by a path walk, and meets under a moved root by three
+stored queries or by a physically rerooted copy of the forest.
 """
 
 from bisect import bisect_left
 
-from dynca import Forest
+from dynca import Forest, combine_rerooted
+from dynca.errors import check_id
 from dynca.fat_preorder import EPS
 
 
@@ -28,7 +32,8 @@ def check_fat_order(obj, nodes, root, params, incremental=False):
     Called after a build or a mutation; O(n log n) per call so it can run
     inside per-step sweeps.  The growth-slack bound applies only to
     structures that maintain live sizes (incremental=True); a static
-    build keeps whole-subtree sizes in s even at non-apex nodes.
+    build has no slack, so its s equals sigma everywhere: the subtree
+    size at an apex, 1 on a heavy path.
     """
     c = params.c
     e = params.e
@@ -74,7 +79,7 @@ def check_fat_order(obj, nodes, root, params, incremental=False):
             an, ad = params.alpha
             assert ad * s[u] < an * sigma[u], \
                 f"node {u}: size {s[u]} outgrew weight {sigma[u]}"
-        elif apex[u]:
+        else:
             assert s[u] == sigma[u]
 
     for u in nodes:
@@ -138,8 +143,8 @@ def build_random_tree(rng, n, forest=None):
     return f, r
 
 
-def tree_nodes_of(sca, tid):
-    return [u for u in range(len(sca.piT)) if sca.tree[u] == tid]
+def tree_nodes_of(sca, root):
+    return [u for u in range(len(sca.piT)) if sca.tree[u] == root]
 
 
 def naive_table_entry(sca, x, i, beta, cm2, e):
@@ -159,3 +164,59 @@ def naive_table_entry(sca, x, i, beta, cm2, e):
             best = u
         u = sca.piD[u]
     return best
+
+
+def table_entry(obj, x, i, root):
+    """Ancestor table entry of x at index i, with its implicit tail.
+
+    Stored rows stop at the root's own threshold; everything above it is
+    the root.  Queries stay below the stored width because fat numbers of
+    one tree differ by less than (c-2)*sigma(root)^e, so the tail exists
+    for inspection, not for the hot path.
+    """
+    row = obj.tab[x]
+    if i < len(row):
+        return row[i]
+    return root
+
+
+def rerooted_ca(f, x, y, z, ca_fn):
+    """ca(x, y) in f's tree rerooted at z, using exactly three ca_fn calls."""
+    for v in (x, y, z):
+        check_id(v, len(f.parent))
+    if not (f.same_tree(x, y) and f.same_tree(x, z)):
+        raise ValueError("rerooted_ca requires x, y, z in one tree")
+    cxy = ca_fn(x, y)
+    cxz = ca_fn(x, z)
+    cyz = ca_fn(y, z)
+    assert cxy is not None and cxz is not None and cyz is not None
+    return combine_rerooted(cxy, cxz, cyz, lambda v: f.parent[v])
+
+
+def reroot_physical(f, z):
+    """Copy f with z's tree rerooted at z (parent edges reversed on z's root path)."""
+    check_id(z, len(f.parent))
+    g = Forest()
+    for _ in range(len(f)):
+        g.make_node()
+    new_parent = list(f.parent)
+    v = z
+    prev = None
+    while v is not None:
+        nxt = f.parent[v]
+        new_parent[v] = prev
+        prev, v = v, nxt
+    g.parent = new_parent
+    for u, p in enumerate(new_parent):
+        if p is not None:
+            g.children[p].append(u)
+    for u, p in enumerate(new_parent):
+        if p is None:
+            g._off[u] = 0
+            stack = [(u, 0)]
+            while stack:
+                w, d = stack.pop()
+                g._raw[w] = d
+                g._uf[w] = u
+                stack.extend((t, d + 1) for t in g.children[w])
+    return g

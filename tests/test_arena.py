@@ -70,15 +70,6 @@ def test_append_at_contract():
     assert ar.read(h, 0, 3) == [1, 2, 3]
 
 
-def test_reset_reclaims():
-    ar = Arena()
-    h = ar.new_array()
-    ar.push(h, 1)
-    ar.reset()
-    assert ar.used == 0
-    assert len(ar) == 0
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=200))
 def test_arena_invariants_under_interleaving(script):

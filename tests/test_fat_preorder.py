@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynca import (DYNAMIC_PARAMS, STATIC_PARAMS, ConfigError, FatParams,
-                   Forest, Rational, StaticCa, assign_numbers, oracle_ca)
+                   Forest, Rational, StaticCa, oracle_ca)
 from dynca.fat_preorder import EPS
 
 from _checks import (build_random_tree, check_compression_exact,
-                     check_fat_order, naive_table_entry, tree_nodes_of)
+                     check_fat_order, naive_table_entry, table_entry,
+                     tree_nodes_of)
 
 
 def test_static_params_exact():
@@ -51,27 +52,6 @@ def test_bad_params_rejected():
         FatParams(alpha=Rational(7, 5), beta=Rational(10, 7), c=5, e=4).validate()
 
 
-def test_assign_numbers_single_node():
-    pbar, p, q, qbar, Qbar = [0], [0], [0], [0], [0]
-    assign_numbers(0, 0, [1], lambda u: [], 4, 2, pbar, p, q, qbar, Qbar)
-    assert (pbar[0], p[0], q[0], qbar[0]) == (0, 1, 3, 4)
-
-
-def test_assign_numbers_two_nodes():
-    pbar, p, q, qbar, Qbar = [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]
-    dch = {0: [1], 1: []}
-    assign_numbers(0, 0, [2, 1], dch.__getitem__, 4, 2, pbar, p, q, qbar, Qbar)
-    assert (pbar[0], p[0], q[0], qbar[0]) == (0, 4, 12, 16)
-    assert (pbar[1], p[1], q[1], qbar[1]) == (5, 6, 8, 9)
-    assert Qbar[0] == 9
-
-
-def test_sibling_intervals_disjoint(rng):
-    f, r = build_random_tree(rng, 120)
-    sca = StaticCa(f)
-    check_fat_order(sca, tree_nodes_of(sca, 0), r, STATIC_PARAMS)
-
-
 def path_forest(n):
     f = Forest()
     f.make_node()
@@ -79,6 +59,25 @@ def path_forest(n):
         y = f.make_node()
         f.add_leaf(v - 1, y)
     return f
+
+
+def test_assign_numbers_single_node():
+    sca = StaticCa(path_forest(1))
+    assert (sca.pbar[0], sca.p[0], sca.q[0], sca.qbar[0]) == (0, 1, 3, 4)
+
+
+def test_assign_numbers_two_nodes():
+    # the child weighs exactly half, so it is an apex of its own
+    sca = StaticCa(path_forest(2))
+    assert (sca.pbar[0], sca.p[0], sca.q[0], sca.qbar[0]) == (0, 4, 12, 16)
+    assert (sca.pbar[1], sca.p[1], sca.q[1], sca.qbar[1]) == (5, 6, 8, 9)
+    assert sca.Qbar[0] == 9
+
+
+def test_sibling_intervals_disjoint(rng):
+    f, r = build_random_tree(rng, 120)
+    sca = StaticCa(f)
+    check_fat_order(sca, tree_nodes_of(sca, r), r, STATIC_PARAMS)
 
 
 def complete_binary(depth):
@@ -142,8 +141,8 @@ def test_table_frozen_examples():
     # child: (c-2)*sigma^e = 2 >= beta^0 = 1, so entry 0 is empty
     assert sca.tab[1][0] == EPS
     # above the stored width the accessor hands back the root
-    assert sca.table_entry(1, len(sca.tab[1])) == 0
-    assert sca.table_entry(1, 10 ** 6) == 0
+    assert table_entry(sca, 1, len(sca.tab[1]), 0) == 0
+    assert table_entry(sca, 1, 10 ** 6, 0) == 0
 
 
 @pytest.mark.parametrize("n", [2, 7, 40, 160])
@@ -159,7 +158,7 @@ def test_table_matches_naive_scan(n, rng):
             if i >= width:
                 # accessor tail: every node on the path qualifies by then
                 assert want == r
-            assert sca.table_entry(x, i) == want, (x, i)
+            assert table_entry(sca, x, i, r) == want, (x, i)
 
 
 def test_static_ca_differential(rng):

@@ -3,10 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynca import CaTriple, Forest, oracle_ca, rerooted_ca
-from dynca.forest import reroot_physical
+from dynca import CaTriple, Forest, oracle_ca
 
-from _checks import build_random_tree
+from _checks import build_random_tree, reroot_physical, rerooted_ca
 
 
 def chain(*edges):

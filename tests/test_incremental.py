@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynca import (DYNAMIC_PARAMS, CapacityError, Forest, IncrementalTree,
-                   oracle_ca)
+                   StaticCa, oracle_ca)
 from dynca.fat_preorder import shared_log_table
 
 from _checks import check_fat_order, naive_table_entry
@@ -84,6 +84,29 @@ def test_rows_match_naive_scan(rng):
             for i in range(len(row)):
                 assert row[i] == naive_table_entry(t, x, i, params.beta, cm2, e), (x, i)
         assert sum(t.renum) == t.stats.recompression_nodes
+
+
+def test_root_recompression_matches_static():
+    """A renumbering from the root is the frozen build of the stored tree."""
+    rng = random.Random(3)
+    f = Forest()
+    f.make_node()
+    t = IncrementalTree(3001)
+    seen = 0
+    for _ in range(3000):
+        x = rng.randrange(t.n)
+        f.add_leaf(x, f.make_node())
+        reorgs = t.stats.reorgs
+        t.add_leaf(x)
+        if t.stats.reorgs == reorgs:
+            continue
+        seen += 1
+        sca = StaticCa(f, DYNAMIC_PARAMS)
+        for name in ("pbar", "p", "q", "qbar", "Qbar", "apex", "piD", "sigma",
+                     "succ", "pos", "iq"):
+            assert getattr(t, name) == getattr(sca, name), (t.n, name)
+        assert [list(r) for r in t.tab] == [list(r) for r in sca.tab], t.n
+    assert seen >= 30
 
 
 def test_capacity_beyond_32_bit_ids(rng):

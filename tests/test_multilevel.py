@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynca import (CapacityError, Forest, IncrementalTree, MultilevelInc,
-                   edmonds_tree, linear_tree, oracle_ca, rerooted_ca)
+                   edmonds_tree, linear_tree, oracle_ca)
+
+from _checks import rerooted_ca
 
 
 def check_levels(t):
