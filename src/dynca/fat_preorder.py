@@ -125,8 +125,9 @@ def assign_numbers(t, order):
     d's cursor Qbar[d], and d's row with the entries [i_u, iq[d])
     pointing at it: the thresholds it is narrow enough for and d is not.
     Breadth-first order packs compressed siblings left to right.
-    (sigma^e, i_u) is kept per weight in t._rungs.  Returns the width of
-    the tree's rows.
+    (sigma^e, i_u) is kept per weight in t._rungs.  Only p, q and the
+    cursor Qbar are stored: the guard ends are implied, p - sigma^e below
+    and q + sigma^e above.  Returns the width of the tree's rows.
     """
     piT = t.piT
     s = t.s
@@ -135,10 +136,8 @@ def assign_numbers(t, order):
     pos = t.pos
     piD = t.piD
     sigma = t.sigma
-    pbar = t.pbar
     p = t.p
     q = t.q
-    qbar = t.qbar
     Qbar = t.Qbar
     tab = t.tab
     iq = t.iq
@@ -188,11 +187,9 @@ def assign_numbers(t, order):
             row = tab[d][:]
             one[0] = u
             row[i_u:top] = one * (top - i_u)
-        pbar[u] = lo
         p[u] = lo + w
         Qbar[u] = lo + w + 1
         q[u] = hi - w
-        qbar[u] = hi
         tab[u] = row
         iq[u] = i_u
     return len(row)
@@ -320,10 +317,8 @@ class StaticCa(FatQueryMixin):
         self.pos = [0] * n
         self.piD = [None] * n
         self.sigma = [1] * n
-        self.pbar = [0] * n
         self.p = [0] * n
         self.q = [0] * n
-        self.qbar = [0] * n
         self.Qbar = [0] * n
         self.tab = [None] * n
         self.iq = [0] * n
@@ -343,9 +338,6 @@ class StaticCa(FatQueryMixin):
         width = assign_numbers(self, order)
         self.stats.table_entries += width * len(order)
         self.stats.work += len(order)
-
-    def __len__(self):
-        return len(self.piT)
 
     def ca(self, x, y):
         """Meet and its two approach children, or None across trees."""

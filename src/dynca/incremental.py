@@ -18,7 +18,8 @@ grow toward the current root, and every node records its spine meet sm:
 the deepest spine node on its stored root path.  Nodes with one spine
 meet keep their stored meet under any root; otherwise the deeper spine
 meet is the meet itself, so a rerooted query costs at most one stored
-query.
+query.  Spine holds that root handle and query dispatch once, for this
+tree and for the leveled MultilevelInc.
 """
 
 from .arena import Arena
@@ -30,16 +31,70 @@ from .forest import CaTriple, combine_rerooted  # noqa: F401
 from .stats import Stats
 
 
-class IncrementalTree(FatQueryMixin):
+class Spine:
+    """A root handle above a stored tree, and the queries under it.
+
+    A host provides piT, the stored parents of its vertices; sm, their
+    spine meets, and varrho, the current root; stats and add_leaf; and
+    _stored(x, y), the meet of distinct vertices in the stored rooting.
+    """
+
+    @property
+    def n(self):
+        return len(self.piT)
+
+    @property
+    def root(self):
+        return self.varrho
+
+    def add_root(self):
+        """Attach and return a new root above the current one."""
+        y = self.add_leaf(self.varrho)
+        self.sm[y] = y
+        self.varrho = y
+        return y
+
+    def ca(self, x, y):
+        """Characteristic ancestors of x and y under the current root."""
+        n = len(self.piT)
+        check_id(x, n)
+        check_id(y, n)
+        return self._ca(x, y)
+
+    def _ca(self, x, y):
+        """ca without the id checks: the spine meets pick the case."""
+        if x == y:
+            self.stats.note_query(0)
+            return tuple.__new__(CaTriple, (x, x, x))
+        sm = self.sm
+        sx = sm[x]
+        sy = sm[y]
+        # one spine meet: the stored meet holds under any root; otherwise
+        # the deeper spine meet is the meet, its stored parent on the way
+        # to the other side
+        if sx == sy:
+            return self._stored(x, y)
+        if sx < sy:
+            return tuple.__new__(CaTriple, (
+                sy, self.piT[sy], y if y == sy else self._stored(sy, y)[2]))
+        return tuple.__new__(CaTriple, (
+            sx, x if x == sx else self._stored(sx, x)[2], self.piT[sx]))
+
+    def nca(self, x, y):
+        return self.ca(x, y).a
+
+
+class IncrementalTree(Spine, FatQueryMixin):
     """Single tree over dense ids 0..n-1, id 0 created by the constructor."""
 
-    def __init__(self, max_n, params=DYNAMIC_PARAMS, stats=None, arena=None):
-        if params.alpha is None:
-            from .errors import ConfigError
+    params = DYNAMIC_PARAMS
+    # bound in the class body, where bench/tracing.py wraps them
+    add_root = Spine.add_root
+    ca = Spine.ca
+    _stored = FatQueryMixin._ca_stored
 
-            raise ConfigError("a growing tree needs the alpha slack")
-        params.validate()
-        self.params = params
+    def __init__(self, max_n, stats=None, arena=None):
+        params = self.params
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
         self.arena = arena if arena is not None else Arena()
@@ -63,10 +118,8 @@ class IncrementalTree(FatQueryMixin):
         self.succ = [None]
         self.pos = [0]
         self.piD = [None]
-        self.pbar = [0]
         self.p = [0]
         self.q = [0]
-        self.qbar = [0]
         self.Qbar = [0]
         self.renum = [0]
         self.ch_h = [self.arena.new_array()]
@@ -77,14 +130,6 @@ class IncrementalTree(FatQueryMixin):
         self.varrho = 0
         assign_numbers(self, (0,))
         self.stats.eta += 1
-
-    @property
-    def n(self):
-        return len(self.piT)
-
-    @property
-    def root(self):
-        return self.varrho
 
     def add_leaf(self, x):
         """Attach and return a new child of x."""
@@ -112,10 +157,8 @@ class IncrementalTree(FatQueryMixin):
         self.succ.append(None)
         self.pos.append(0)
         piD.append(x if self.apex[x] else piD[x])
-        self.pbar.append(0)
         self.p.append(0)
         self.q.append(0)
-        self.qbar.append(0)
         self.Qbar.append(0)
         self.renum.append(0)
         self.ch_h.append(self.arena.new_array())
@@ -147,13 +190,6 @@ class IncrementalTree(FatQueryMixin):
         # no drift: the leaf settles as a weight-1 apex under its
         # compressed parent, exactly as a renumbered leaf would
         self.stats.table_entries += assign_numbers(self, (y,))
-        return y
-
-    def add_root(self):
-        """Attach and return a new root above the current one."""
-        y = self.add_leaf(self.varrho)
-        self.sm[y] = y
-        self.varrho = y
         return y
 
     def _recompress(self, v):
@@ -192,33 +228,3 @@ class IncrementalTree(FatQueryMixin):
         st.recompression_nodes += m
         st.table_entries += width * m
         st.work += (width + 1) * m
-
-    def ca(self, x, y):
-        """Characteristic ancestors of x and y under the current root."""
-        n = len(self.piT)
-        check_id(x, n)
-        check_id(y, n)
-        if x == y:
-            self.stats.note_query(0)
-            return tuple.__new__(CaTriple, (x, x, x))
-        sm = self.sm
-        sx = sm[x]
-        sy = sm[y]
-        # one spine meet: the stored meet holds under any root; otherwise
-        # the deeper spine meet is the meet, its stored parent on the way
-        # to the other side
-        if sx == sy:
-            return self._ca_stored(x, y)
-        if sx < sy:
-            return tuple.__new__(CaTriple, (
-                sy, self.piT[sy], y if y == sy else self._ca_stored(sy, y)[2]))
-        return tuple.__new__(CaTriple, (
-            sx, x if x == sx else self._ca_stored(sx, x)[2], self.piT[sx]))
-
-    def nca(self, x, y):
-        return self.ca(x, y).a
-
-    def children(self, u):
-        """Stored children of u, in attachment order."""
-        check_id(u, len(self.piT))
-        return self.arena.read(self.ch_h[u], 0, self.ch_n[u])

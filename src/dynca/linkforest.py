@@ -26,7 +26,6 @@ from functools import lru_cache
 
 from .arena import Arena
 from .errors import CapacityError, check_id
-from .fat_preorder import DYNAMIC_PARAMS
 from .forest import CaTriple
 from .levels import Leveled
 from .multilevel import MultilevelInc
@@ -184,7 +183,7 @@ class LinkForest(Leveled):
     table, so the table must cover the intended node count.
     """
 
-    def __init__(self, level, ack, max_n, params=DYNAMIC_PARAMS, stats=None, arena=None):
+    def __init__(self, level, ack, max_n, stats=None):
         if level < 1:
             raise ValueError("need at least one level")
         if level > ack.size:
@@ -192,9 +191,8 @@ class LinkForest(Leveled):
         self.L = level
         self.ack = ack
         self.max_n = max_n
-        self.params = params
         self.stats = stats if stats is not None else Stats()
-        self.arena = arena if arena is not None else Arena()
+        self.arena = Arena()
         rng = range(1, level + 1)
         self.pi = {k: [] for k in rng}
         self.ch = {k: [] for k in rng}
@@ -331,8 +329,7 @@ class LinkForest(Leveled):
 
     def _rebuild(self, r, k, sg):
         """The whole level-k tree becomes one fresh subtree in stage sg."""
-        S = _Sub(MultilevelInc(self.max_n, levels=3, params=self.params,
-                               stats=self.stats, arena=self.arena))
+        S = _Sub(MultilevelInc(self.max_n, stats=self.stats, arena=self.arena))
         S.ids[r] = 0
         S.rev.append(r)
         self.sub[k][r] = S
@@ -527,11 +524,9 @@ class AdaptiveLinkForest:
     period.
     """
 
-    def __init__(self, max_n, params=DYNAMIC_PARAMS, stats=None, arena=None):
+    def __init__(self, max_n, stats=None):
         self.max_n = max_n
-        self.params = params
         self.stats = stats if stats is not None else Stats()
-        self.arena = arena if arena is not None else Arena()
         self.lf = None
         self.level = 0
         self.counted = []
@@ -546,6 +541,11 @@ class AdaptiveLinkForest:
     @property
     def reorg_log(self):
         return self.stats.reorg_log
+
+    @property
+    def arena(self):
+        """The live forest's arena; an empty one before the first link."""
+        return Arena() if self.lf is None else self.lf.arena
 
     def make_node(self):
         """Create and return a fresh singleton vertex."""
@@ -619,10 +619,13 @@ class AdaptiveLinkForest:
         return None if t is None else t.a
 
     def _fresh(self, lv):
-        """An empty lv-level LinkForest over every vertex made so far."""
+        """An empty lv-level LinkForest over every vertex made so far.
+
+        It stores on an arena of its own, so a reorganization drops the
+        old forest's cells with the old forest.
+        """
         ack = AckermannTable(max(4, 2 * self.n1))
-        lf = LinkForest(lv, ack, self.max_n, self.params,
-                        stats=self.stats, arena=self.arena)
+        lf = LinkForest(lv, ack, self.max_n, stats=self.stats)
         for _ in self.counted:
             lf.make_node()
         return lf

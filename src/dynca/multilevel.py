@@ -13,9 +13,10 @@ be the meet itself, the answer component is patched back to the subtree
 root it stands for.  That recursion is Leveled._c in levels.py, shared
 with the link forest; here each microset is its own subtree record
 (root, up, ca), sub[1] holds None for every level-1 node, and _flat asks
-the level-1 tree.  Queries under a moved root use the vertex level's
-spine meets as IncrementalTree does, at the cost of at most one stored
-query.
+the level-1 tree.  The root handle and the queries under a moved root
+come from Spine in incremental.py, shared with IncrementalTree: the
+vertex level's spine meets cost at most one stored query, which here is
+one run of that recursion from level L.
 
 Two presets: two levels with mu = floor(log2 cap) gives O(log n) total
 growth work per vertex below the packed layer; three levels with
@@ -26,19 +27,22 @@ from math import ceil, log2
 
 from .arena import Arena
 from .errors import CapacityError, check_id
-from .fat_preorder import DYNAMIC_PARAMS
 # combine_rerooted stays in this namespace: bench/tracing.py wraps it here
-from .forest import CaTriple, combine_rerooted  # noqa: F401
-from .incremental import IncrementalTree
+from .forest import combine_rerooted  # noqa: F401
+from .incremental import IncrementalTree, Spine
 from .levels import Leveled
 from .microset import Microset
 from .stats import Stats
 
 
-class MultilevelInc(Leveled):
+class MultilevelInc(Spine, Leveled):
     """Incremental tree with vertex ids 0..n-1, vertex 0 the first root."""
 
-    def __init__(self, max_n, levels=3, mu=None, params=DYNAMIC_PARAMS, stats=None, arena=None):
+    # bound in the class body, where bench/tracing.py wraps them
+    add_root = Spine.add_root
+    ca = Spine.ca
+
+    def __init__(self, max_n, levels=3, mu=None, stats=None, arena=None):
         if levels < 2:
             raise ValueError("need at least two levels")
         self.L = levels
@@ -48,7 +52,6 @@ class MultilevelInc(Leveled):
         if not 2 <= mu <= 63:
             raise ValueError(f"subtree capacity {mu} outside [2, 63]")
         self.mu = mu
-        self.params = params
         self.stats = stats if stats is not None else Stats()
         self.arena = arena if arena is not None else Arena()
         # per-level node arrays, levels L..2; level 1 lives in the inc tree,
@@ -59,19 +62,12 @@ class MultilevelInc(Leveled):
         self.down = {l: [] for l in range(1, levels)}
         self.inc = None
         self._inc_cap = max(2, max_n // mu ** (levels - 1) + 1)
-        self.sm = [0]  # spine meets of the vertices, as in IncrementalTree
+        self.piT = self.pi[levels]  # the vertex level, as Spine reads it
+        self.sm = [0]
         self.varrho = 0
         self._register(levels)
         self.sub[levels][0] = self._singleton(0, levels)
         self.stats.eta += 1
-
-    @property
-    def n(self):
-        return len(self.pi[self.L])
-
-    @property
-    def root(self):
-        return self.varrho
 
     def _register(self, l):
         """Allocate the next node id on level l, parentless and unplaced."""
@@ -88,19 +84,12 @@ class MultilevelInc(Leveled):
 
     def add_leaf(self, x):
         """Attach and return a new child vertex of x."""
-        check_id(x, len(self.pi[self.L]))
-        if len(self.pi[self.L]) >= self.max_n:
+        check_id(x, len(self.piT))
+        if len(self.piT) >= self.max_n:
             raise CapacityError(f"tree is at its declared capacity {self.max_n}")
         y = self._attach(x, self.L)
         self.sm.append(self.sm[x])
         self.stats.eta += 1
-        return y
-
-    def add_root(self):
-        """Attach and return a new root above the current one."""
-        y = self.add_leaf(self.varrho)
-        self.sm[y] = y
-        self.varrho = y
         return y
 
     def _attach(self, x, l):
@@ -127,8 +116,7 @@ class MultilevelInc(Leveled):
                 if l - 1 == 1:
                     # built on a sink of its own, so its seed, a contracted
                     # subtree rather than a vertex, stays out of eta
-                    self.inc = IncrementalTree(self._inc_cap, self.params,
-                                               arena=self.arena)
+                    self.inc = IncrementalTree(self._inc_cap, arena=self.arena)
                     self.inc.stats = self.stats
                     z = 0
                     self.down[1].append(None)
@@ -147,49 +135,19 @@ class MultilevelInc(Leveled):
     def _flat(self, x, y, k):
         return self.inc._ca_stored(x, y)
 
-    def ca(self, x, y):
-        """Characteristic ancestors of vertices x and y under the current root."""
-        n = len(self.pi[self.L])
-        check_id(x, n)
-        check_id(y, n)
-        return self._ca(x, y)
-
-    def _ca(self, x, y):
-        """ca without the id checks: the spine meets pick the case."""
-        if x == y:
-            self.stats.note_query(0)
-            return tuple.__new__(CaTriple, (x, x, x))
-        L = self.L
-        sm = self.sm
-        sx = sm[x]
-        sy = sm[y]
-        # one spine meet: the stored meet holds under any root; otherwise
-        # the deeper spine meet is the meet, its stored parent on the way
-        # to the other side
-        if sx == sy:
-            return self._c(x, y, L)
-        if sx < sy:
-            return tuple.__new__(CaTriple, (
-                sy, self.pi[L][sy], y if y == sy else self._c(sy, y, L)[2]))
-        return tuple.__new__(CaTriple, (
-            sx, x if x == sx else self._c(sx, x, L)[2], self.pi[L][sx]))
-
-    def nca(self, x, y):
-        return self.ca(x, y).a
-
-    def parent(self, v):
-        """Stored parent of vertex v (root handle not applied)."""
-        check_id(v, len(self.pi[self.L]))
-        return self.pi[self.L][v]
+    def _stored(self, x, y):
+        return self._c(x, y, self.L)
 
 
-def edmonds_tree(max_n, stats=None, arena=None):
+def edmonds_tree(max_n, stats=None):
     """Two levels, packed sets of floor(log2 cap) nodes over one fat tree."""
     mu = max(2, min(63, int(log2(max(max_n, 4)))))
-    return MultilevelInc(max_n, levels=2, mu=mu, stats=stats, arena=arena)
+    return MultilevelInc(max_n, levels=2, mu=mu, stats=stats)
 
 
-def linear_tree(max_n, stats=None, arena=None):
-    """Three levels, packed sets of ceil(log2 cap) nodes, linear total growth."""
-    mu = max(2, min(63, ceil(log2(max(max_n, 4)))))
-    return MultilevelInc(max_n, levels=3, mu=mu, stats=stats, arena=arena)
+def linear_tree(max_n, stats=None):
+    """Three levels, packed sets of ceil(log2 cap) nodes, linear total growth.
+
+    That is MultilevelInc's default shape.
+    """
+    return MultilevelInc(max_n, stats=stats)

@@ -9,14 +9,14 @@ run is shrunk to its shortest failing prefix.  Generators produce the
 five workload shapes the test suite leans on, deterministically per seed.
 """
 
+import re
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .arena import Arena
 from .errors import ConfigError, TraceParseError
 from .fat_preorder import StaticCa
-from .forest import CaTriple, Forest, oracle_ca
+from .forest import Forest, oracle_ca
 from .incremental import IncrementalTree
 from .linkforest import AdaptiveLinkForest
 from .multilevel import edmonds_tree, linear_tree
@@ -81,18 +81,7 @@ def parse_trace(text):
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        toks = []
-        col = 0
-        i = 0
-        while i < len(body):
-            if body[i].isspace():
-                i += 1
-                continue
-            j = i
-            while j < len(body) and not body[j].isspace():
-                j += 1
-            toks.append((body[i:j], i + 1))
-            i = j
+        toks = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", body)]
         if not toks:
             continue
         kind, kcol = toks[0]
@@ -115,7 +104,7 @@ def parse_trace(text):
             ops.append(TraceOp(kind, p, c, None, ln))
         elif kind == "add_root":
             need(1)
-            if not ext2d or len(ext) == 0:
+            if not ext:
                 raise TraceParseError("add_root before any node exists", ln, kcol)
             r = declare(args[0][0], ln, args[0][1])
             ops.append(TraceOp(kind, r, None, None, ln))
@@ -194,12 +183,12 @@ class _Engine:
     """Replay interface: structural ops mutate, queries return a CaTriple or None."""
 
     ops = frozenset()
+    t = None  # the engine's structure, once it has one
 
     def __init__(self, name, max_n):
         self.name = name
         self.max_n = max_n
         self.stats = Stats()
-        self.arena = None
 
     def precheck(self, trace):
         for op in trace:
@@ -217,7 +206,9 @@ class _Engine:
 
     @property
     def arena_cells(self):
-        return self.arena.used if self.arena is not None else 0
+        # read at report time: a link forest's reorganization replaces it
+        arena = getattr(self.t, "arena", None)
+        return arena.used if arena is not None else 0
 
 
 class OracleEngine(_Engine):
@@ -255,10 +246,6 @@ class StaticEngine(OracleEngine):
 
     ops = frozenset(("make_node", "add_leaf", "add_root", "nca", "ca"))
 
-    def __init__(self, name, max_n):
-        super().__init__(name, max_n)
-        self.sca = None
-
     def precheck(self, trace):
         super().precheck(trace)
         seen_query = False
@@ -272,9 +259,9 @@ class StaticEngine(OracleEngine):
     def apply(self, op):
         if op.kind not in QUERIES:
             return super().apply(op)
-        if self.sca is None:
-            self.sca = StaticCa(self.f, stats=self.stats)
-        return self.sca.ca(op.a, op.b)
+        if self.t is None:
+            self.t = StaticCa(self.f, stats=self.stats)
+        return self.t.ca(op.a, op.b)
 
 
 GROWN = {"inc": IncrementalTree, "inc-log2": edmonds_tree,
@@ -286,17 +273,12 @@ class GrowEngine(_Engine):
 
     ops = frozenset(("make_node", "add_leaf", "add_root", "nca", "ca"))
 
-    def __init__(self, name, max_n):
-        super().__init__(name, max_n)
-        self.t = None
-
     def apply(self, op):
         k = op.kind
         if k == "make_node":
             if self.t is not None:
                 raise ConfigError(f"engine {self.name} holds a single tree")
             self.t = GROWN[self.name](self.max_n, stats=self.stats)
-            self.arena = self.t.arena
             return
         if self.t is None:
             raise ConfigError(f"engine {self.name} needs make_node first")
@@ -317,17 +299,16 @@ class LinkEngine(_Engine):
 
     def __init__(self, name, max_n):
         super().__init__(name, max_n)
-        self.lf = AdaptiveLinkForest(max_n, stats=self.stats)
-        self.arena = self.lf.arena
+        self.t = AdaptiveLinkForest(max_n, stats=self.stats)
 
     def apply(self, op):
         k = op.kind
         if k == "make_node":
-            self.lf.make_node()
+            self.t.make_node()
         elif k == "link":
-            self.lf.link(op.a, op.b)
+            self.t.link(op.a, op.b)
         else:
-            return self.lf.ca(op.a, op.b)
+            return self.t.ca(op.a, op.b)
 
     @property
     def reorgs(self):
@@ -557,36 +538,50 @@ def generate(seed, profile, n, m):
     ops = []
     emitted = 0
 
-    def query(hi):
+    def query(hi, group=None):
+        """A uniform pair below hi, or two distinct members of group."""
         nonlocal emitted
-        x = rng.randrange(hi)
-        y = rng.randrange(hi)
+        if group is None:
+            x = rng.randrange(hi)
+            y = rng.randrange(hi)
+        else:
+            x, y = rng.sample(group, 2)
         ops.append(TraceOp("nca" if rng.random() < 0.5 else "ca", x, y, None, 0))
         emitted += 1
 
-    if profile in ("leaf-heavy", "query-heavy"):
-        ops.append(TraceOp("make_node", 0, None, None, 0))
-        for v in range(1, n):
-            ops.append(TraceOp("add_leaf", rng.randrange(v), v, None, 0))
-        for _ in range(m):
-            query(n)
-    elif profile == "root-heavy":
+    if not profile.startswith("link"):
         ops.append(TraceOp("make_node", 0, None, None, 0))
         acc = 0.0
         step = m / max(1, n - 1)
         for v in range(1, n):
-            if rng.random() < 0.25:
+            if profile == "root-heavy" and rng.random() < 0.25:
                 ops.append(TraceOp("add_root", v, None, None, 0))
             else:
                 ops.append(TraceOp("add_leaf", rng.randrange(v), v, None, 0))
-            acc += step
-            while acc >= 1.0:
-                query(v + 1)
-                acc -= 1.0
+            if profile == "root-heavy":
+                acc += step
+                while acc >= 1.0:
+                    query(v + 1)
+                    acc -= 1.0
+            elif profile == "query-heavy" and rng.randrange(n) < 16:
+                # a growth burst ends: queries over the nodes so far catch
+                # up with their share of the growth
+                while emitted < m * (v + 1) // n:
+                    query(v + 1)
         while emitted < m:
             query(n)
     else:
-        members = {v: [v] for v in range(n)}
+        members = {v: [v] for v in range(n)}  # by the root of their tree
+        tree = list(range(n))  # each vertex's tree, by its root
+        joined = []            # vertices of trees with two or more nodes
+
+        def linked_query():
+            # every other pair: two distinct vertices of one tree
+            if emitted % 2 or not joined:
+                query(n)
+            else:
+                query(n, members[tree[rng.choice(joined)]])
+
         for v in range(n):
             ops.append(TraceOp("make_node", v, None, None, 0))
         roots = list(range(n))
@@ -606,12 +601,17 @@ def generate(seed, profile, n, m):
                 y = roots.pop(i)
                 host = roots[rng.randrange(len(roots))]
                 x = rng.choice(members[host])
+            for t in (host, y):
+                if len(members[t]) == 1:
+                    joined.append(t)
+            for v in members[y]:
+                tree[v] = host
             members[host].extend(members.pop(y))
             ops.append(TraceOp("link", x, y, None, 0))
             acc += step
             while acc >= 1.0:
-                query(n)
+                linked_query()
                 acc -= 1.0
         while emitted < m:
-            query(n)
+            linked_query()
     return Trace(ops, range(n))

@@ -16,6 +16,20 @@ from dynca.errors import check_id
 from dynca.fat_preorder import EPS
 
 
+def guards(obj, u):
+    """(pbar, p, q, qbar): u's interval with its implied guard ends.
+
+    The engines store p and q only; each guard is sigma^e wide.
+    """
+    w = obj.sigma[u] ** obj._e
+    return obj.p[u] - w, obj.p[u], obj.q[u], obj.q[u] + w
+
+
+def children(t, u):
+    """Stored children of u in an IncrementalTree, in attachment order."""
+    return t.arena.read(t.ch_h[u], 0, t.ch_n[u])
+
+
 def dchildren(obj, nodes):
     """Compressed-tree adjacency from the piD array."""
     ch = {u: [] for u in nodes}
@@ -40,8 +54,10 @@ def check_fat_order(obj, nodes, root, params, incremental=False):
     bn, bd = params.beta
     p = obj.p
     q = obj.q
-    pbar = obj.pbar
-    qbar = obj.qbar
+    pbar = {}
+    qbar = {}
+    for u in nodes:
+        pbar[u], _, _, qbar[u] = guards(obj, u)
     sigma = obj.sigma
     s = obj.s
     apex = obj.apex

@@ -1,11 +1,15 @@
+import dataclasses
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
 import dynca
-from dynca import (AckermannTable, AdaptiveLinkForest, Forest, IncrementalTree,
-                   LinkForest, StaticCa, edmonds_tree, linear_tree, oracle_ca)
+from dynca import (AckermannTable, AdaptiveLinkForest, CapacityError, Forest,
+                   IncrementalTree, LinkForest, StaticCa, edmonds_tree,
+                   linear_tree, oracle_ca)
+from dynca.traces import GROWN
 
 
 def test_public_names_resolve():
@@ -88,3 +92,31 @@ def test_bool_ids_rejected(engine):
         ca(0, False)
     # other int subclasses stay valid ids
     assert ca(Id(1), Id(0)) == ca(1, 0) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("engine", sorted(GROWN))
+def test_rejected_call_changes_nothing(engine):
+    """A raising ca, add_leaf or add_root leaves stats, n and root as they were."""
+    rng = random.Random(5)
+    t = GROWN[engine](24)
+    while t.n < 12:
+        if rng.random() < 0.3:
+            t.add_root()
+        else:
+            t.add_leaf(rng.randrange(t.n))
+
+    def rejects(exc, call, *args):
+        before = (dataclasses.replace(t.stats), t.n, t.root)
+        with pytest.raises(exc):
+            call(*args)
+        assert (t.stats, t.n, t.root) == before
+
+    for bad in (-1, t.n, True, None):
+        rejects(ValueError, t.ca, bad, 0)
+        rejects(ValueError, t.ca, 0, bad)
+        rejects(ValueError, t.add_leaf, bad)
+    while t.n < 24:
+        t.add_leaf(rng.randrange(t.n))
+    rejects(CapacityError, t.add_leaf, 0)
+    rejects(CapacityError, t.add_root)
+    assert t.ca(0, t.root).a == t.root

@@ -9,7 +9,7 @@ from dynca import (DYNAMIC_PARAMS, STATIC_PARAMS, ConfigError, FatParams,
 from dynca.fat_preorder import EPS
 
 from _checks import (build_random_tree, check_compression_exact,
-                     check_fat_order, naive_table_entry, table_entry,
+                     check_fat_order, guards, naive_table_entry, table_entry,
                      tree_nodes_of)
 
 
@@ -63,14 +63,14 @@ def path_forest(n):
 
 def test_assign_numbers_single_node():
     sca = StaticCa(path_forest(1))
-    assert (sca.pbar[0], sca.p[0], sca.q[0], sca.qbar[0]) == (0, 1, 3, 4)
+    assert guards(sca, 0) == (0, 1, 3, 4)
 
 
 def test_assign_numbers_two_nodes():
     # the child weighs exactly half, so it is an apex of its own
     sca = StaticCa(path_forest(2))
-    assert (sca.pbar[0], sca.p[0], sca.q[0], sca.qbar[0]) == (0, 4, 12, 16)
-    assert (sca.pbar[1], sca.p[1], sca.q[1], sca.qbar[1]) == (5, 6, 8, 9)
+    assert guards(sca, 0) == (0, 4, 12, 16)
+    assert guards(sca, 1) == (5, 6, 8, 9)
     assert sca.Qbar[0] == 9
 
 

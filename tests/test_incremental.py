@@ -7,12 +7,12 @@ from dynca import (DYNAMIC_PARAMS, CapacityError, Forest, IncrementalTree,
                    StaticCa, oracle_ca)
 from dynca.fat_preorder import shared_log_table
 
-from _checks import check_fat_order, naive_table_entry
+from _checks import check_fat_order, children, guards, naive_table_entry
 
 
 def test_first_node_frozen_numbers():
     t = IncrementalTree(16)
-    assert (t.pbar[0], t.p[0], t.q[0], t.qbar[0]) == (0, 1, 4, 5)
+    assert guards(t, 0) == (0, 1, 4, 5)
     assert t.Qbar[0] == 2
     assert t.n == 1 and t.root == 0 and t.varrho == 0
     assert t.stats.eta == 1
@@ -39,9 +39,8 @@ def test_fast_path_carves_from_packing_zone():
     before = t.Qbar[0]
     y = t.add_leaf(0)  # 5*7 < 6*6, no drift
     assert t.stats.recompressions == base
-    assert t.pbar[y] == before
+    assert guards(t, y) == (before, before + 1, before + 4, before + 5)
     assert t.Qbar[0] == before + t.params.c
-    assert (t.p[y], t.q[y], t.qbar[y]) == (before + 1, before + 4, before + 5)
 
 
 def test_sweep_random_growth(rng):
@@ -102,8 +101,8 @@ def test_root_recompression_matches_static():
             continue
         seen += 1
         sca = StaticCa(f, DYNAMIC_PARAMS)
-        for name in ("pbar", "p", "q", "qbar", "Qbar", "apex", "piD", "sigma",
-                     "succ", "pos", "iq"):
+        for name in ("p", "q", "Qbar", "apex", "piD", "sigma", "succ", "pos",
+                     "iq"):
             assert getattr(t, name) == getattr(sca, name), (t.n, name)
         assert [list(r) for r in t.tab] == [list(r) for r in sca.tab], t.n
     assert seen >= 30
@@ -239,7 +238,7 @@ def test_children_listing(rng):
         want[x].append(y)
         want[y] = []
     for u in range(t.n):
-        assert list(t.children(u)) == want[u]
+        assert children(t, u) == want[u]
 
 
 @settings(max_examples=40, deadline=None)

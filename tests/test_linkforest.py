@@ -293,6 +293,23 @@ def test_adaptive_reorg_at_population_crossing():
     af.lf.check_invariants()
 
 
+def test_adaptive_reorg_starts_a_fresh_arena():
+    # a 12-node chain fills subtrees; disjoint pairs then push the level up
+    af = AdaptiveLinkForest(64)
+    v = [af.make_node() for _ in range(64)]
+    for i in range(11):
+        af.link(v[i], v[i + 1])
+    old = af.arena
+    assert old is af.lf.arena and old.used > 0
+    i = 12
+    while not af.reorg_log:
+        af.link(v[i], v[i + 1])
+        i += 2
+    assert af.arena is af.lf.arena and af.arena is not old
+    assert 0 < af.arena.used <= 4 * af.arena.total_live
+    assert af.nca(v[3], v[9]) == v[3]
+
+
 def test_adaptive_table_extends_inside_period():
     # a chain kept at level 1 outgrows the table opened for two nodes;
     # the ceiling lookup recomputes the table without a reorganization

@@ -94,6 +94,21 @@ def test_generator_profiles_shape():
         else:
             mut_seen += 1
 
+    # query-heavy interleaves growth and query bursts, each query over
+    # the nodes grown so far
+    t = generate(3, "query-heavy", 200, 2000)
+    kinds = [op.kind for op in t]
+    assert kinds != [op.kind for op in generate(3, "leaf-heavy", 200, 2000)]
+    grown = 0
+    switches = 0
+    for prev, op in zip(t, t[1:]):
+        if op.kind == "add_leaf":
+            grown = op.b
+            switches += prev.kind in ("nca", "ca")
+        elif op.kind in ("nca", "ca"):
+            assert max(op.a, op.b) <= grown
+    assert switches >= 5
+
     for profile in ("link-balanced", "link-skewed"):
         t = generate(3, profile, 50, 30)
         roots = set()
@@ -104,6 +119,19 @@ def test_generator_profiles_shape():
                 assert op.b in roots       # only live roots get linked
                 roots.remove(op.b)
         assert len(roots) == 1
+
+        # at least 40% of the queries ask two distinct vertices of one tree
+        t = generate(3, profile, 400, 4000)
+        f = dynca.Forest()
+        inside = 0
+        for op in t:
+            if op.kind == "make_node":
+                f.make_node()
+            elif op.kind == "link":
+                f.link(op.a, op.b)
+            else:
+                inside += op.a != op.b and f.same_tree(op.a, op.b)
+        assert inside >= 0.4 * 4000, (profile, inside)
 
 
 def test_compatible_engines():
