@@ -221,7 +221,7 @@ class IncrementalTree(Spine, FatQueryMixin):
                 order += backing[o:o + cn]
         st = self.stats
         if v == 0:
-            st.reorgs += 1  # the stored root's interval restarts at zero
+            st.root_renumberings += 1
         width = assign_numbers(self, order)
         m = len(order)
         st.recompressions += 1

@@ -18,8 +18,14 @@ the multilevel engine shares: each staged subtree is a _Sub record
 exposing root, up and ca(x, y) in level ids, a stage-0 tree keeps None
 in sub, and _flat walks its bare parent lists.
 
-Discarded structures are abandoned in place; reachability through the
-current subtree references is what defines the live state.
+The forest holds its live trees, not its link history.  A rebuild drops
+the subtrees of both merged trees, and a pour drops those of the side it
+re-adds; the contracted tree one level down that those subtrees made is
+retired with them, and so, level after level, is everything below it.
+Retiring clears the sub and down entries that would keep the old records
+alive and puts the contracted nodes on their level's free list, so the
+levels below the vertex level reuse ids and hold rows only for live
+nodes.
 """
 
 from functools import lru_cache
@@ -149,17 +155,19 @@ class AckermannTable:
 class _Sub:
     """One staged subtree: a three-level incremental tree plus its id maps.
 
-    ids maps level nodes to incremental ids, rev inverts it, and up is
-    the node this subtree contracts to one level down (None only for the
-    single subtree of a bottom-level tree).  root and ca(x, y) speak
-    level ids, as the meet recursion in levels.py expects.
+    lid is its level's id list, shared by every subtree there: a level
+    node belongs to one live subtree, and lid gives its incremental id
+    inside it.  rev inverts that for this subtree, and up is the node
+    this subtree contracts to one level down (None only for the single
+    subtree of a bottom-level tree).  root and ca(x, y) speak level ids,
+    as the meet recursion in levels.py expects.
     """
 
-    __slots__ = ("inc", "ids", "rev", "up")
+    __slots__ = ("inc", "lid", "rev", "up")
 
-    def __init__(self, inc):
+    def __init__(self, inc, lid):
         self.inc = inc
-        self.ids = {}
+        self.lid = lid
         self.rev = []
         self.up = None
 
@@ -170,7 +178,8 @@ class _Sub:
 
     def ca(self, x, y):
         """Characteristic ancestors of members x and y, in level ids."""
-        a, ax, ay = self.inc._ca(self.ids[x], self.ids[y])
+        lid = self.lid
+        a, ax, ay = self.inc._ca(lid[x], lid[y])
         rev = self.rev
         return tuple.__new__(CaTriple, (rev[a], rev[ax], rev[ay]))
 
@@ -199,16 +208,31 @@ class LinkForest(Leveled):
         self.stage = {k: [] for k in rng}
         self.ts = {k: [] for k in rng}      # tree size, authoritative at roots
         self.sub = {k: [] for k in rng}     # _Sub, or None in stage 0
+        self.lid = {k: [] for k in rng}     # id inside sub[k][v]
         self.down = {k: [] for k in range(1, level)}
+        self.free = {k: [] for k in range(1, level)}  # retired, reusable
         self.roots = set()
 
     def _new_node(self, k):
+        """A fresh singleton on level k, reusing a retired id below L.
+
+        Retiring already cleared a reused id's sub and down entries.
+        """
+        free = self.free.get(k)
+        if free:
+            v = free.pop()
+            self.pi[k][v] = None
+            self.ch[k][v] = []
+            self.stage[k][v] = 0
+            self.ts[k][v] = 1
+            return v
         v = len(self.pi[k])
         self.pi[k].append(None)
         self.ch[k].append([])
         self.stage[k].append(0)
         self.ts[k].append(1)
         self.sub[k].append(None)
+        self.lid[k].append(0)
         if k < self.L:
             self.down[k].append(None)
         return v
@@ -302,35 +326,61 @@ class LinkForest(Leveled):
             # so the stage ceiling test stays decidable
             self.ack = AckermannTable(2 * ts[r])
             lim = self.ack.value(k, sg + 1)
+        sub = self.sub[k]
         if lim is not None and ts[r] >= 2 * lim:
+            self._retire(sub[r], k)
+            self._retire(sub[y], k)
             self._rebuild(r, k, sg + 1)
         elif sx > sy:
-            self._fill(self.sub[k][x], y, (), None, k, sx)
+            self._retire(sub[y], k)
+            self._fill(sub[x], y, (), None, k, sx)
         elif sx < sy:
-            S = self.sub[k][y]
-            sub = self.sub[k]
+            self._retire(sub[r], k)
+            S = sub[y]
+            lid = self.lid[k]
             path = []
             v = x
             while v is not None:
                 path.append(v)
                 v = pi[v]
             for v in path:
-                iid = S.inc.add_root()
-                S.ids[v] = iid
+                lid[v] = S.inc.add_root()
                 S.rev.append(v)
                 sub[v] = S
                 stage[v] = sy
             self._fill(S, r, set(path), y, k, sy)
         elif sg > 0:
             assert k > 1, "equal stages above 0 cannot meet at the bottom level"
-            sub = self.sub[k]
             self._l(sub[r].up, sub[x].up, sub[y].up, k - 1)
         # else: merged size under 4, the parent lists already say it all
 
+    def _retire(self, S, k):
+        """Retire the contracted trees below S, level after level.
+
+        S is the root subtree of a level-k tree whose subtrees are being
+        replaced, or None for a stage-0 tree; its up roots the level-(k-1)
+        tree those subtrees contract to, and is None at the bottom level.
+        Each node of that tree loses its sub and down entries and goes on
+        the free list, and the walk repeats through its root subtree.
+        """
+        while S is not None and S.up is not None:
+            z = S.up
+            k -= 1
+            sub = self.sub[k]
+            down = self.down[k]
+            S = sub[z]
+            nodes = self.tree_nodes(z, k)
+            for v in nodes:
+                sub[v] = None
+                down[v] = None
+            self.free[k] += nodes
+
     def _rebuild(self, r, k, sg):
         """The whole level-k tree becomes one fresh subtree in stage sg."""
-        S = _Sub(MultilevelInc(self.max_n, stats=self.stats, arena=self.arena))
-        S.ids[r] = 0
+        lid = self.lid[k]
+        S = _Sub(MultilevelInc(self.max_n, stats=self.stats, arena=self.arena),
+                 lid)
+        lid[r] = 0
         S.rev.append(r)
         self.sub[k][r] = S
         self.stage[k][r] = sg
@@ -347,7 +397,7 @@ class LinkForest(Leveled):
         again; the subtree under skip is left out entirely.
         """
         inc = S.inc
-        ids = S.ids
+        lid = self.lid[k]
         rev = S.rev
         pi = self.pi[k]
         ch = self.ch[k]
@@ -359,7 +409,7 @@ class LinkForest(Leveled):
             v = queue[qi]
             qi += 1
             if v not in have:
-                ids[v] = inc.add_leaf(ids[pi[v]])
+                lid[v] = inc.add_leaf(lid[pi[v]])
                 rev.append(v)
                 sub[v] = S
                 stage[v] = sg
@@ -453,14 +503,19 @@ class LinkForest(Leveled):
         Checks, for every live tree on every level: the recorded size,
         the stage against its size window, per-node stage and subtree
         agreement, the per-subtree size floor, the subtree-count ceiling,
-        and that parent edges between subtree roots contract exactly to
-        the tree one level down.
+        each member's id in its subtree, and that parent edges between
+        subtree roots contract exactly to the tree one level down.  Then,
+        per level, that every sub and down entry belongs to a walked tree
+        and every other node is on the free list, so nothing a link
+        replaced is still held.
         """
         ack = self.ack
+        live = {k: set() for k in self.pi}
         for root in self.roots:
             k = self.L
             nodes = self.tree_nodes(root, k)
             while True:
+                live[k].update(nodes)
                 r = nodes[0]
                 sz = len(nodes)
                 st = self.stage[k][r]
@@ -485,8 +540,11 @@ class LinkForest(Leveled):
                     assert S is not None and self.stage[k][v] == st, (k, v)
                     seen[id(S)] = S
                 subs = list(seen.values())
+                lid = self.lid[k]
                 for S in subs:
                     assert len(S.rev) == S.inc.n
+                    for i, v in enumerate(S.rev):
+                        assert self.sub[k][v] is S and lid[v] == i, (k, v)
                     assert S.inc.n >= 2 * lo, (k, st)
                     total += S.inc.n
                 assert total == sz
@@ -510,6 +568,14 @@ class LinkForest(Leveled):
                 nodes = self.tree_nodes(kr, k - 1)
                 assert set(nodes) == ups
                 k -= 1
+        for k, nodes in live.items():
+            free = self.free.get(k, [])
+            assert len(set(free)) == len(free) and not nodes.intersection(free), k
+            assert len(self.pi[k]) - len(free) == len(nodes), k
+            for v, S in enumerate(self.sub[k]):
+                assert S is None or v in nodes, (k, v)
+            for z, S in enumerate(self.down.get(k, ())):
+                assert S is None or z in nodes, (k, z)
 
 
 class AdaptiveLinkForest:

@@ -201,10 +201,6 @@ class _Engine:
         raise NotImplementedError
 
     @property
-    def reorgs(self):
-        return self.stats.reorgs
-
-    @property
     def arena_cells(self):
         # read at report time: a link forest's reorganization replaces it
         arena = getattr(self.t, "arena", None)
@@ -310,10 +306,6 @@ class LinkEngine(_Engine):
         else:
             return self.t.ca(op.a, op.b)
 
-    @property
-    def reorgs(self):
-        return len(self.stats.reorg_log)
-
 
 ENGINES = {
     "oracle": OracleEngine,
@@ -364,6 +356,7 @@ class EngineReport:
     m: int
     eta: int
     reorgs: int
+    root_renumberings: int
     recompressions: int
     arena_cells: int
     max_query_steps: int
@@ -372,11 +365,12 @@ class EngineReport:
 
     def csv_row(self):
         return (f"{self.engine},{self.n},{self.m},{self.eta},{self.reorgs},"
-                f"{self.recompressions},{self.arena_cells},{self.max_query_steps},"
-                f"{self.wall_ms:.3f}")
+                f"{self.root_renumberings},{self.recompressions},"
+                f"{self.arena_cells},{self.max_query_steps},{self.wall_ms:.3f}")
 
 
-CSV_HEADER = "engine,n,m,eta,reorgs,recompressions,arena_cells,max_query_steps,wall_ms"
+CSV_HEADER = ("engine,n,m,eta,reorgs,root_renumberings,recompressions,"
+              "arena_cells,max_query_steps,wall_ms")
 
 
 @dataclass
@@ -461,7 +455,8 @@ def run(trace, engines, check=False, max_n=None, keep_answers=False, _fail_fast=
             n=trace.n_nodes,
             m=queries,
             eta=e.stats.eta,
-            reorgs=e.reorgs,
+            reorgs=e.stats.reorgs,
+            root_renumberings=e.stats.root_renumberings,
             recompressions=e.stats.recompressions,
             arena_cells=e.arena_cells,
             max_query_steps=e.stats.max_query_steps,

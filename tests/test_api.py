@@ -120,3 +120,60 @@ def test_rejected_call_changes_nothing(engine):
     rejects(CapacityError, t.add_leaf, 0)
     rejects(CapacityError, t.add_root)
     assert t.ca(0, t.root).a == t.root
+
+
+LINKED = {
+    "link-1": lambda n: LinkForest(1, AckermannTable(2 * n), n),
+    "link-2": lambda n: LinkForest(2, AckermannTable(2 * n), n),
+    "link-3": lambda n: LinkForest(3, AckermannTable(2 * n), n),
+    "link": AdaptiveLinkForest,
+}
+
+
+@pytest.mark.parametrize("engine", sorted(LINKED))
+def test_rejected_link_call_changes_nothing(engine):
+    """A raising ca, link, find_root or make_node leaves the forest as it was.
+
+    The links before it retire replaced subtrees, so the free lists are
+    in play; a rejected call must not touch them, nor the rows or stats.
+    """
+    rng = random.Random(9)
+    n = 240
+    t = LINKED[engine](n)
+    for _ in range(n):
+        t.make_node()
+    members = {v: [v] for v in range(n)}
+    while len(members) > 3:
+        r, y = rng.sample(sorted(members), 2)
+        t.link(rng.choice(members[r]), y)
+        members[r] += members.pop(y)
+    lf = getattr(t, "lf", t)
+    if lf.L > 1:
+        assert any(lf.free.values())
+    a, b = sorted(members)[:2]
+    child = next(v for v in members[a] if v != a)
+
+    def rejects(exc, call, *args):
+        def state():
+            return (dataclasses.replace(t.stats), list(t.stats.reorg_log),
+                    t.n, getattr(t, "lf", lf) is lf,
+                    {k: len(p) for k, p in lf.pi.items()},
+                    {k: list(f) for k, f in lf.free.items()})
+        before = state()
+        with pytest.raises(exc):
+            call(*args)
+        assert state() == before
+
+    for bad in (-1, n, True, None):
+        rejects(ValueError, t.ca, bad, a)
+        rejects(ValueError, t.ca, a, bad)
+        rejects(ValueError, t.link, bad, b)
+        rejects(ValueError, t.link, a, bad)
+        rejects(ValueError, t.find_root, bad)
+    rejects(ValueError, t.link, b, child)      # target is not a root
+    rejects(ValueError, t.link, b, b)          # self-link
+    rejects(ValueError, t.link, child, a)      # within one tree
+    rejects(CapacityError, t.make_node)
+    assert t.find_root(child) == a
+    t.link(child, b)
+    getattr(t, "lf", t).check_invariants()

@@ -24,7 +24,7 @@ def test_root_reorganizes_on_first_child():
     assert y == 1
     assert t.sigma[0] == 2  # weight refreshed by the recompression
     assert t.stats.recompressions == 1
-    assert t.stats.reorgs == 1  # the root's own interval moved
+    assert t.stats.root_renumberings == 1  # the root's own interval moved
     assert t.stats.eta == 2
     check_fat_order(t, range(t.n), 0, DYNAMIC_PARAMS, incremental=True)
 
@@ -95,9 +95,9 @@ def test_root_recompression_matches_static():
     for _ in range(3000):
         x = rng.randrange(t.n)
         f.add_leaf(x, f.make_node())
-        reorgs = t.stats.reorgs
+        restarts = t.stats.root_renumberings
         t.add_leaf(x)
-        if t.stats.reorgs == reorgs:
+        if t.stats.root_renumberings == restarts:
             continue
         seen += 1
         sca = StaticCa(f, DYNAMIC_PARAMS)

@@ -1,9 +1,12 @@
 import copy
+import gc
 import random
+from collections import Counter
 
 import pytest
 
 from dynca import linkforest
+from dynca.multilevel import MultilevelInc
 from dynca import (AckermannTable, AdaptiveLinkForest, CapacityError, Forest,
                    LinkForest, a_inv, alpha, oracle_ca)
 
@@ -343,6 +346,19 @@ def test_adaptive_differential(rng):
             b = rng.randrange(n)
             assert af.ca(a, b) == oracle_ca(f, a, b), (a, b)
     af.lf.check_invariants()
+    assert af.stats.reorgs == len(af.reorg_log)
+
+
+def test_adaptive_reorgs_count_wrapper_rebuilds_only():
+    """A long chain restarts its subtree's level-1 root; reorgs skips that."""
+    n = 2000
+    af = AdaptiveLinkForest(n)
+    for _ in range(n):
+        af.make_node()
+    for v in range(n - 1):
+        af.link(v, v + 1)
+    assert af.stats.root_renumberings > 0
+    assert af.stats.reorgs == len(af.reorg_log) == 1
 
 
 def test_adaptive_capacity_and_id_errors():
@@ -405,8 +421,8 @@ def test_eta_counts_each_subtree_add_once(rng, monkeypatch):
     made = []
     init = linkforest._Sub.__init__
 
-    def record(self, inc):
-        init(self, inc)
+    def record(self, inc, lid):
+        init(self, inc, lid)
         made.append(self)
 
     monkeypatch.setattr(linkforest._Sub, "__init__", record)
@@ -423,3 +439,55 @@ def test_eta_counts_each_subtree_add_once(rng, monkeypatch):
         assert lf.stats.eta == sum(len(S.rev) for S in made)
     # the last subtree is big enough to have grown its level-1 tree
     assert lf.sub[1][0].inc.inc is not None
+
+
+def _holds_live_only(lf):
+    """The forest keeps exactly the subtrees and contracted nodes it walks."""
+    lf.check_invariants()
+    subs = {k: {id(S): S for S in lf.sub[k] if S is not None}.values()
+            for k in lf.sub}
+    gc.collect()
+    alive = {id(o) for o in gc.get_objects()
+             if isinstance(o, MultilevelInc) and o.stats is lf.stats}
+    assert alive == {id(S.inc) for k in subs for S in subs[k]}
+    for k in range(1, lf.L):
+        ups = {S.up for S in subs[k + 1]}
+        assert len(lf.pi[k]) - len(lf.free[k]) == len(ups), k
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, "adaptive"])
+def test_forest_holds_only_live_trees(level, rng, monkeypatch):
+    """After random links no replaced subtree or contracted node is held.
+
+    Every path that replaces subtrees runs: rebuilds, pours of y's lower
+    stage tree under x, and pours of x's side into the root subtree of
+    a higher-stage y.  Past level 1 each of them retires contracted trees.
+    """
+    n = 2000
+    fills = Counter()
+    fill = linkforest.LinkForest._fill
+
+    def count(self, S, top, have, skip, k, sg):
+        fills["pour-x" if isinstance(have, set) else
+              "rebuild" if have else "pour-y"] += 1
+        fill(self, S, top, have, skip, k, sg)
+
+    monkeypatch.setattr(linkforest.LinkForest, "_fill", count)
+    if level == "adaptive":
+        af = AdaptiveLinkForest(n)
+        make, link, forest = af.make_node, af.link, lambda: af.lf
+    else:
+        lf = LinkForest(level, AckermannTable(2 * n), n)
+        make, link, forest = lf.make_node, lf.link, lambda: lf
+    for _ in range(n):
+        make()
+    members = {v: [v] for v in range(n)}
+    while len(members) > 1:
+        r, y = rng.sample(sorted(members), 2)
+        link(rng.choice(members[r]), y)
+        members[r] += members.pop(y)
+        if len(members) % 250 == 0:
+            _holds_live_only(forest())
+    assert set(fills) == {"rebuild", "pour-x", "pour-y"}, fills
+    if forest().L > 1:
+        assert any(forest().free.values())

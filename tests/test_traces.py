@@ -319,3 +319,19 @@ def test_console_script_installed():
 def test_console_script_on_path():
     r = subprocess.run(["dynca", "--help"], capture_output=True, text=True)
     _assert_dynca_help(r)
+
+
+def test_csv_splits_rebuilds_from_root_renumberings():
+    """reorgs counts link-forest rebuilds; root restarts have their own column."""
+    links = generate(4, "link-balanced", 600, 300)
+    e = make_engine("link", links.n_nodes)
+    for op in links:
+        e.apply(op)
+    assert e.stats.reorgs == len(e.t.reorg_log) >= 1
+    grown = generate(4, "leaf-heavy", 200, 50)
+    rep = run(grown, ["oracle", "inc"]).reports + run(links, ["link"]).reports
+    head = CSV_HEADER.split(",")
+    rows = {r.engine: dict(zip(head, r.csv_row().split(","))) for r in rep}
+    assert rows["link"]["reorgs"] == str(e.stats.reorgs)
+    assert rows["inc"]["reorgs"] == "0"
+    assert int(rows["inc"]["root_renumberings"]) >= 1
