@@ -18,6 +18,12 @@ reads a per-node ancestor table to land on the deepest ancestor whose
 interval is wide enough to decide containment.  Everything after that is a
 constant number of pointer reads, so a query costs around ten word
 operations regardless of tree size.
+
+A node's row is its compressed parent's row with one range pointing at
+the node itself, so only nodes that are some node's compressed parent
+store a row: the stored root and the apexes with children.  Every other
+node shares its compressed parent's row, and the query restores the
+missing range from the node's own threshold iq with one compare.
 """
 
 from array import array
@@ -120,14 +126,21 @@ def assign_numbers(t, order):
     order lists the subtree breadth-first from its top node, each member
     with s = 1 and succ = None.  Subtree sizes go bottom-up into s and
     heavy children into succ; then one top-down pass settles each node.
-    A stored root takes a fresh interval at 0 and an all-EPS row.  Any
-    other node takes the next c*sigma^e cells at its compressed parent
-    d's cursor Qbar[d], and d's row with the entries [i_u, iq[d])
-    pointing at it: the thresholds it is narrow enough for and d is not.
+    A stored root takes a fresh interval at 0.  Any other node takes the
+    next c*sigma^e cells at its compressed parent d's cursor Qbar[d].
     Breadth-first order packs compressed siblings left to right.
     (sigma^e, i_u) is kept per weight in t._rungs.  Only p, q and the
     cursor Qbar are stored: the guard ends are implied, p - sigma^e below
-    and q + sigma^e above.  Returns the width of the tree's rows.
+    and q + sigma^e above.
+
+    Only a node that can be some node's d owns a row: the stored root,
+    all EPS, and each apex of weight above 1, which has a child.  Its row
+    is d's with the entries [i_u, iq[d]) pointing at it: the thresholds
+    it is narrow enough for and d is not.  Every other node's tab entry
+    is d's row itself, not a copy; FatQueryMixin restores its own
+    entries from iq.  Sharing relies on rows never being written once
+    stored: a renumbering replaces a row, and with it renumbers every
+    node that shares it.  Returns the number of row entries written.
     """
     piT = t.piT
     s = t.s
@@ -152,6 +165,7 @@ def assign_numbers(t, order):
         a = piT[u]
         if 2 * s[u] > s[a]:
             succ[a] = u
+    written = 0
     one = array(t._tc, (0,))
     for u in order:
         a = piT[u]
@@ -173,6 +187,7 @@ def assign_numbers(t, order):
             lo = 0
             hi = c * w
             row = array(t._tc, (EPS,)) * i_u
+            written += i_u
         else:
             d = a if apex[a] else piD[a]
             piD[u] = d
@@ -184,24 +199,34 @@ def assign_numbers(t, order):
             if i_u > top:
                 raise AssertionError("weight order broke along the apex chain")
             Qbar[d] = hi
-            row = tab[d][:]
-            one[0] = u
-            row[i_u:top] = one * (top - i_u)
+            row = tab[d]
+            if sg > 1:
+                row = row[:]
+                one[0] = u
+                row[i_u:top] = one * (top - i_u)
+                written += len(row)
         p[u] = lo + w
         Qbar[u] = lo + w + 1
         q[u] = hi - w
         tab[u] = row
         iq[u] = i_u
-    return len(row)
+    return written
 
 
 class FatQueryMixin:
     """Meet queries against the stored rooting.
 
     Host classes provide flat arrays indexed by node id: piT, piD, apex,
-    succ, pos, sigma, p, q, tab, plus _flb and stats.  Weights must satisfy
-    sigma(piD(v)) >= beta * sigma(v), which makes interval width monotone
-    along compressed root paths; everything below leans on that.
+    succ, pos, sigma, p, q, tab, iq, plus _flb and stats.  Weights must
+    satisfy sigma(piD(v)) >= beta * sigma(v), which makes interval width
+    monotone along compressed root paths; everything below leans on that.
+
+    tab[x][i] is x's shallowest compressed ancestor narrower than beta^i,
+    or EPS when x itself is not.  A node that owns no row reads its
+    compressed parent d's, whose EPS entries are exactly those below
+    iq[d]; an EPS read at i >= iq[x] therefore stands for x itself.  In an
+    owned row that test never fires, and the restored entry costs the
+    same one counted read as a stored one.
     """
 
     def _ca_stored(self, x, y):
@@ -223,11 +248,15 @@ class FatQueryMixin:
         # below the meet on this side, or x itself when x is the meet.
         v = self.tab[x][i]
         steps += 1
-        if v == EPS:
-            w = x
-        else:
+        if v != EPS:
             w = piD[v]
             steps += 1
+        elif i >= self.iq[x]:
+            v = x
+            w = piD[x]
+            steps += 1
+        else:
+            w = x
         if p[w] <= py < q[w]:
             fx = v == EPS
             cx = x if fx else v
@@ -240,11 +269,15 @@ class FatQueryMixin:
         # y side, against x's number
         v = self.tab[y][i]
         steps += 1
-        if v == EPS:
-            w = y
-        else:
+        if v != EPS:
             w = piD[v]
             steps += 1
+        elif i >= self.iq[y]:
+            v = y
+            w = piD[y]
+            steps += 1
+        else:
+            w = y
         if p[w] <= px < q[w]:
             fy = v == EPS
             cy = y if fy else v
@@ -335,8 +368,7 @@ class StaticCa(FatQueryMixin):
         for u in order:
             tree[u] = r
             order += children[u]
-        width = assign_numbers(self, order)
-        self.stats.table_entries += width * len(order)
+        self.stats.table_entries += assign_numbers(self, order)
         self.stats.work += len(order)
 
     def ca(self, x, y):

@@ -9,7 +9,11 @@ apex of its own, numbered from its compressed parent's packing cursor.
 A renumbering lists the subtree breadth-first off the child arrays and
 hands it to assign_numbers, the one pass that also numbers a frozen
 forest; a leaf added without drift goes through the same pass.  Rows are
-machine-int arrays, 32-bit unless the capacity needs 64.
+machine-int arrays, 32-bit unless the capacity needs 64, and only the
+stored root and apexes with children own one: every other node shares
+its compressed parent's row.  A renumbering writes rows only for the
+apexes with children among the nodes it covers, and a leaf added without
+drift writes none.
 
 add_root does not touch the numbering at all.  The new node is stored as
 a physical leaf under the previous logical root and only a root handle
@@ -188,7 +192,10 @@ class IncrementalTree(Spine, FatQueryMixin):
             return y
 
         # no drift: the leaf settles as a weight-1 apex under its
-        # compressed parent, exactly as a renumbered leaf would
+        # compressed parent, exactly as a renumbered leaf would, and
+        # shares that parent's row.  The parent owns one: an apex leaf
+        # has weight 1, so its first child brings its size to 2, past
+        # the alpha slack, and the renumbering gives it its own row.
         self.stats.table_entries += assign_numbers(self, (y,))
         return y
 
@@ -222,9 +229,9 @@ class IncrementalTree(Spine, FatQueryMixin):
         st = self.stats
         if v == 0:
             st.root_renumberings += 1
-        width = assign_numbers(self, order)
+        written = assign_numbers(self, order)
         m = len(order)
         st.recompressions += 1
         st.recompression_nodes += m
-        st.table_entries += width * m
-        st.work += (width + 1) * m
+        st.table_entries += written
+        st.work += written + m

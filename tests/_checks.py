@@ -185,15 +185,44 @@ def naive_table_entry(sca, x, i, beta, cm2, e):
 def table_entry(obj, x, i, root):
     """Ancestor table entry of x at index i, with its implicit tail.
 
-    Stored rows stop at the root's own threshold; everything above it is
-    the root.  Queries stay below the stored width because fat numbers of
-    one tree differ by less than (c-2)*sigma(root)^e, so the tail exists
-    for inspection, not for the hot path.
+    A node that owns no row shares its compressed parent d's, whose EPS
+    entries are exactly those below iq[d]; x's own entries from iq[x] on
+    read as x, the rule the query applies.  Stored rows stop at the
+    root's own threshold; everything above it is the root.  Queries stay
+    below the stored width because fat numbers of one tree differ by less
+    than (c-2)*sigma(root)^e, so the tail exists for inspection, not for
+    the hot path.
     """
     row = obj.tab[x]
-    if i < len(row):
-        return row[i]
-    return root
+    if i >= len(row):
+        return root
+    v = row[i]
+    if v == EPS and i >= obj.iq[x]:
+        return x
+    return v
+
+
+def shared_rows_ok(obj, nodes, root):
+    """Rows are owned exactly where a compressed child reads them.
+
+    The stored root and every apex with a child own a row of the tree's
+    width; every other node's tab entry is its compressed parent's row
+    object itself.
+    """
+    width = len(obj.tab[root])
+    ch = dchildren(obj, nodes)
+    owned = set()
+    for u in nodes:
+        row = obj.tab[u]
+        if u == root or ch[u]:
+            assert id(row) not in owned, f"{u} owns another node's row"
+            owned.add(id(row))
+            assert u == root or obj.apex[u], f"non-apex {u} has compressed children"
+            assert len(row) == width, f"row of {u} is {len(row)} wide, not {width}"
+            d = obj.piD[u]
+            assert d is None or row is not obj.tab[d], f"{u} shares the row it must own"
+        else:
+            assert row is obj.tab[obj.piD[u]], f"{u} does not share its parent's row"
 
 
 def rerooted_ca(f, x, y, z, ca_fn):

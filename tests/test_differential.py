@@ -1,0 +1,230 @@
+"""Every engine against the oracle, one random op sequence at a time.
+
+A hypothesis state machine grows one oracle forest and mirrors each op
+into the grown engines (inc, inc-log2, inc-linear), which hold the tree
+of vertex 0, and into the link engines (LinkForest at levels 1-3 and
+AdaptiveLinkForest), which hold every vertex.  A grown engine follows a
+link that touches its tree: a tree hung below it arrives as add_leafs,
+and a tree it is hung into arrives as add_roots up the path from the
+link point, then add_leafs for the rest.  Invalid calls are mixed in:
+bad ids, bools, non-root link targets, self-links and links within one
+tree.  Each must raise ValueError and leave the structure, its Stats
+included, exactly as it was.
+"""
+
+import dataclasses
+from array import array
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+
+from dynca import (AckermannTable, AdaptiveLinkForest, CaTriple, Forest,
+                   LinkForest, oracle_ca)
+from dynca.traces import GROWN
+
+CAP = 48
+
+LINKED = {
+    "link-1": lambda n: LinkForest(1, AckermannTable(2 * n), n),
+    "link-2": lambda n: LinkForest(2, AckermannTable(2 * n), n),
+    "link-3": lambda n: LinkForest(3, AckermannTable(2 * n), n),
+    "link": AdaptiveLinkForest,
+}
+
+
+def snapshot(obj, memo=None):
+    """A comparable deep copy of everything reachable from obj.
+
+    Objects met twice become references to their first visit, so shared
+    state (one Stats, one arena) and cycles are compared by shape.
+    """
+    if memo is None:
+        memo = {}
+    if obj is None or isinstance(obj, (int, float, str)):
+        return obj
+    if isinstance(obj, array):
+        return obj.typecode, obj.tobytes()
+    if isinstance(obj, (set, frozenset)):
+        return frozenset(obj)
+    if id(obj) in memo:
+        return "ref", memo[id(obj)]
+    memo[id(obj)] = len(memo)
+    if isinstance(obj, (list, tuple)):
+        return type(obj).__name__, tuple(snapshot(v, memo) for v in obj)
+    if isinstance(obj, dict):
+        return "dict", tuple((k, snapshot(v, memo)) for k, v in obj.items())
+    if callable(obj):
+        return "callable", type(obj).__name__
+    names = [f.name for f in dataclasses.fields(obj)] \
+        if dataclasses.is_dataclass(obj) else \
+        sorted(getattr(obj, "__dict__", ())) + \
+        [s for c in type(obj).__mro__ for s in getattr(c, "__slots__", ())]
+    return type(obj).__name__, tuple(
+        (k, snapshot(getattr(obj, k, None), memo)) for k in names)
+
+
+def state(t):
+    """The oracle's shape, or an engine's whole state.
+
+    The oracle's union-find compresses paths on lookups, rejected ones
+    too; that is a cache, not part of the forest.
+    """
+    if isinstance(t, Forest):
+        return snapshot((t.parent, t.children))
+    return snapshot(t)
+
+
+class Differential(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.f = Forest()
+        self.f.make_node()
+        self.grown = {k: make(CAP) for k, make in GROWN.items()}
+        self.linked = {k: make(CAP) for k, make in LINKED.items()}
+        for t in self.linked.values():
+            t.make_node()
+        self.gid = {0: 0}  # vertex -> grown id, for the tree of vertex 0
+        self.fid = [0]     # grown id -> vertex
+        self.top = 0       # root of that tree
+
+    # ------------------------------------------------------------ helpers
+
+    def vertex(self, data, pool=None):
+        pool = range(len(self.f)) if pool is None else pool
+        return data.draw(st.sampled_from(sorted(pool)))
+
+    def tree(self, v):
+        """Members of v's tree, breadth-first from its root."""
+        order = [self.f.root_of(v)]
+        for u in order:
+            order += self.f.children[u]
+        return order
+
+    def fresh(self):
+        y = self.f.make_node()
+        for t in self.linked.values():
+            assert t.make_node() == y
+        return y
+
+    def grow(self, v, root=False):
+        """Mirror the new tree member v into every grown engine."""
+        g = len(self.fid)
+        for t in self.grown.values():
+            got = t.add_root() if root else t.add_leaf(self.gid[self.f.parent[v]])
+            assert got == g
+        self.gid[v] = g
+        self.fid.append(v)
+
+    def rejects(self, calls):
+        """Each (structure, call, args) raises and changes nothing."""
+        for t, call, args in calls:
+            before = state(t)
+            try:
+                call(*args)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(f"{call.__qualname__}{args!r} did not raise")
+            assert state(t) == before, f"{call.__qualname__}{args!r} changed state"
+
+    # -------------------------------------------------------------- rules
+
+    @precondition(lambda self: len(self.f) < CAP)
+    @rule(data=st.data())
+    def add_leaf(self, data):
+        x = self.vertex(data, self.gid)
+        y = self.fresh()
+        self.f.add_leaf(x, y)
+        for t in self.linked.values():
+            t.link(x, y)
+        self.grow(y)
+
+    @precondition(lambda self: len(self.f) < CAP)
+    @rule()
+    def add_root(self):
+        y = self.fresh()
+        self.f.add_root(y, self.top)
+        for t in self.linked.values():
+            t.link(y, self.top)
+        self.grow(y, root=True)
+        self.top = y
+
+    @precondition(lambda self: len(self.f) < CAP)
+    @rule()
+    def make_node(self):
+        self.fresh()
+
+    @rule(data=st.data())
+    def link(self, data):
+        f = self.f
+        roots = [v for v in range(len(f)) if f.parent[v] is None]
+        if len(roots) < 2:
+            return
+        y = data.draw(st.sampled_from(roots))
+        below = self.tree(y)
+        x = self.vertex(data, set(range(len(f))) - set(below))
+        above = self.tree(x)
+        f.link(x, y)
+        for t in self.linked.values():
+            t.link(x, y)
+        if x in self.gid:
+            for v in below:
+                self.grow(v)
+        elif y == self.top:
+            path = [x]
+            while f.parent[path[-1]] is not None:
+                path.append(f.parent[path[-1]])
+            for v in path:
+                self.grow(v, root=True)
+            for v in above:
+                if v not in self.gid:
+                    self.grow(v)
+            self.top = path[-1]
+
+    @rule(data=st.data())
+    def ca(self, data):
+        x = self.vertex(data)
+        y = self.vertex(data)
+        want = oracle_ca(self.f, x, y)
+        for k, t in self.linked.items():
+            assert t.ca(x, y) == want, (k, x, y)
+        if x in self.gid and y in self.gid:
+            fid = self.fid
+            for k, t in self.grown.items():
+                a, ax, ay = t.ca(self.gid[x], self.gid[y])
+                assert CaTriple(fid[a], fid[ax], fid[ay]) == want, (k, x, y)
+
+    @rule(data=st.data(), bad=st.sampled_from([-1, "n", True, False, None]),
+          first=st.booleans())
+    def bad_id(self, data, bad, first):
+        x = self.vertex(data)
+        f = self.f
+        b = len(f) if bad == "n" else bad
+        q = (b, x) if first else (x, b)
+        calls = [(f, f.link, q)]
+        for t in self.linked.values():
+            calls += [(t, t.ca, q), (t, t.link, q), (t, t.find_root, (b,))]
+        g = self.gid[self.top]
+        for t in self.grown.values():
+            b = t.n if bad == "n" else bad
+            calls += [(t, t.ca, (b, g) if first else (g, b)),
+                      (t, t.add_leaf, (b,))]
+        self.rejects(calls)
+
+    @rule(data=st.data())
+    def bad_link(self, data):
+        f = self.f
+        y = self.vertex(data)
+        if f.parent[y] is not None:
+            x = self.vertex(data)          # target is not a root
+        elif data.draw(st.booleans()):
+            x = y                          # self-link
+        else:
+            x = self.vertex(data, self.tree(y))  # within one tree
+        self.rejects([(t, t.link, (x, y)) for t in self.linked.values()]
+                     + [(f, f.link, (x, y))])
+
+
+TestDifferential = Differential.TestCase
+TestDifferential.settings = settings(max_examples=60, stateful_step_count=60,
+                                     deadline=None)

@@ -9,8 +9,8 @@ from dynca import (DYNAMIC_PARAMS, STATIC_PARAMS, ConfigError, FatParams,
 from dynca.fat_preorder import EPS
 
 from _checks import (build_random_tree, check_compression_exact,
-                     check_fat_order, guards, naive_table_entry, table_entry,
-                     tree_nodes_of)
+                     check_fat_order, guards, naive_table_entry,
+                     shared_rows_ok, table_entry, tree_nodes_of)
 
 
 def test_static_params_exact():
@@ -159,6 +159,27 @@ def test_table_matches_naive_scan(n, rng):
                 # accessor tail: every node on the path qualifies by then
                 assert want == r
             assert table_entry(sca, x, i, r) == want, (x, i)
+
+
+@pytest.mark.parametrize("params", [STATIC_PARAMS, DYNAMIC_PARAMS])
+def test_rows_shared_where_no_child_reads_them(params, rng):
+    """Each tree's root and apexes with children own rows; the rest share."""
+    f = Forest()
+    for _ in range(3):
+        f.make_node()
+    for _ in range(400):
+        f.add_leaf(rng.randrange(len(f.parent)), f.make_node())
+    sca = StaticCa(f, params)
+    owned = {}
+    for r in range(3):
+        nodes = tree_nodes_of(sca, r)
+        shared_rows_ok(sca, nodes, r)
+        for u in nodes:
+            if u == r or sca.tab[u] is not sca.tab[sca.piD[u]]:
+                owned[u] = len(sca.tab[u])
+    # the build counts the entries it wrote: the owned rows, no more
+    assert sca.stats.table_entries == sum(owned.values())
+    assert len(owned) < len(f.parent) // 2
 
 
 def test_static_ca_differential(rng):

@@ -7,7 +7,8 @@ from dynca import (DYNAMIC_PARAMS, CapacityError, Forest, IncrementalTree,
                    StaticCa, oracle_ca)
 from dynca.fat_preorder import shared_log_table
 
-from _checks import check_fat_order, children, guards, naive_table_entry
+from _checks import (check_fat_order, children, guards, naive_table_entry,
+                     shared_rows_ok, table_entry)
 
 
 def test_first_node_frozen_numbers():
@@ -67,7 +68,11 @@ def test_differential_add_leaf(rng):
 
 
 def test_rows_match_naive_scan(rng):
-    """Every ancestor row entry after every op, against the path walk."""
+    """Every ancestor row entry after every op, against the path walk.
+
+    Entries are read through the sharing rule: only the stored root and
+    apexes with children own rows.
+    """
     params = DYNAMIC_PARAMS
     cm2 = params.c - 2
     e = params.e
@@ -78,11 +83,41 @@ def test_rows_match_naive_scan(rng):
         else:
             t.add_leaf(rng.randrange(t.n))
         for x in range(t.n):
-            row = t.tab[x]
             assert t.iq[x] == t._flb(cm2 * t.sigma[x] ** e) + 1
-            for i in range(len(row)):
-                assert row[i] == naive_table_entry(t, x, i, params.beta, cm2, e), (x, i)
+            for i in range(len(t.tab[x])):
+                assert table_entry(t, x, i, 0) == \
+                    naive_table_entry(t, x, i, params.beta, cm2, e), (x, i)
+        shared_rows_ok(t, range(t.n), 0)
         assert sum(t.renum) == t.stats.recompression_nodes
+
+
+def test_first_child_of_apex_leaf_gets_a_row(rng):
+    """An apex leaf's first child renumbers it, so no row is read unowned.
+
+    The leaf shares its compressed parent's row until then.  With weight
+    1, a child always drifts it past the alpha slack; the renumbering
+    either keeps it an apex, now with a row of its own, or puts it on a
+    heavy path, and the child reads the row of the apex above.
+    """
+    t = IncrementalTree(400)
+    for _ in range(150):
+        t.add_leaf(rng.randrange(t.n))
+    leaves = [x for x in range(1, t.n) if t.apex[x] and not children(t, x)]
+    assert len(leaves) >= 20
+    kept = 0
+    for x in leaves:
+        assert t.tab[x] is t.tab[t.piD[x]]
+        before = t.stats.recompressions
+        y = t.add_leaf(x)
+        assert t.stats.recompressions == before + 1
+        d = t.piD[y]
+        assert d == (x if t.apex[x] else t.piD[x])
+        kept += d == x
+        shared_rows_ok(t, range(t.n), 0)
+        for i in range(len(t.tab[y])):
+            assert table_entry(t, y, i, 0) == naive_table_entry(
+                t, y, i, t.params.beta, t.params.c - 2, t.params.e)
+    assert kept >= 10
 
 
 def test_root_recompression_matches_static():

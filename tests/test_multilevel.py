@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dynca import (CapacityError, Forest, IncrementalTree, MultilevelInc,
                    edmonds_tree, linear_tree, oracle_ca)
 
-from _checks import rerooted_ca
+from _checks import rerooted_ca, shared_rows_ok
 
 
 def check_levels(t):
@@ -183,6 +183,19 @@ def test_contracted_levels_shrink_geometrically(rng):
     assert len(t.pi[3]) == n
     assert len(t.pi[2]) <= n // t.mu
     assert t.inc is not None and t.inc.n <= n // t.mu ** 2
+
+
+def test_level1_rows_shared_where_no_child_reads_them(rng):
+    """The contracted level-1 tree shares rows by the same rule."""
+    t = linear_tree(20000)
+    for _ in range(19999):
+        if rng.random() < 0.25:
+            t.add_root()
+        else:
+            t.add_leaf(rng.randrange(t.n))
+        if t.inc is not None:
+            shared_rows_ok(t.inc, range(t.inc.n), 0)
+    assert t.inc.n >= 20
 
 
 @settings(max_examples=25, deadline=None)
