@@ -1,21 +1,20 @@
-"""Doubling storage manager packing every growing array into one backing store.
+"""Doubling storage manager for the microset id maps of one MultilevelInc.
 
-The accounting target: at any instant the backing store holds at most
-4 cells per live logical entry, even though relocated regions are never
-reclaimed. Every array starts with two granted slots (s=1, capacity 2)
-and, when a push finds n == 2s, relocates to a fresh region of size 4s
-at the end of the store, copying its n cells and doubling s. Handles
-are stable across relocations.
+Each microset's id-to-node map is a growing array, and one leveled
+tree packs all of its maps into one backing store.  The accounting
+target: at any instant the backing store holds at most 4 cells per live
+logical entry, even though relocated regions are never reclaimed.
+Every array starts with two granted slots (s=1, capacity 2) and, when a
+push finds n == 2s, relocates to a fresh region of size 4s at the end
+of the store, copying its n cells and doubling s.  Handles are stable
+across relocations.
 """
 
 from __future__ import annotations
 
 
 class Arena:
-    __slots__ = (
-        "backing", "off", "cap", "n", "s",
-        "total_live", "cells_copied", "pushes", "arrays_created",
-    )
+    __slots__ = ("backing", "off", "cap", "n", "s", "total_live", "cells_copied")
 
     def __init__(self) -> None:
         self.backing: list = []
@@ -25,8 +24,6 @@ class Arena:
         self.s: list[int] = []
         self.total_live = 0
         self.cells_copied = 0
-        self.pushes = 0
-        self.arrays_created = 0
 
     @property
     def used(self) -> int:
@@ -44,7 +41,6 @@ class Arena:
         self.n.append(2)
         self.s.append(1)
         self.total_live += 2
-        self.arrays_created += 1
         assert self.used <= 4 * self.total_live
         return h
 
@@ -56,7 +52,6 @@ class Arena:
         self.backing[self.off[h] + n] = v
         self.n[h] = n + 1
         self.total_live += 1
-        self.pushes += 1
         assert self.used <= 4 * self.total_live
         return n
 

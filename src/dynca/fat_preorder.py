@@ -74,7 +74,7 @@ class FatParams:
     def validate(self):
         """Check feasibility of the parameters and return the exact values.
 
-        Two constraints must hold.  Child intervals of a fresh compression
+        Four constraints must hold.  Child intervals of a fresh compression
         must fit between the guards:
 
             2 / (beta^(e-1) - 1)  <=  c - 2  <=  beta^e
@@ -83,6 +83,13 @@ class FatParams:
         fitting while sizes drift up to the alpha slack:
 
             c * ((alpha - 1/2)^e + (1/2)^e) / (1 - alpha^-e)  <=  c - 2
+
+        Queries need compressed parents at least beta times as heavy as
+        their children, which holds up to ratio 2 for a fresh compression
+        and 1 / (alpha - 1/2) under drift, and meets at most one level
+        above the deepest ancestor as wide as the gap (see FatQueryMixin):
+
+            beta  <=  ratio,        beta * (c - 2)  <=  1 + beta^e
 
         Returns a dict of exact Fractions so callers can reproduce the
         margins; raises ConfigError when a constraint fails.
@@ -103,6 +110,7 @@ def _validate(params):
     if not lo <= cm2 <= hi:
         raise ConfigError(f"packing bound violated: {lo} <= {cm2} <= {hi}")
     out = {"eq_pack_lo": lo, "c_minus_2": cm2, "eq_pack_hi": hi, "eq_growth_lhs": None}
+    ratio = Fraction(2)
     if params.alpha is not None:
         alpha = Fraction(params.alpha.num, params.alpha.den)
         if alpha <= 1:
@@ -113,6 +121,11 @@ def _validate(params):
         if lhs > cm2:
             raise ConfigError(f"growth bound violated: {lhs} > {cm2}")
         out["eq_growth_lhs"] = lhs
+        ratio = 1 / (alpha - half)
+    if beta > ratio:
+        raise ConfigError(f"weight ratio {ratio} below beta {beta}")
+    if beta * cm2 > 1 + hi:
+        raise ConfigError(f"meet reach violated: {beta * cm2} > {1 + hi}")
     return out
 
 
@@ -227,6 +240,18 @@ class FatQueryMixin:
     iq[d]; an EPS read at i >= iq[x] therefore stands for x itself.  In an
     owned row that test never fires, and the restored entry costs the
     same one counted read as a stored one.
+
+    The meet lies at most one compressed level above w, x's deepest
+    ancestor as wide as the gap D = |p[x] - p[y]|.  With i the floor
+    log of D, D < beta^(i+1), and w wide at i means beta^i <= (c-2) *
+    sigma(w)^e, so D < beta * (c-2) * sigma(w)^e.  Suppose p[y] also
+    missed the interval of pw = piD[w].  No node's number lies in a
+    guard, so p[y] lies at least sigma(pw)^e outside pw's interval, and
+    p[x], inside w's interval, at least sigma(w)^e inside it.  Then
+    D > sigma(w)^e + sigma(pw)^e >= (1 + beta^e) * sigma(w)^e, and
+    FatParams.validate requires beta * (c-2) <= 1 + beta^e: the bounds
+    clash.  So when w's interval misses p[y], pw is the meet and w the
+    ancestor just below it on x's side.
     """
 
     def _ca_stored(self, x, y):
@@ -241,11 +266,10 @@ class FatQueryMixin:
         i = self._flb(px - py if px > py else py - px)
 
         # x side: v is x's last ancestor too narrow for the gap, w the
-        # deepest at least as wide.  The meet is w or one of the next two
-        # up, never further: already w's grandparent is wider than the gap
-        # itself, and a common ancestor cannot be narrower.  Interval
-        # tests on y's number pick the case; cx is the ancestor just
-        # below the meet on this side, or x itself when x is the meet.
+        # deepest at least as wide.  The meet is w or its compressed
+        # parent (see the class docstring), and one interval test on y's
+        # number picks the case; cx is the ancestor just below the meet
+        # on this side, or x itself when x is the meet.
         v = self.tab[x][i]
         steps += 1
         if v != EPS:
@@ -262,9 +286,7 @@ class FatQueryMixin:
             cx = x if fx else v
         else:
             fx = False
-            pw = piD[w]
-            steps += 1
-            cx = w if p[pw] <= py < q[pw] else pw
+            cx = w
 
         # y side, against x's number
         v = self.tab[y][i]
@@ -283,9 +305,7 @@ class FatQueryMixin:
             cy = y if fy else v
         else:
             fy = False
-            pw = piD[w]
-            steps += 1
-            cy = w if p[pw] <= px < q[pw] else pw
+            cy = w
 
         # translate to the original tree: each side leaves the meet's
         # heavy path at a departure node, the true meet is the shallower

@@ -6,7 +6,7 @@ renumbering covers the shallowest such ancestor, so the recorded weights
 keep their geometric growth along compressed root paths.  A new leaf is an
 apex of its own, numbered from its compressed parent's packing cursor.
 
-A renumbering lists the subtree breadth-first off the child arrays and
+A renumbering lists the subtree breadth-first off the child lists and
 hands it to assign_numbers, the one pass that also numbers a frozen
 forest; a leaf added without drift goes through the same pass.  Rows are
 machine-int arrays, 32-bit unless the capacity needs 64, and only the
@@ -26,7 +26,6 @@ query.  Spine holds that root handle and query dispatch once, for this
 tree and for the leveled MultilevelInc.
 """
 
-from .arena import Arena
 from .errors import CapacityError, check_id
 from .fat_preorder import (DYNAMIC_PARAMS, FatQueryMixin, assign_numbers,
                            shared_log_table)
@@ -97,11 +96,10 @@ class IncrementalTree(Spine, FatQueryMixin):
     ca = Spine.ca
     _stored = FatQueryMixin._ca_stored
 
-    def __init__(self, max_n, stats=None, arena=None):
+    def __init__(self, max_n, stats=None):
         params = self.params
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
-        self.arena = arena if arena is not None else Arena()
         c = params.c
         e = params.e
         self._c = c
@@ -126,8 +124,7 @@ class IncrementalTree(Spine, FatQueryMixin):
         self.q = [0]
         self.Qbar = [0]
         self.renum = [0]
-        self.ch_h = [self.arena.new_array()]
-        self.ch_n = [0]
+        self.ch = [[]]
         self.iq = [0]
         self.tab = [None]
         self.sm = [0]
@@ -165,13 +162,11 @@ class IncrementalTree(Spine, FatQueryMixin):
         self.q.append(0)
         self.Qbar.append(0)
         self.renum.append(0)
-        self.ch_h.append(self.arena.new_array())
-        self.ch_n.append(0)
+        self.ch.append([])
         self.iq.append(0)
         self.tab.append(None)
         self.sm.append(self.sm[x])
-        self.arena.append_at(self.ch_h[x], self.ch_n[x], y)
-        self.ch_n[x] += 1
+        self.ch[x].append(y)
 
         # count the new descendant along the apex chain and find the
         # shallowest ancestor that outgrew its recorded weight
@@ -204,15 +199,12 @@ class IncrementalTree(Spine, FatQueryMixin):
 
         Everything under v gets fresh weights, heavy paths, fat numbers and
         ancestor rows.  A breadth-first walk read straight off the child
-        arrays lists the subtree for assign_numbers.  v's new interval is
+        lists hands the subtree to assign_numbers.  v's new interval is
         carved from its compressed parent's packing zone, or restarts at
         zero when v is the stored root (the only event that changes the
         row width).
         """
-        backing = self.arena.backing
-        off = self.arena.off
-        ch_h = self.ch_h
-        ch_n = self.ch_n
+        ch = self.ch
         s = self.s
         succ = self.succ
         renum = self.renum
@@ -222,10 +214,7 @@ class IncrementalTree(Spine, FatQueryMixin):
             s[u] = 1
             succ[u] = None
             renum[u] += 1
-            cn = ch_n[u]
-            if cn:
-                o = off[ch_h[u]]
-                order += backing[o:o + cn]
+            order += ch[u]
         st = self.stats
         if v == 0:
             st.root_renumberings += 1

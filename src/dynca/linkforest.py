@@ -30,7 +30,6 @@ nodes.
 
 from functools import lru_cache
 
-from .arena import Arena
 from .errors import CapacityError, check_id
 from .forest import CaTriple
 from .levels import Leveled
@@ -201,7 +200,6 @@ class LinkForest(Leveled):
         self.ack = ack
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
-        self.arena = Arena()
         rng = range(1, level + 1)
         self.pi = {k: [] for k in rng}
         self.ch = {k: [] for k in rng}
@@ -378,8 +376,7 @@ class LinkForest(Leveled):
     def _rebuild(self, r, k, sg):
         """The whole level-k tree becomes one fresh subtree in stage sg."""
         lid = self.lid[k]
-        S = _Sub(MultilevelInc(self.max_n, stats=self.stats, arena=self.arena),
-                 lid)
+        S = _Sub(MultilevelInc(self.max_n, stats=self.stats), lid)
         lid[r] = 0
         S.rev.append(r)
         self.sub[k][r] = S
@@ -608,11 +605,6 @@ class AdaptiveLinkForest:
     def reorg_log(self):
         return self.stats.reorg_log
 
-    @property
-    def arena(self):
-        """The live forest's arena; an empty one before the first link."""
-        return Arena() if self.lf is None else self.lf.arena
-
     def make_node(self):
         """Create and return a fresh singleton vertex."""
         if len(self.counted) >= self.max_n:
@@ -687,8 +679,8 @@ class AdaptiveLinkForest:
     def _fresh(self, lv):
         """An empty lv-level LinkForest over every vertex made so far.
 
-        It stores on an arena of its own, so a reorganization drops the
-        old forest's cells with the old forest.
+        Each subtree owns its storage, so a reorganization that drops
+        the old forest frees everything the old forest held.
         """
         ack = AckermannTable(max(4, 2 * self.n1))
         lf = LinkForest(lv, ack, self.max_n, stats=self.stats)

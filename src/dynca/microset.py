@@ -4,7 +4,8 @@ Nodes get ids in insertion order starting at 1, and id j owns bit j of a
 word, so a node's ancestor set is one int.  The meet of x and y is the
 highest bit of anc(x) & anc(y): ancestor ids grow along any root path, so
 the deepest common ancestor carries the largest id.  The id-to-node map
-lives in the shared arena, one slot per id.
+is one growing array, one slot per id, in the arena of the MultilevelInc
+that hosts the microset.
 
 The host owns the anc array, indexed by its node ids, so one flat array
 serves every microset on a level; a member's own id is the top bit of

@@ -42,7 +42,7 @@ class MultilevelInc(Spine, Leveled):
     add_root = Spine.add_root
     ca = Spine.ca
 
-    def __init__(self, max_n, levels=3, mu=None, stats=None, arena=None):
+    def __init__(self, max_n, levels=3, mu=None, stats=None):
         if levels < 2:
             raise ValueError("need at least two levels")
         self.L = levels
@@ -53,7 +53,8 @@ class MultilevelInc(Spine, Leveled):
             raise ValueError(f"subtree capacity {mu} outside [2, 63]")
         self.mu = mu
         self.stats = stats if stats is not None else Stats()
-        self.arena = arena if arena is not None else Arena()
+        # holds the microsets' id maps, within 4 cells per live entry
+        self.arena = Arena()
         # per-level node arrays, levels L..2; level 1 lives in the inc tree,
         # and sub[1] holds only None so the shared recursion stops there
         self.pi = {l: [] for l in range(2, levels + 1)}
@@ -116,7 +117,7 @@ class MultilevelInc(Spine, Leveled):
                 if l - 1 == 1:
                     # built on a sink of its own, so its seed, a contracted
                     # subtree rather than a vertex, stays out of eta
-                    self.inc = IncrementalTree(self._inc_cap, arena=self.arena)
+                    self.inc = IncrementalTree(self._inc_cap)
                     self.inc.stats = self.stats
                     z = 0
                     self.down[1].append(None)

@@ -202,7 +202,7 @@ class _Engine:
 
     @property
     def arena_cells(self):
-        # read at report time: a link forest's reorganization replaces it
+        # only the leveled engines store their microsets on an arena
         arena = getattr(self.t, "arena", None)
         return arena.used if arena is not None else 0
 

@@ -27,7 +27,7 @@ def guards(obj, u):
 
 def children(t, u):
     """Stored children of u in an IncrementalTree, in attachment order."""
-    return t.arena.read(t.ch_h[u], 0, t.ch_n[u])
+    return t.ch[u]
 
 
 def dchildren(obj, nodes):

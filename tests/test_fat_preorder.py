@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynca import (DYNAMIC_PARAMS, STATIC_PARAMS, ConfigError, FatParams,
-                   Forest, Rational, StaticCa, oracle_ca)
+                   Forest, IncrementalTree, Rational, StaticCa, oracle_ca)
 from dynca.fat_preorder import EPS
 
 from _checks import (build_random_tree, check_compression_exact,
@@ -50,6 +51,16 @@ def test_bad_params_rejected():
         FatParams(alpha=None, beta=Rational(1, 1), c=4, e=2).validate()
     with pytest.raises(ConfigError):
         FatParams(alpha=Rational(7, 5), beta=Rational(10, 7), c=5, e=4).validate()
+    # each packs, but compressed parents weigh only 2 and 10/7 times their
+    # children, below beta
+    with pytest.raises(ConfigError, match="weight ratio"):
+        FatParams(alpha=None, beta=Rational(3, 1), c=5, e=2).validate()
+    with pytest.raises(ConfigError, match="weight ratio"):
+        FatParams(alpha=Rational(6, 5), beta=Rational(3, 2), c=5, e=4).validate()
+    # beta * (c-2) = 8 > 1 + beta^e = 5: a meet could sit two compressed
+    # levels above the deepest wide ancestor
+    with pytest.raises(ConfigError, match="meet reach"):
+        FatParams(alpha=None, beta=Rational(2, 1), c=6, e=2).validate()
 
 
 def path_forest(n):
@@ -201,6 +212,30 @@ def test_static_ca_dynamic_params_differential(rng):
             x = rng.randrange(n)
             y = rng.randrange(n)
             assert sca.ca(x, y) == oracle_ca(f, x, y), (n, x, y)
+
+
+def test_every_small_tree_every_pair():
+    """Every parent array with par[v] < v on up to 8 nodes, all pairs.
+
+    StaticCa under both parameter sets and IncrementalTree grown in the
+    array's order all match the oracle, so no query on these trees needs
+    a meet past the deepest wide ancestor's compressed parent.
+    """
+    for n in range(2, 9):
+        for par in itertools.product(*map(range, range(1, n))):
+            f = Forest()
+            f.make_node()
+            t = IncrementalTree(n)
+            for v, u in enumerate(par, 1):
+                f.make_node()
+                f.add_leaf(u, v)
+                t.add_leaf(u)
+            engines = (StaticCa(f), StaticCa(f, params=DYNAMIC_PARAMS), t)
+            for x in range(n):
+                for y in range(n):
+                    want = oracle_ca(f, x, y)
+                    for eng in engines:
+                        assert eng.ca(x, y) == want, (par, x, y, eng)
 
 
 def test_static_multi_tree_forest(rng):

@@ -247,13 +247,6 @@ def test_query_counter_budget(rng):
     assert t.stats.max_query_steps <= 12
 
 
-def test_arena_bound_holds_throughout(rng):
-    t = IncrementalTree(500)
-    for _ in range(499):
-        t.add_leaf(rng.randrange(t.n))
-        assert t.arena.used <= 4 * t.arena.total_live
-
-
 def test_identity_and_errors():
     t = IncrementalTree(8)
     t.add_leaf(0)

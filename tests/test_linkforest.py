@@ -1,6 +1,8 @@
 import copy
 import gc
 import random
+import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -296,21 +298,57 @@ def test_adaptive_reorg_at_population_crossing():
     af.lf.check_invariants()
 
 
-def test_adaptive_reorg_starts_a_fresh_arena():
+def test_adaptive_reorg_drops_the_old_forest():
     # a 12-node chain fills subtrees; disjoint pairs then push the level up
     af = AdaptiveLinkForest(64)
     v = [af.make_node() for _ in range(64)]
     for i in range(11):
         af.link(v[i], v[i + 1])
-    old = af.arena
-    assert old is af.lf.arena and old.used > 0
+    old = weakref.ref(af.lf)
     i = 12
     while not af.reorg_log:
         af.link(v[i], v[i + 1])
         i += 2
-    assert af.arena is af.lf.arena and af.arena is not old
-    assert 0 < af.arena.used <= 4 * af.arena.total_live
+    gc.collect()
+    assert old() is None
     assert af.nca(v[3], v[9]) == v[3]
+
+
+def _star(lf, nodes):
+    for u in nodes[1:]:
+        lf.link(nodes[0], u)
+
+
+@pytest.mark.parametrize("case", ["pour", "rebuild"])
+def test_retired_subtree_takes_its_arena(case):
+    """The losing side's subtree frees its microset store with it.
+
+    A pour re-adds a stage-1 tree of 4 into a stage-2 tree of 8; a
+    rebuild merges two stage-1 trees of 4 into one stage-2 subtree.
+    """
+    lf = LinkForest(1, AckermannTable(32), 32)
+    v = [lf.make_node() for _ in range(12)]
+    _star(lf, v[:4])
+    _star(lf, v[4:8])
+    if case == "pour":
+        lf.link(v[0], v[4])               # 8 >= 2 * 4: one stage-2 subtree
+        _star(lf, v[8:])
+        assert lf.stage[1][v[0]] == 2 and lf.stage[1][v[8]] == 1
+        x, y = v[1], v[8]
+    else:
+        x, y = v[1], v[4]
+    S = lf.sub[1][y]
+    inc = weakref.ref(S.inc)
+    arena = S.inc.arena
+    del S
+    lf.link(x, y)
+    gc.collect()
+    assert inc() is None
+    # Arena takes no weak references: the test's own name and the
+    # call's argument must be all that still holds it
+    assert sys.getrefcount(arena) == 2
+    lf.check_invariants()
+    assert lf.nca(v[2], y) == v[0]
 
 
 def test_adaptive_table_extends_inside_period():
