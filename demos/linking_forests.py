@@ -9,13 +9,13 @@ Run:  python3 demos/linking_forests.py
 
 import random
 
-from dynca import AckermannTable, AdaptiveLinkForest, LinkForest, alpha
+from dynca import AdaptiveLinkForest, LinkForest, alpha
 
 rng = random.Random(7)
 
 # --- stages on a fixed level ---
 
-lf = LinkForest(level=1, ack=AckermannTable(64), max_n=64)
+lf = LinkForest(level=1, max_n=64)
 v = [lf.make_node() for _ in range(8)]
 
 lf.link(v[0], v[1])
@@ -32,7 +32,7 @@ print("8 nodes, stage", lf.stage[1][v[0]])
 print("ca(v5, v2) =", tuple(lf.ca(v[5], v[2])))
 lf.check_invariants()
 
-# --- the adaptive wrapper opens with the first link ---
+# --- the adaptive wrapper counts from the first link ---
 
 af = AdaptiveLinkForest(max_n=1 << 12)
 nodes = [af.make_node() for _ in range(1 << 12)]
@@ -45,7 +45,8 @@ print("first link: counted ops m =", af.m1, " linked nodes n =", af.n1,
       " level =", af.level)
 
 # pair up fresh singletons: n grows as fast as m, alpha climbs,
-# and the wrapper reorganizes the moment it leaves {level-1, level}
+# and the wrapper restages the forest the moment alpha leaves
+# {level-1, level}
 for i in range(1, 300):
     af.link(nodes[2 * i], nodes[2 * i + 1])
 print("after 300 pair links, level =", af.level,

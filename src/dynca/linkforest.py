@@ -10,8 +10,8 @@ so a link between trees of unequal stages only re-adds the smaller side,
 links between equal stages recurse one level down, and a tree that
 outgrows its stage is rebuilt once as a single subtree of the next stage.
 The level count is the inverse-Ackermann value of the operation counts,
-tracked by a wrapper that rebuilds the whole forest whenever that value
-drifts.
+tracked by a wrapper that restages the forest whenever that value
+drifts: the vertex level stays, and only its staging is built again.
 
 Meets across subtrees run through Leveled._c in levels.py, the recursion
 the multilevel engine shares: each staged subtree is a _Sub record
@@ -187,15 +187,17 @@ class LinkForest(Leveled):
     """Forest under make_node / link / ca at a fixed level count.
 
     Vertices live on level `level`; contractions run down to level 1.
-    Tree stages on level k are classified by row k of the Ackermann
-    table, so the table must cover the intended node count.
+    Tree stages on level k are classified by row k of an Ackermann table
+    built for max_n nodes: no tree outgrows it, and a ceiling past max_n
+    reads None, which the staging treats as infinite.
     """
 
-    def __init__(self, level, ack, max_n, stats=None):
+    def __init__(self, level, max_n, stats=None):
         if level < 1:
             raise ValueError("need at least one level")
+        ack = AckermannTable(max(4, max_n))
         if level > ack.size:
-            raise ValueError(f"level {level} has no row in the supplied table")
+            raise ValueError(f"level {level} has no row in a table for {max_n} nodes")
         self.L = level
         self.ack = ack
         self.max_n = max_n
@@ -209,7 +211,6 @@ class LinkForest(Leveled):
         self.lid = {k: [] for k in rng}     # id inside sub[k][v]
         self.down = {k: [] for k in range(1, level)}
         self.free = {k: [] for k in range(1, level)}  # retired, reusable
-        self.roots = set()
 
     def _new_node(self, k):
         """A fresh singleton on level k, reusing a retired id below L.
@@ -243,13 +244,7 @@ class LinkForest(Leveled):
         """Create and return a fresh singleton vertex."""
         if len(self.pi[self.L]) >= self.max_n:
             raise CapacityError(f"forest is at its declared capacity {self.max_n}")
-        v = self._new_node(self.L)
-        self.roots.add(v)
-        return v
-
-    def parent(self, v):
-        check_id(v, len(self.pi[self.L]))
-        return self.pi[self.L][v]
+        return self._new_node(self.L)
 
     def find_root(self, x):
         """Root of x's tree: one subtree hop per level, then back up."""
@@ -295,7 +290,6 @@ class LinkForest(Leveled):
 
     def _join(self, r, x, y):
         """The merge behind a validated link; r is the root of x's tree."""
-        self.roots.discard(y)
         self._l(r, x, y, self.L)
 
     def _l(self, r, x, y, k):
@@ -318,12 +312,6 @@ class LinkForest(Leveled):
         self.ch[k][x].append(y)
         sg = sx if sx >= sy else sy
         lim = self.ack.value(k, sg + 1)
-        if lim is None and ts[r] > self.ack.n:
-            # the tree outgrew the table's coverage, which a long period
-            # allows; extend it (pure lookup growth, nothing stored moves)
-            # so the stage ceiling test stays decidable
-            self.ack = AckermannTable(2 * ts[r])
-            lim = self.ack.value(k, sg + 1)
         sub = self.sub[k]
         if lim is not None and ts[r] >= 2 * lim:
             self._retire(sub[r], k)
@@ -414,35 +402,37 @@ class LinkForest(Leveled):
                 if w != skip:
                     queue.append(w)
 
-    def adopt_tree(self, order, parent):
-        """Install a prebuilt tree at its proper stage.
+    def relevel(self, level):
+        """This forest's trees on a new forest of `level` levels.
 
-        order lists the nodes parents-first starting at the root; parent
-        gives stored parents.  Trees under four nodes stay bare, larger
-        ones become a single subtree in the highest stage whose floor
-        their size meets.  Used by reorganizations.
+        The new forest takes over the vertex level's parent, child and
+        size lists as they are, so no vertex is made again and this
+        forest must not be used after; only the staging is built anew.
+        Trees under four nodes stay bare, larger ones become a single
+        subtree in the highest stage whose floor their size meets.
         """
+        lf = LinkForest(level, self.max_n, self.stats)
         k = self.L
-        pi = self.pi[k]
-        ch = self.ch[k]
-        r = order[0]
-        for v in order[1:]:
-            t = parent[v]
-            pi[v] = t
-            ch[t].append(v)
-            self.roots.discard(v)
-        self.ts[k][r] = len(order)
-        if len(order) < 4:
-            return
-        if self.ack.n < len(order):
-            self.ack = AckermannTable(2 * len(order))
-        sg = 1
-        while True:
-            v = self.ack.value(k, sg + 1)
-            if v is None or 2 * v > len(order):
-                break
-            sg += 1
-        self._rebuild(r, k, sg)
+        n = len(self.pi[k])
+        lf.pi[level] = pi = self.pi[k]
+        lf.ch[level] = self.ch[k]
+        lf.ts[level] = ts = self.ts[k]
+        lf.stage[level] = [0] * n
+        lf.sub[level] = [None] * n
+        lf.lid[level] = [0] * n
+        value = lf.ack.value
+        for r in range(n):
+            size = ts[r]
+            if pi[r] is not None or size < 4:
+                continue
+            sg = 1
+            while True:
+                v = value(level, sg + 1)
+                if v is None or 2 * v > size:
+                    break
+                sg += 1
+            lf._rebuild(r, level, sg)
+        return lf
 
     def ca(self, x, y):
         """Characteristic ancestors, or None across trees."""
@@ -482,10 +472,8 @@ class LinkForest(Leveled):
         return tuple.__new__(CaTriple, (
             v, px[i - 1] if i else v, cy if cy is not None else v))
 
-    def tree_nodes(self, r, k=None):
+    def tree_nodes(self, r, k):
         """Nodes of r's level-k tree, parents before children."""
-        if k is None:
-            k = self.L
         ch = self.ch[k]
         order = [r]
         qi = 0
@@ -508,7 +496,8 @@ class LinkForest(Leveled):
         """
         ack = self.ack
         live = {k: set() for k in self.pi}
-        for root in self.roots:
+        top = self.pi[self.L]
+        for root in [v for v in range(len(top)) if top[v] is None]:
             k = self.L
             nodes = self.tree_nodes(root, k)
             while True:
@@ -579,27 +568,25 @@ class AdaptiveLinkForest:
     """Link forest that re-tunes its level count as the workload grows.
 
     Nodes join the counted population with their first link; links and
-    meets both count as operations.  Before each counted operation the
-    target level is re-read, and when it leaves {level-1, level} the
-    whole forest is reorganized: fresh tables sized for twice the counted
-    nodes, and every current tree re-seated as one incremental tree at
-    its proper stage for the new level.  The first link opens the first
-    period.
+    meets both count as operations, meets only once linking has started.
+    Before each counted operation the target level is re-read, and when
+    it leaves {level-1, level} the forest is restaged: the vertex level
+    stays as it is, and every tree of four or more nodes is re-seated as
+    one incremental tree at its proper stage for the new level.  The
+    forest opens at one level, which is what the first link reads.
     """
 
     def __init__(self, max_n, stats=None):
-        self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
-        self.lf = None
-        self.level = 0
-        self.counted = []
+        self.lf = LinkForest(1, max_n, self.stats)
+        self.level = 1
         self.n1 = 0   # nodes that have been in a link
         self.m1 = 0   # links plus meet queries since the first link
         self.ops = 0  # counted operations, indexes the reorganization log
 
     @property
     def n(self):
-        return len(self.counted)
+        return self.lf.n
 
     @property
     def reorg_log(self):
@@ -607,97 +594,51 @@ class AdaptiveLinkForest:
 
     def make_node(self):
         """Create and return a fresh singleton vertex."""
-        if len(self.counted) >= self.max_n:
-            raise CapacityError(f"forest is at its declared capacity {self.max_n}")
-        v = len(self.counted)
-        self.counted.append(False)
-        if self.lf is not None:
-            w = self.lf.make_node()
-            assert w == v
-        return v
+        return self.lf.make_node()
 
     def find_root(self, x):
-        check_id(x, len(self.counted))
-        if self.lf is None:
-            return x
         return self.lf.find_root(x)
 
     def link(self, x, y):
         """Make the root y a child of x, merging y's tree into x's.
 
-        A rejected link raises before anything is counted or rebuilt.
-        The root of x's tree found by that check survives a
-        reorganization, which re-seats every tree under its own root.
+        A rejected link raises before anything is counted or restaged.
+        A node joins the count when its tree is still a singleton.  The
+        root of x's tree found by the check survives a restaging, which
+        keeps every tree under its own root.
         """
-        if self.lf is not None:
-            r = self.lf._link_root(x, y)
-        else:
-            n = len(self.counted)
-            check_id(x, n)
-            check_id(y, n)
-            if x == y:
-                raise ValueError("link within one tree")
-            r = x  # nothing linked yet: every tree is a singleton
-        self.ops += 1
-        self.m1 += 1
-        if not self.counted[x]:
-            self.counted[x] = True
-            self.n1 += 1
-        if not self.counted[y]:
-            self.counted[y] = True
-            self.n1 += 1
-        lv = alpha(self.m1, self.n1)
-        if self.lf is None:
-            self.lf = self._fresh(lv)
-            self.level = lv
-        elif lv != self.level and lv != self.level - 1:
-            self._reorganize(lv)
-        self.lf._join(r, x, y)
-
-    def ca(self, x, y):
-        """Characteristic ancestors, or None across trees."""
-        n = len(self.counted)
-        check_id(x, n)
-        check_id(y, n)
-        if self.lf is None:
-            # nothing linked yet: all singletons, nothing to count
-            if x == y:
-                self.stats.note_query(0)
-                return tuple.__new__(CaTriple, (x, x, x))
-            return None
+        lf = self.lf
+        r = lf._link_root(x, y)
+        ts = lf.ts[lf.L]
+        self.n1 += (ts[r] == 1) + (ts[y] == 1)
         self.ops += 1
         self.m1 += 1
         lv = alpha(self.m1, self.n1)
         if lv != self.level and lv != self.level - 1:
-            self._reorganize(lv)
+            self._relevel(lv)
+        self.lf._join(r, x, y)
+
+    def ca(self, x, y):
+        """Characteristic ancestors, or None across trees."""
+        lf = self.lf
+        n = len(lf.pi[lf.L])
+        check_id(x, n)
+        check_id(y, n)
+        if self.n1:
+            self.ops += 1
+            self.m1 += 1
+            lv = alpha(self.m1, self.n1)
+            if lv != self.level and lv != self.level - 1:
+                self._relevel(lv)
         return self.lf._ca(x, y)
 
     def nca(self, x, y):
         t = self.ca(x, y)
         return None if t is None else t.a
 
-    def _fresh(self, lv):
-        """An empty lv-level LinkForest over every vertex made so far.
-
-        Each subtree owns its storage, so a reorganization that drops
-        the old forest frees everything the old forest held.
-        """
-        ack = AckermannTable(max(4, 2 * self.n1))
-        lf = LinkForest(lv, ack, self.max_n, stats=self.stats)
-        for _ in self.counted:
-            lf.make_node()
-        return lf
-
-    def _reorganize(self, lv):
-        """Re-seat every current tree for the new level count."""
-        old = self.lf
+    def _relevel(self, lv):
+        """Restage the forest for lv levels, logging the reorganization."""
         self.stats.reorgs += 1
         self.stats.reorg_log.append((self.ops, self.level, lv))
-        lf = self._fresh(lv)
-        top = old.pi[old.L]
-        for r in old.roots:
-            order = old.tree_nodes(r)
-            if len(order) > 1:
-                lf.adopt_tree(order, top)
-        self.lf = lf
+        self.lf = self.lf.relevel(lv)
         self.level = lv

@@ -252,7 +252,7 @@ def test_criterion_6_link_engine_bounds():
                 problems.append(f"alpha({m2},{n2}) < alpha({m},{n20})-1")
 
     # five nodes merged into one tree sit in stage 1
-    lf = LinkForest(1, AckermannTable(16), 16)
+    lf = LinkForest(1, 16)
     v = [lf.make_node() for _ in range(5)]
     for i in range(4):
         lf.link(v[0], v[i + 1])
@@ -263,7 +263,7 @@ def test_criterion_6_link_engine_bounds():
     rng = random.Random(0xACC6)
     for level in (1, 2):
         n = 500
-        lf = LinkForest(level, AckermannTable(2 * n), n)
+        lf = LinkForest(level, n)
         for _ in range(n):
             lf.make_node()
         roots = list(range(n))

@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 
 import dynca
-from dynca import (AckermannTable, AdaptiveLinkForest, CapacityError, Forest,
-                   IncrementalTree, LinkForest, StaticCa, edmonds_tree,
-                   linear_tree, oracle_ca)
+from dynca import (AdaptiveLinkForest, CapacityError, Forest, IncrementalTree,
+                   LinkForest, StaticCa, edmonds_tree, linear_tree, oracle_ca)
 from dynca.traces import GROWN
 
 
@@ -74,7 +73,7 @@ ENGINES = {
     "inc": lambda: _grown(IncrementalTree),
     "inc-log2": lambda: _grown(edmonds_tree),
     "inc-linear": lambda: _grown(linear_tree),
-    "link-fixed": lambda: _linked(LinkForest(1, AckermannTable(8), 8)),
+    "link-fixed": lambda: _linked(LinkForest(1, 8)),
     "link": lambda: _linked(AdaptiveLinkForest(8)),
 }
 
@@ -123,9 +122,9 @@ def test_rejected_call_changes_nothing(engine):
 
 
 LINKED = {
-    "link-1": lambda n: LinkForest(1, AckermannTable(2 * n), n),
-    "link-2": lambda n: LinkForest(2, AckermannTable(2 * n), n),
-    "link-3": lambda n: LinkForest(3, AckermannTable(2 * n), n),
+    "link-1": lambda n: LinkForest(1, n),
+    "link-2": lambda n: LinkForest(2, n),
+    "link-3": lambda n: LinkForest(3, n),
     "link": AdaptiveLinkForest,
 }
 

@@ -10,6 +10,12 @@ link point, then add_leafs for the rest.  Invalid calls are mixed in:
 bad ids, bools, non-root link targets, self-links and links within one
 tree.  Each must raise ValueError and leave the structure, its Stats
 included, exactly as it was.
+
+Once per example a chain of DEEP fresh vertices may hang below the
+grown tree.  Its depth puts a grown engine's meets many edges away from
+the first wide ancestor its query reads, and gives the link engines
+trees in stage 2 and above; the adaptive engine usually reorganizes on
+the way.  The other growth rules keep to CAP vertices besides the chain.
 """
 
 import dataclasses
@@ -18,18 +24,21 @@ from array import array
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
-from dynca import (AckermannTable, AdaptiveLinkForest, CaTriple, Forest,
-                   LinkForest, oracle_ca)
+from dynca import AdaptiveLinkForest, CaTriple, Forest, LinkForest, oracle_ca
 from dynca.traces import GROWN
 
 CAP = 48
+DEEP = 200
 
 LINKED = {
-    "link-1": lambda n: LinkForest(1, AckermannTable(2 * n), n),
-    "link-2": lambda n: LinkForest(2, AckermannTable(2 * n), n),
-    "link-3": lambda n: LinkForest(3, AckermannTable(2 * n), n),
+    "link-1": lambda n: LinkForest(1, n),
+    "link-2": lambda n: LinkForest(2, n),
+    "link-3": lambda n: LinkForest(3, n),
     "link": AdaptiveLinkForest,
 }
+
+
+SCALARS = {int, bool, float, str, type(None)}
 
 
 def snapshot(obj, memo=None):
@@ -50,6 +59,8 @@ def snapshot(obj, memo=None):
         return "ref", memo[id(obj)]
     memo[id(obj)] = len(memo)
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= SCALARS:   # what the loop would give, faster
+            return type(obj).__name__, tuple(obj)
         return type(obj).__name__, tuple(snapshot(v, memo) for v in obj)
     if isinstance(obj, dict):
         return "dict", tuple((k, snapshot(v, memo)) for k, v in obj.items())
@@ -79,13 +90,14 @@ class Differential(RuleBasedStateMachine):
         super().__init__()
         self.f = Forest()
         self.f.make_node()
-        self.grown = {k: make(CAP) for k, make in GROWN.items()}
-        self.linked = {k: make(CAP) for k, make in LINKED.items()}
+        self.grown = {k: make(CAP + DEEP) for k, make in GROWN.items()}
+        self.linked = {k: make(CAP + DEEP) for k, make in LINKED.items()}
         for t in self.linked.values():
             t.make_node()
         self.gid = {0: 0}  # vertex -> grown id, for the tree of vertex 0
         self.fid = [0]     # grown id -> vertex
         self.top = 0       # root of that tree
+        self.chained = 0   # vertices the chain rule added
 
     # ------------------------------------------------------------ helpers
 
@@ -129,17 +141,29 @@ class Differential(RuleBasedStateMachine):
 
     # -------------------------------------------------------------- rules
 
-    @precondition(lambda self: len(self.f) < CAP)
-    @rule(data=st.data())
-    def add_leaf(self, data):
-        x = self.vertex(data, self.gid)
+    def hang(self, x):
+        """A fresh vertex added as a leaf below x, in every structure."""
         y = self.fresh()
         self.f.add_leaf(x, y)
         for t in self.linked.values():
             t.link(x, y)
         self.grow(y)
+        return y
 
-    @precondition(lambda self: len(self.f) < CAP)
+    @precondition(lambda self: len(self.f) - self.chained < CAP)
+    @rule(data=st.data())
+    def add_leaf(self, data):
+        self.hang(self.vertex(data, self.gid))
+
+    @precondition(lambda self: not self.chained)
+    @rule(data=st.data())
+    def chain(self, data):
+        x = self.vertex(data, self.gid)
+        for _ in range(DEEP):
+            x = self.hang(x)
+        self.chained = DEEP
+
+    @precondition(lambda self: len(self.f) - self.chained < CAP)
     @rule()
     def add_root(self):
         y = self.fresh()
@@ -149,7 +173,7 @@ class Differential(RuleBasedStateMachine):
         self.grow(y, root=True)
         self.top = y
 
-    @precondition(lambda self: len(self.f) < CAP)
+    @precondition(lambda self: len(self.f) - self.chained < CAP)
     @rule()
     def make_node(self):
         self.fresh()

@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import random
 import sys
 import weakref
@@ -78,15 +79,14 @@ def test_identities_hold_on_small_tables():
 
 
 def test_forest_constructor_errors():
-    ack = AckermannTable(16)
     with pytest.raises(ValueError):
-        LinkForest(0, ack, 8)
+        LinkForest(0, 8)
     with pytest.raises(ValueError):
-        LinkForest(ack.size + 1, ack, 8)
+        LinkForest(AckermannTable(8).size + 1, 8)   # no row for that level
 
 
 def test_make_node_capacity():
-    lf = LinkForest(1, AckermannTable(8), 2)
+    lf = LinkForest(1, 2)
     lf.make_node()
     lf.make_node()
     with pytest.raises(CapacityError):
@@ -94,7 +94,7 @@ def test_make_node_capacity():
 
 
 def test_link_errors():
-    lf = LinkForest(1, AckermannTable(8), 8)
+    lf = LinkForest(1, 8)
     a, b, c = lf.make_node(), lf.make_node(), lf.make_node()
     lf.link(a, b)
     with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ def test_link_errors():
 
 
 def test_cross_tree_queries_are_none():
-    lf = LinkForest(1, AckermannTable(8), 8)
+    lf = LinkForest(1, 8)
     a, b, c, d = (lf.make_node() for _ in range(4))
     lf.link(a, b)
     lf.link(c, d)
@@ -116,18 +116,18 @@ def test_cross_tree_queries_are_none():
 
 
 def test_two_singletons_stay_bare():
-    lf = LinkForest(1, AckermannTable(8), 8)
+    lf = LinkForest(1, 8)
     a, b = lf.make_node(), lf.make_node()
     lf.link(a, b)
     assert lf.stage[1][a] == 0
     assert lf.sub[1][a] is None and lf.sub[1][b] is None
-    assert lf.parent(b) == a and lf.parent(a) is None
+    assert lf.pi[1][b] == a and lf.pi[1][a] is None
     assert lf.find_root(b) == a
     lf.check_invariants()
 
 
 def test_five_node_merge_reaches_stage_one():
-    lf = LinkForest(1, AckermannTable(16), 16)
+    lf = LinkForest(1, 16)
     v = [lf.make_node() for _ in range(5)]
     lf.link(v[0], v[1])
     lf.link(v[1], v[2])                   # 3 nodes, still bare
@@ -143,7 +143,7 @@ def test_five_node_merge_reaches_stage_one():
 
 def test_absorb_into_higher_stage():
     # stage 1 tree takes a bare 2-node tree without a rebuild
-    lf = LinkForest(1, AckermannTable(32), 32)
+    lf = LinkForest(1, 32)
     v = [lf.make_node() for _ in range(6)]
     for i in range(3):
         lf.link(v[0], v[i + 1])
@@ -159,7 +159,7 @@ def test_absorb_into_higher_stage():
 
 def test_pour_lower_stage_root_path():
     # x's side is bare, y's side is staged: x's root path joins by re-rooting
-    lf = LinkForest(1, AckermannTable(32), 32)
+    lf = LinkForest(1, 32)
     v = [lf.make_node() for _ in range(7)]
     for i in range(3):
         lf.link(v[0], v[i + 1])           # staged 4-node tree under v0
@@ -177,7 +177,7 @@ def test_pour_lower_stage_root_path():
 
 
 def test_equal_stage_merge_recurses_below():
-    lf = LinkForest(2, AckermannTable(64), 64)
+    lf = LinkForest(2, 64)
     a = [lf.make_node() for _ in range(8)]
     b = [lf.make_node() for _ in range(8)]
     for i in range(7):
@@ -214,7 +214,7 @@ def _random_links(lf, f, rng, n, skew):
 @pytest.mark.parametrize("skew", [False, True])
 def test_differential_fixed_level(level, skew, rng):
     n = 300
-    lf = LinkForest(level, AckermannTable(2 * n), n)
+    lf = LinkForest(level, n)
     f = Forest()
     for _ in range(n):
         lf.make_node()
@@ -229,7 +229,7 @@ def test_differential_fixed_level(level, skew, rng):
 
 def test_invariants_and_eta_after_every_link(rng):
     n = 400
-    lf = LinkForest(1, AckermannTable(2 * n), n)
+    lf = LinkForest(1, n)
     f = Forest()
     for _ in range(n):
         lf.make_node()
@@ -257,8 +257,10 @@ def test_adaptive_first_link_counts():
     v = [af.make_node() for _ in range(3)]
     assert af.ca(v[0], v[1]) is None      # not counted before the first link
     assert af.ca(v[2], v[2]) == (v[2], v[2], v[2])
-    assert (af.m1, af.n1, af.ops, af.level) == (0, 0, 0, 0)
+    assert (af.m1, af.n1, af.ops, af.level) == (0, 0, 0, 1)
+    lf = af.lf
     af.link(v[0], v[1])
+    assert af.lf is lf                    # the first link opens no new forest
     assert (af.m1, af.n1, af.level) == (1, 2, 1)
     assert af.reorg_log == []
     assert af.nca(v[0], v[1]) == v[0]
@@ -271,12 +273,11 @@ def test_adaptive_rejected_link_changes_nothing():
         af.make_node()
     with pytest.raises(ValueError):
         af.link(2, 2)                     # one tree before the first link
-    assert af.lf is None and (af.ops, af.m1, af.n1) == (0, 0, 0)
+    assert (af.ops, af.m1, af.n1) == (0, 0, 0)
     af.link(0, 1)
 
     def state():
-        return (af.ops, af.m1, af.n1, list(af.counted), list(af.reorg_log),
-                copy.deepcopy(af.stats))
+        return (af.ops, af.m1, af.n1, list(af.reorg_log), copy.deepcopy(af.stats))
 
     before = state()
     for x, y in ((1, 0), (0, 1), (3, 1)):
@@ -314,6 +315,83 @@ def test_adaptive_reorg_drops_the_old_forest():
     assert af.nca(v[3], v[9]) == v[3]
 
 
+def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
+    """A reorganization restages the trees around the vertex level it has.
+
+    A 12-node chain is staged at level 1; disjoint pairs then push the
+    level up.  The new forest holds the same parent, child and size
+    lists, and no vertex is made again.
+    """
+    af = AdaptiveLinkForest(64)
+    v = [af.make_node() for _ in range(64)]
+    for i in range(11):
+        af.link(v[i], v[i + 1])
+    old = af.lf
+    kept = (old.pi[1], old.ch[1], old.ts[1])
+    made = []
+    monkeypatch.setattr(linkforest.LinkForest, "make_node",
+                        lambda self: made.append(self))
+    i = 12
+    while not af.reorg_log:
+        af.link(v[i], v[i + 1])
+        i += 2
+    lf = af.lf
+    assert lf is not old and lf.L == af.level == 2
+    assert all(a is b for a, b in zip(kept, (lf.pi[2], lf.ch[2], lf.ts[2])))
+    assert made == []
+    assert lf.stage[2][v[0]] >= 1 and lf.sub[2][v[11]] is lf.sub[2][v[0]]
+    lf.check_invariants()
+    assert af.nca(v[3], v[9]) == v[3]
+
+
+def _merge_and_ask(af, n, rng):
+    """Random links of whole trees, three queries after each.
+
+    Forty queries run before the first link.  Half of the later queries
+    pair two members of one tree, the rest pair two random vertices.
+    Returns a digest of every answer.
+    """
+    for _ in range(n):
+        af.make_node()
+    h = hashlib.sha256()
+    for _ in range(40):
+        h.update(repr(af.ca(rng.randrange(n), rng.randrange(n))).encode())
+    members = {v: [v] for v in range(n)}
+    tree = list(range(n))
+    roots = list(range(n))
+    while len(roots) > 1:
+        i, j = rng.sample(range(len(roots)), 2)
+        r, y = roots[i], roots[j]
+        roots[j] = roots[-1]
+        roots.pop()
+        af.link(rng.choice(members[r]), y)
+        moved = members.pop(y)
+        members[r] += moved
+        for v in moved:
+            tree[v] = r
+        for _ in range(3):
+            a = rng.randrange(n)
+            b = rng.choice(members[tree[a]]) if rng.random() < 0.5 else rng.randrange(n)
+            h.update(repr(af.ca(a, b)).encode())
+    return h.hexdigest()
+
+
+def test_adaptive_frozen_run():
+    """A fixed-seed run across one reorganization, frozen answer for answer.
+
+    The reorganization comes at op 11,649, when trees of up to 20 nodes
+    sit in stage 2, so the restaging re-seats many staged trees.  The
+    digest covers every answer; the counters pin the work done.
+    """
+    af = AdaptiveLinkForest(5000)
+    digest = _merge_and_ask(af, 5000, random.Random(12))
+    s = af.stats
+    assert (s.eta, s.work, s.queries, s.max_query_steps) == (16386, 42271, 7853, 11)
+    assert af.reorg_log == [(11649, 1, 2)]
+    assert (af.n1, af.m1) == (5000, 19996)
+    assert digest == "adb43d93df84d8338097f45331faab95bf1ede034e90da32c640255d1e17de59"
+
+
 def _star(lf, nodes):
     for u in nodes[1:]:
         lf.link(nodes[0], u)
@@ -326,7 +404,7 @@ def test_retired_subtree_takes_its_arena(case):
     A pour re-adds a stage-1 tree of 4 into a stage-2 tree of 8; a
     rebuild merges two stage-1 trees of 4 into one stage-2 subtree.
     """
-    lf = LinkForest(1, AckermannTable(32), 32)
+    lf = LinkForest(1, 32)
     v = [lf.make_node() for _ in range(12)]
     _star(lf, v[:4])
     _star(lf, v[4:8])
@@ -351,16 +429,16 @@ def test_retired_subtree_takes_its_arena(case):
     assert lf.nca(v[2], y) == v[0]
 
 
-def test_adaptive_table_extends_inside_period():
-    # a chain kept at level 1 outgrows the table opened for two nodes;
-    # the ceiling lookup recomputes the table without a reorganization
+def test_adaptive_chain_climbs_stages_inside_period():
+    # a chain kept at level 1 climbs stages inside one period, with
+    # ceilings read from the table the forest built for max_n
     af = AdaptiveLinkForest(16)
     v = [af.make_node() for _ in range(12)]
     for i in range(11):
         af.link(v[i], v[i + 1])
     assert af.level == 1
     assert af.reorg_log == []
-    assert af.lf.ack.n >= 12
+    assert af.lf.stage[1][v[0]] == 2      # 12 nodes: 2 * A(1, 2) <= 12 < 2 * A(1, 3)
     af.lf.check_invariants()
     assert af.nca(v[3], v[9]) == v[3]
 
@@ -420,7 +498,7 @@ def test_pour_moves_subtree_root(level, rng):
     checked against the oracle after each link.
     """
     n = 48
-    lf = LinkForest(level, AckermannTable(2 * n), n)
+    lf = LinkForest(level, n)
     f = Forest()
     for _ in range(n):
         lf.make_node()
@@ -465,7 +543,7 @@ def test_eta_counts_each_subtree_add_once(rng, monkeypatch):
 
     monkeypatch.setattr(linkforest._Sub, "__init__", record)
     n = 400
-    lf = LinkForest(1, AckermannTable(2 * n), n)
+    lf = LinkForest(1, n)
     for _ in range(n):
         lf.make_node()
     roots = list(range(n))
@@ -515,7 +593,7 @@ def test_forest_holds_only_live_trees(level, rng, monkeypatch):
         af = AdaptiveLinkForest(n)
         make, link, forest = af.make_node, af.link, lambda: af.lf
     else:
-        lf = LinkForest(level, AckermannTable(2 * n), n)
+        lf = LinkForest(level, n)
         make, link, forest = lf.make_node, lf.link, lambda: lf
     for _ in range(n):
         make()
