@@ -77,7 +77,8 @@ def build_parser():
                     help="engine to replay on (repeatable)")
     rp.add_argument("--trace", required=True, help="trace file")
     rp.add_argument("--check", action="store_true",
-                    help="compare answers across engines (oracle is baseline)")
+                    help="also hold answers to the answers pinned in the "
+                         "trace (the oracle, when run, is always the baseline)")
     rp.add_argument("--stats", choices=("csv", "none"), default="none",
                     help="emit per-engine counters as CSV on stdout")
     rp.add_argument("--max-n", type=int, default=None,

@@ -3,15 +3,17 @@
 A trace is a line-oriented op list over externally chosen integer ids;
 parsing maps them to dense internal ids in declaration order and checks
 every operand against the declared universe.  Engines wrap the package's
-structures behind one replay interface, the runner executes a trace on
-several engines in lockstep and compares answers pointwise, and a failing
-run is shrunk to its shortest failing prefix.  Generators produce the
-five workload shapes the test suite leans on, deterministically per seed.
+structures behind one replay interface.  The runner replays the whole
+trace on each engine in turn, then holds every engine's answers to the
+oracle's (and, when asked, to the answers pinned in the trace), and a
+failing run is shrunk to its shortest failing prefix.  Generators
+produce the five workload shapes the test suite leans on,
+deterministically per seed.
 """
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError, TraceParseError
@@ -269,16 +271,18 @@ class GrowEngine(_Engine):
 
     ops = frozenset(("make_node", "add_leaf", "add_root", "nca", "ca"))
 
+    def precheck(self, trace):
+        super().precheck(trace)
+        if trace and trace[0].kind != "make_node":
+            raise ConfigError(f"engine {self.name} needs make_node first")
+        if sum(op.kind == "make_node" for op in trace) > 1:
+            raise ConfigError(f"engine {self.name} holds a single tree")
+
     def apply(self, op):
         k = op.kind
         if k == "make_node":
-            if self.t is not None:
-                raise ConfigError(f"engine {self.name} holds a single tree")
             self.t = GROWN[self.name](self.max_n, stats=self.stats)
-            return
-        if self.t is None:
-            raise ConfigError(f"engine {self.name} needs make_node first")
-        if k == "add_leaf":
+        elif k == "add_leaf":
             v = self.t.add_leaf(op.a)
             assert v == op.b
         elif k == "add_root":
@@ -325,28 +329,23 @@ def make_engine(name, max_n):
 
 
 def compatible_engines(trace):
-    """Engine names that can replay this trace, oracle first."""
-    names = ["oracle"]
-    kinds = {op.kind for op in trace}
-    if "link" in kinds or sum(1 for op in trace if op.kind == "make_node") > 1:
-        if not kinds & {"add_leaf", "add_root"}:
-            names.append("link")
-        return names
-    names += ["inc", "inc-log2", "inc-linear"]
-    seen_query = False
-    interleaved = False
-    for op in trace:
-        if op.kind in QUERIES:
-            seen_query = True
-        elif seen_query:
-            interleaved = True
-            break
-    if not interleaved:
-        names.insert(1, "static")
+    """Names of the engines whose precheck accepts this trace, oracle first."""
+    cap = max(2, trace.n_nodes)
+    names = []
+    for name in ENGINES:
+        try:
+            make_engine(name, cap).precheck(trace)
+        except ConfigError:
+            continue
+        names.append(name)
     return names
 
 
 # ----------------------------------------------------------------- runner
+
+CSV_FIELDS = ("engine", "n", "m", "eta", "reorgs", "root_renumberings",
+              "recompressions", "arena_cells", "max_query_steps", "wall_ms")
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 @dataclass
@@ -360,17 +359,13 @@ class EngineReport:
     recompressions: int
     arena_cells: int
     max_query_steps: int
-    wall_ms: float
-    answers: list = field(default_factory=list)
+    wall_ms: float  # the engine's whole replay
+    answers: list
 
     def csv_row(self):
-        return (f"{self.engine},{self.n},{self.m},{self.eta},{self.reorgs},"
-                f"{self.root_renumberings},{self.recompressions},"
-                f"{self.arena_cells},{self.max_query_steps},{self.wall_ms:.3f}")
-
-
-CSV_HEADER = ("engine,n,m,eta,reorgs,root_renumberings,recompressions,"
-              "arena_cells,max_query_steps,wall_ms")
+        row = [getattr(self, k) for k in CSV_FIELDS]
+        row[-1] = f"{self.wall_ms:.3f}"
+        return ",".join(map(str, row))
 
 
 @dataclass
@@ -387,84 +382,86 @@ class RunReport:
         return "\n".join([CSV_HEADER] + [r.csv_row() for r in self.reports]) + "\n"
 
 
+_UNPINNED = object()  # a query the trace carries no answer for
+
+
 def _norm(kind, ans):
     if ans is None:
         return None
     return ans.a if kind == "nca" else (ans.a, ans.ax, ans.ay)
 
 
-def run(trace, engines, check=False, max_n=None, keep_answers=False, _fail_fast=True):
-    """Replay the trace on every named engine, comparing query answers.
+def _replay_one(e, trace):
+    """Replay the whole trace on one engine: its report, answers included."""
+    apply = e.apply
+    t0 = time.perf_counter()
+    got = [apply(op) for op in trace]
+    wall = time.perf_counter() - t0
+    answers = [_norm(op.kind, r) for op, r in zip(trace, got) if op.kind in QUERIES]
+    st = e.stats
+    return EngineReport(e.name, trace.n_nodes, len(answers), st.eta, st.reorgs,
+                        st.root_renumberings, st.recompressions, e.arena_cells,
+                        st.max_query_steps, wall * 1000.0, answers)
 
-    With check, the first engine is the baseline (use oracle) unless the
-    trace carries expected answers; comparison stops the run at the first
-    mismatch and attaches a minimized reproduction.
-    """
+
+def _first_diff(got, want):
+    """Position of the first answer in got that want contradicts, or None."""
+    if got == want:
+        return None
+    for i, (g, w) in enumerate(zip(got, want)):
+        if w is not _UNPINNED and g != w:
+            return i
+    return None
+
+
+def _replay(trace, engines, check, max_n):
+    """The comparison behind run and minimize, without the minimizing."""
     if not engines:
         raise ConfigError("engine set is empty")
     cap = max_n if max_n is not None else max(2, trace.n_nodes)
     if trace.n_nodes > cap:
         raise ConfigError(f"trace declares {trace.n_nodes} nodes, capacity is {cap}")
-    has_expected = any(op.expected is not None for op in trace if op.kind in QUERIES)
-    if check and "oracle" not in engines and not has_expected:
-        raise ConfigError("check needs the oracle among the engines or expected answers")
+    pinned = None
+    if check:
+        pinned = [_UNPINNED if op.expected is None
+                  else None if op.expected == "none" else op.expected
+                  for op in trace if op.kind in QUERIES]
     insts = [make_engine(name, cap) for name in engines]
     for e in insts:
         e.precheck(trace)
-    walls = [0.0] * len(insts)
-    answers = [[] for _ in insts]
-    queries = 0
+    reports = [_replay_one(e, trace) for e in insts]
+    base = reports[engines.index("oracle")] if "oracle" in engines else None
+    # pinned answers hold the oracle, or every engine when it is absent;
+    # the oracle holds every other engine
+    held = []
+    if pinned is not None:
+        held += [(r, pinned) for r in ([base] if base else reports)]
+    if base:
+        held += [(r, base.answers) for r in reports if r is not base]
+    where = [i for i, op in enumerate(trace) if op.kind in QUERIES]
     mismatch = None
-    base_idx = engines.index("oracle") if "oracle" in engines else None
-    for idx, op in enumerate(trace):
-        is_q = op.kind in QUERIES
-        got = [None] * len(insts)
-        for j, e in enumerate(insts):
-            t0 = time.perf_counter()
-            r = e.apply(op)
-            walls[j] += time.perf_counter() - t0
-            if is_q:
-                got[j] = _norm(op.kind, r)
-                if keep_answers:
-                    answers[j].append(got[j])
-        if is_q:
-            queries += 1
-            if check:
-                want = None
-                have_want = base_idx is not None
-                if have_want:
-                    want = got[base_idx]
-                if op.expected is not None:
-                    exp = None if op.expected == "none" else op.expected
-                    if have_want:
-                        if want != exp:
-                            mismatch = (idx, engines[base_idx], want, exp)
-                    else:
-                        want, have_want = exp, True
-                if have_want and mismatch is None:
-                    for j, g in enumerate(got):
-                        if j != base_idx and g != want:
-                            mismatch = (idx, engines[j], g, want)
-                            break
-                if mismatch is not None and _fail_fast:
-                    break
-    reports = []
-    for j, e in enumerate(insts):
-        reports.append(EngineReport(
-            engine=e.name,
-            n=trace.n_nodes,
-            m=queries,
-            eta=e.stats.eta,
-            reorgs=e.stats.reorgs,
-            root_renumberings=e.stats.root_renumberings,
-            recompressions=e.stats.recompressions,
-            arena_cells=e.arena_cells,
-            max_query_steps=e.stats.max_query_steps,
-            wall_ms=walls[j] * 1000.0,
-            answers=answers[j],
-        ))
-    rep = RunReport(reports, mismatch)
-    if mismatch is not None and _fail_fast:
+    for r, want in held:
+        q = _first_diff(r.answers, want)
+        if q is not None and (mismatch is None or where[q] < mismatch[0]):
+            mismatch = (where[q], r.engine, r.answers[q], want[q])
+    return RunReport(reports, mismatch)
+
+
+def run(trace, engines, check=False, max_n=None):
+    """Replay the trace on every named engine and compare query answers.
+
+    Once every engine's precheck accepts the trace, each engine replays
+    it whole, one after another.  The oracle, when it runs, is the
+    baseline for the other engines.  With check, the trace's pinned
+    answers hold the oracle too, or every engine when it is absent, and
+    a run with neither raises ConfigError.  The first query answered
+    wrongly is the mismatch, and a minimized reproduction is attached.
+    """
+    if (check and "oracle" not in engines
+            and all(op.expected is None for op in trace)):
+        raise ConfigError("check needs the oracle among the engines or expected answers")
+    rep = _replay(trace, engines, check, max_n)
+    if not rep.ok:
         rep.repro = minimize(trace, engines, check=check, max_n=max_n)
     return rep
 
@@ -473,8 +470,7 @@ def minimize(trace, engines, check=True, max_n=None):
     """Shortest failing prefix of a failing trace, found by bisection."""
 
     def fails(k):
-        sub = trace.prefix(k)
-        return run(sub, engines, check=check, max_n=max_n, _fail_fast=False).mismatch is not None
+        return not _replay(trace.prefix(k), engines, check, max_n).ok
 
     lo, hi = 0, len(trace)
     if not fails(hi):

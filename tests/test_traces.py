@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import dynca
-from dynca import ConfigError
+from dynca import CaTriple, ConfigError, traces
 from dynca.cli import main
-from dynca.traces import (CSV_HEADER, PROFILES, Trace, TraceParseError,
-                          as_links, compatible_engines, format_trace, generate,
+from dynca.traces import (CSV_HEADER, PROFILES, GrowEngine, OracleEngine,
+                          Trace, TraceOp, TraceParseError, as_links,
+                          compatible_engines, format_trace, generate,
                           make_engine, minimize, parse_trace, run)
 
 REPO = Path(__file__).resolve().parents[1]
@@ -142,6 +143,14 @@ def test_compatible_engines():
     assert "static" not in compatible_engines(rooty)
     linky = generate(1, "link-balanced", 20, 10)
     assert compatible_engines(linky) == ["oracle", "link"]
+    single = parse_trace("make_node 1\nnca 1 1\n")
+    names = compatible_engines(single)
+    assert names == ["oracle", "static", "inc", "inc-log2", "inc-linear",
+                     "link"]
+    rep = run(single, names)
+    assert rep.ok
+    assert [(r.engine, r.answers) for r in rep.reports] == [
+        (name, [0]) for name in names]
 
 
 def test_run_matches_and_reports():
@@ -161,6 +170,29 @@ def test_run_catches_wrong_expected():
     idx, engine, got, want = rep.mismatch
     assert idx == 2 and engine == "oracle"
     assert got == 0 and want == 1
+
+
+def test_run_holds_engines_to_oracle_without_check(monkeypatch):
+    """One wrong answer fails the run whenever the oracle runs beside it."""
+    tr = parse_trace("make_node 1\nadd_leaf 1 2\nadd_leaf 1 3\n"
+                     "nca 2 3 = 1\nca 2 3 = 1 2 3\nadd_leaf 3 4\n"
+                     "ca 2 4 = 1 2 3\n")
+    bad = tr[4]
+
+    class OneWrong(GrowEngine):
+        def apply(self, op):
+            got = super().apply(op)
+            return CaTriple(2, 2, 2) if op is bad else got
+
+    monkeypatch.setitem(traces.ENGINES, "inc", OneWrong)
+    rep = run(tr, ["oracle", "inc"])
+    assert not rep.ok
+    assert rep.mismatch == (4, "inc", (2, 2, 2), (0, 1, 2))
+    assert len(rep.repro) == 5 and rep.repro[-1] is bad
+    # no oracle: check holds the engine to the trace's pinned answers
+    rep = run(tr, ["inc"], check=True)
+    assert rep.mismatch == (4, "inc", (2, 2, 2), (0, 1, 2))
+    assert rep.repro[-1] is bad
 
 
 def test_run_without_check_ignores_expected():
@@ -197,6 +229,23 @@ def test_engine_precheck_hints_link_reduction():
     assert "express growth as link" in str(ei.value)
 
 
+def test_grow_engine_precheck_rejects_before_any_replay(monkeypatch):
+    def replayed(self, op):
+        raise AssertionError("an engine replayed before every precheck passed")
+
+    monkeypatch.setattr(OracleEngine, "apply", replayed)
+    monkeypatch.setattr(GrowEngine, "apply", replayed)
+    two = parse_trace("make_node 1\nmake_node 2\n")
+    with pytest.raises(ConfigError, match="holds a single tree"):
+        run(two, ["inc"])
+    with pytest.raises(ConfigError, match="holds a single tree"):
+        run(two, ["oracle", "inc"])
+    headless = Trace([TraceOp("nca", 0, 0, None, 1),
+                      TraceOp("make_node", 0, None, None, 2)], [1])
+    with pytest.raises(ConfigError, match="needs make_node first"):
+        run(headless, ["inc"])
+
+
 def test_static_engine_rejects_mutation_after_query():
     tr = parse_trace("make_node 1\nadd_leaf 1 2\nnca 1 2\nadd_leaf 2 3\n")
     with pytest.raises(ConfigError):
@@ -209,8 +258,8 @@ def test_as_links_equivalence(rng):
         linked = as_links(tr)
         assert all(op.kind in ("make_node", "link", "nca", "ca")
                    for op in linked)
-        r1 = run(tr, ["oracle"], keep_answers=True)
-        r2 = run(linked, ["oracle", "link"], keep_answers=True)
+        r1 = run(tr, ["oracle"])
+        r2 = run(linked, ["oracle", "link"])
         assert r1.ok and r2.ok
         assert r1.reports[0].answers == r2.reports[0].answers
 
