@@ -1,4 +1,4 @@
-"""The trace harness end to end: generate, replay, compare, minimize.
+"""The trace harness end to end: generate, replay, compare, reproduce.
 
 Everything here is also reachable from the command line:
 
@@ -9,7 +9,7 @@ Run:  python3 demos/trace_workflow.py
 """
 
 from dynca.traces import (compatible_engines, extern_answer, format_trace,
-                          generate, minimize, parse_trace, run)
+                          generate, parse_trace, run)
 
 # --- generate a workload and race the engines on it ---
 
@@ -27,7 +27,7 @@ snippet = "\n".join(format_trace(trace).splitlines()[:5])
 print("first lines of the trace file:")
 print(snippet)
 
-# --- expected answers freeze behavior; mismatches minimize themselves ---
+# --- expected answers freeze behavior; a mismatch carries its shortest repro ---
 
 bad = parse_trace("""
 make_node 1
@@ -43,6 +43,5 @@ idx, engine, got, want = report.mismatch
 print(f"\nplanted a wrong answer: op {idx} ({engine} said "
       f"{extern_answer(bad, got)}, trace claims {extern_answer(bad, want)})")
 
-small = minimize(bad, ["oracle"])
-print("minimized repro, still failing, now", len(small), "ops:")
-print(format_trace(small))
+print("repro, the trace through that query,", len(report.repro), "ops:")
+print(format_trace(report.repro))

@@ -19,8 +19,7 @@ from .multilevel import MultilevelInc, edmonds_tree, linear_tree
 from .numeric import LogTable, Rational
 from .stats import Stats
 from .traces import (Trace, TraceOp, RunReport, compatible_engines,
-                     format_trace, generate, make_engine, minimize,
-                     parse_trace, run)
+                     format_trace, generate, make_engine, parse_trace, run)
 
 __version__ = "0.1.0"
 
@@ -32,5 +31,5 @@ __all__ = [
     "LinkForest", "a_inv", "alpha", "Microset", "MultilevelInc",
     "edmonds_tree", "linear_tree", "LogTable", "Rational", "Stats", "Trace",
     "TraceOp", "RunReport", "compatible_engines", "format_trace", "generate",
-    "make_engine", "minimize", "parse_trace", "run", "__version__",
+    "make_engine", "parse_trace", "run", "__version__",
 ]

@@ -45,10 +45,9 @@ def _cmd_run(args):
         want = extern_answer(trace, want)
         print(f"mismatch at op {idx} (line {op.line}): engine {engine} "
               f"answered {got!r}, expected {want!r}", file=sys.stderr)
-        if report.repro is not None:
-            print(f"minimized reproduction ({len(report.repro)} ops):",
-                  file=sys.stderr)
-            sys.stderr.write(format_trace(report.repro))
+        print(f"reproduction, the trace through that query "
+              f"({len(report.repro)} ops):", file=sys.stderr)
+        sys.stderr.write(format_trace(report.repro))
         return 1
     return 0
 
@@ -77,8 +76,8 @@ def build_parser():
                     help="engine to replay on (repeatable)")
     rp.add_argument("--trace", required=True, help="trace file")
     rp.add_argument("--check", action="store_true",
-                    help="also hold answers to the answers pinned in the "
-                         "trace (the oracle, when run, is always the baseline)")
+                    help="also hold the baseline (the oracle, else the "
+                         "first engine) to the answers pinned in the trace")
     rp.add_argument("--stats", choices=("csv", "none"), default="none",
                     help="emit per-engine counters as CSV on stdout")
     rp.add_argument("--max-n", type=int, default=None,

@@ -4,9 +4,10 @@ A trace is a line-oriented op list over externally chosen integer ids;
 parsing maps them to dense internal ids in declaration order and checks
 every operand against the declared universe.  Engines wrap the package's
 structures behind one replay interface.  The runner replays the whole
-trace on each engine in turn, then holds every engine's answers to the
-oracle's (and, when asked, to the answers pinned in the trace), and a
-failing run is shrunk to its shortest failing prefix.  Generators
+trace on each engine in turn, then holds every engine's answers to a
+baseline's: the oracle's, or else the first engine's (and, when asked,
+the baseline to the answers pinned in the trace).  A failing run's
+reproduction is the trace through the first wrong answer.  Generators
 produce the five workload shapes the test suite leans on,
 deterministically per seed.
 """
@@ -372,7 +373,7 @@ class EngineReport:
 class RunReport:
     reports: list
     mismatch: object = None  # (op_index, engine, got, want) or None
-    repro: object = None     # minimized failing Trace
+    repro: object = None     # the trace through the mismatched query
 
     @property
     def ok(self):
@@ -414,74 +415,47 @@ def _first_diff(got, want):
     return None
 
 
-def _replay(trace, engines, check, max_n):
-    """The comparison behind run and minimize, without the minimizing."""
+def run(trace, engines, check=False, max_n=None):
+    """Replay the trace on every named engine and compare query answers.
+
+    Once every engine's precheck accepts the trace, each engine replays
+    it whole, one after another.  The baseline is the oracle when it
+    runs, else the first engine named, and every other engine is held to
+    its answers.  With check, the trace's pinned answers hold the
+    baseline too, and a run with neither the oracle nor a pinned answer
+    raises ConfigError.  The mismatch is the earliest query answered
+    wrongly; on a tie, the baseline against a pin.  Every engine answers
+    online, so the trace through that query is the shortest failing
+    prefix, and it is attached as the reproduction.
+    """
     if not engines:
         raise ConfigError("engine set is empty")
+    pins = check and any(op.expected is not None for op in trace)
+    if check and not pins and "oracle" not in engines:
+        raise ConfigError("check needs the oracle among the engines or expected answers")
     cap = max_n if max_n is not None else max(2, trace.n_nodes)
     if trace.n_nodes > cap:
         raise ConfigError(f"trace declares {trace.n_nodes} nodes, capacity is {cap}")
-    pinned = None
-    if check:
-        pinned = [_UNPINNED if op.expected is None
-                  else None if op.expected == "none" else op.expected
-                  for op in trace if op.kind in QUERIES]
     insts = [make_engine(name, cap) for name in engines]
     for e in insts:
         e.precheck(trace)
     reports = [_replay_one(e, trace) for e in insts]
-    base = reports[engines.index("oracle")] if "oracle" in engines else None
-    # pinned answers hold the oracle, or every engine when it is absent;
-    # the oracle holds every other engine
+    base = reports[engines.index("oracle") if "oracle" in engines else 0]
+    # the baseline against the pins goes first, so it wins a tie at one query
     held = []
-    if pinned is not None:
-        held += [(r, pinned) for r in ([base] if base else reports)]
-    if base:
-        held += [(r, base.answers) for r in reports if r is not base]
+    if pins:
+        held.append((base, [_UNPINNED if op.expected is None
+                            else None if op.expected == "none" else op.expected
+                            for op in trace if op.kind in QUERIES]))
+    held += [(r, base.answers) for r in reports if r is not base]
     where = [i for i, op in enumerate(trace) if op.kind in QUERIES]
     mismatch = None
     for r, want in held:
         q = _first_diff(r.answers, want)
         if q is not None and (mismatch is None or where[q] < mismatch[0]):
             mismatch = (where[q], r.engine, r.answers[q], want[q])
-    return RunReport(reports, mismatch)
-
-
-def run(trace, engines, check=False, max_n=None):
-    """Replay the trace on every named engine and compare query answers.
-
-    Once every engine's precheck accepts the trace, each engine replays
-    it whole, one after another.  The oracle, when it runs, is the
-    baseline for the other engines.  With check, the trace's pinned
-    answers hold the oracle too, or every engine when it is absent, and
-    a run with neither raises ConfigError.  The first query answered
-    wrongly is the mismatch, and a minimized reproduction is attached.
-    """
-    if (check and "oracle" not in engines
-            and all(op.expected is None for op in trace)):
-        raise ConfigError("check needs the oracle among the engines or expected answers")
-    rep = _replay(trace, engines, check, max_n)
-    if not rep.ok:
-        rep.repro = minimize(trace, engines, check=check, max_n=max_n)
-    return rep
-
-
-def minimize(trace, engines, check=True, max_n=None):
-    """Shortest failing prefix of a failing trace, found by bisection."""
-
-    def fails(k):
-        return not _replay(trace.prefix(k), engines, check, max_n).ok
-
-    lo, hi = 0, len(trace)
-    if not fails(hi):
-        return None
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if fails(mid):
-            hi = mid
-        else:
-            lo = mid
-    return trace.prefix(hi)
+    repro = trace.prefix(mismatch[0] + 1) if mismatch else None
+    return RunReport(reports, mismatch, repro)
 
 
 def as_links(trace):

@@ -14,7 +14,7 @@ from dynca.cli import main
 from dynca.traces import (CSV_HEADER, PROFILES, GrowEngine, OracleEngine,
                           Trace, TraceOp, TraceParseError, as_links,
                           compatible_engines, format_trace, generate,
-                          make_engine, minimize, parse_trace, run)
+                          make_engine, parse_trace, run)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -172,18 +172,23 @@ def test_run_catches_wrong_expected():
     assert got == 0 and want == 1
 
 
+ONE_WRONG = ("make_node 1\nadd_leaf 1 2\nadd_leaf 1 3\n"
+             "nca 2 3 = 1\nca 2 3 = 1 2 3\nadd_leaf 3 4\n"
+             "ca 2 4 = 1 2 3\n")
+
+
+class OneWrong(GrowEngine):
+    """inc, with one wrong answer: to the query on line 5 of ONE_WRONG."""
+
+    def apply(self, op):
+        got = super().apply(op)
+        return CaTriple(2, 2, 2) if op.line == 5 else got
+
+
 def test_run_holds_engines_to_oracle_without_check(monkeypatch):
     """One wrong answer fails the run whenever the oracle runs beside it."""
-    tr = parse_trace("make_node 1\nadd_leaf 1 2\nadd_leaf 1 3\n"
-                     "nca 2 3 = 1\nca 2 3 = 1 2 3\nadd_leaf 3 4\n"
-                     "ca 2 4 = 1 2 3\n")
+    tr = parse_trace(ONE_WRONG)
     bad = tr[4]
-
-    class OneWrong(GrowEngine):
-        def apply(self, op):
-            got = super().apply(op)
-            return CaTriple(2, 2, 2) if op is bad else got
-
     monkeypatch.setitem(traces.ENGINES, "inc", OneWrong)
     rep = run(tr, ["oracle", "inc"])
     assert not rep.ok
@@ -193,6 +198,46 @@ def test_run_holds_engines_to_oracle_without_check(monkeypatch):
     rep = run(tr, ["inc"], check=True)
     assert rep.mismatch == (4, "inc", (2, 2, 2), (0, 1, 2))
     assert rep.repro[-1] is bad
+
+
+def test_run_holds_engines_to_first_engine_without_oracle(monkeypatch, tmp_path):
+    tr = parse_trace(ONE_WRONG)
+    monkeypatch.setitem(traces.ENGINES, "inc", OneWrong)
+    rep = run(tr, ["inc-log2", "inc"])
+    assert rep.mismatch == (4, "inc", (2, 2, 2), (0, 1, 2))
+    assert len(rep.repro) == 5 and rep.repro[-1] is tr[4]
+    path = tmp_path / "one_wrong.trace"
+    path.write_text(ONE_WRONG)
+    assert main(["run", "--engine", "inc-log2", "--engine", "inc",
+                 "--trace", str(path)]) == 1
+
+
+def test_failing_run_builds_each_engine_once(monkeypatch):
+    built = []
+
+    def counting(name, max_n):
+        built.append(name)
+        return make_engine(name, max_n)
+
+    monkeypatch.setitem(traces.ENGINES, "inc", OneWrong)
+    monkeypatch.setattr(traces, "make_engine", counting)
+    names = ["oracle", "inc", "inc-log2", "inc-linear"]
+    rep = run(parse_trace(ONE_WRONG), names)
+    assert rep.mismatch[:2] == (4, "inc") and len(rep.repro) == 5
+    assert built == names
+
+
+def test_tie_at_one_query_names_the_baseline_against_a_pin(monkeypatch):
+    """The same disagreement, blamed on the baseline only where a pin speaks."""
+    tr = parse_trace(ONE_WRONG)
+    monkeypatch.setitem(traces.ENGINES, "inc", OneWrong)
+    # inc, the baseline, contradicts the pin at op 4; inc-log2 matches it
+    rep = run(tr, ["inc", "inc-log2"], check=True)
+    assert rep.mismatch == (4, "inc", (2, 2, 2), (0, 1, 2))
+    # without check no pin speaks, so inc-log2 disagrees with the baseline
+    rep = run(tr, ["inc", "inc-log2"])
+    assert rep.mismatch == (4, "inc-log2", (0, 1, 2), (2, 2, 2))
+    assert len(rep.repro) == 5
 
 
 def test_run_without_check_ignores_expected():
@@ -208,7 +253,7 @@ def test_minimize_finds_short_repro():
     lines.append("nca 0 30 = 0")
     lines.append("nca 1 30 = 30")         # wrong on purpose
     tr = parse_trace("\n".join(lines) + "\n")
-    short = minimize(tr, ["oracle"])
+    short = run(tr, ["oracle"], check=True).repro
     assert len(short) == len(tr)
     assert short[-1].kind == "nca"
     rep = run(short, ["oracle"], check=True)
