@@ -30,7 +30,6 @@ for i in range(4, 8):
     lf.link(v[i - 1], v[i])
 print("8 nodes, stage", lf.stage[1][v[0]])
 print("ca(v5, v2) =", tuple(lf.ca(v[5], v[2])))
-lf.check_invariants()
 
 # --- the adaptive wrapper counts from the first link ---
 

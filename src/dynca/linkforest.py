@@ -12,6 +12,10 @@ outgrows its stage is rebuilt once as a single subtree of the next stage.
 The level count is the inverse-Ackermann value of the operation counts,
 tracked by a wrapper that restages the forest whenever that value
 drifts: the vertex level stays, and only its staging is built again.
+With the node count fixed, that value moves only when the operation
+count passes a multiple of the node count, so the wrapper reads it again
+only then or when a link counts a new node; any other operation costs
+one compare.
 
 Meets across subtrees run through Leveled._c in levels.py, the recursion
 the multilevel engine shares: each staged subtree is a _Sub record
@@ -35,6 +39,9 @@ from .forest import CaTriple
 from .levels import Leveled
 from .multilevel import MultilevelInc
 from .stats import Stats
+
+
+_CAP = 1 << 64     # alpha's columns clamp here; larger n are refused
 
 
 def _bits(n):
@@ -67,20 +74,35 @@ def a_inv(i, n):
     return j
 
 
+def _column(j):
+    """A(1, j), A(2, j), ... clamped at _CAP, through the first clamped one."""
+    col = [_acap(1, j, _CAP)]
+    while col[-1] < _CAP:
+        col.append(_acap(len(col) + 1, j, _CAP))
+    return tuple(col)
+
+
+# alpha's columns by j // 4, for j = 4, 8, ..., 60; from j = 64 on, row 1
+# alone reaches every n up to _CAP
+_COLUMNS = (None,) + tuple(_column(j) for j in range(4, 64, 4))
+
+
 def alpha(m, n):
-    """Least i whose Ackermann row reaches n at argument 4*ceil(m/n)."""
+    """Least i whose Ackermann row reaches n at argument j = 4*ceil(m/n).
+
+    Row 1 reaches n once j >= ceil(log2 n); below that, the rows are read
+    from the precomputed column of j, so a call is a short lookup.
+    """
     if m < 1 or n < 1:
         raise ValueError("alpha needs positive operation and node counts")
+    if n > _CAP:
+        raise ValueError("alpha is tabulated for node counts up to 2^64")
     j = 4 * ((m + n - 1) // n)
-    return _alpha_at(j, n)
-
-
-@lru_cache(maxsize=65536)
-def _alpha_at(j, n):
-    if n <= 4 or j >= _bits(n):
+    if j >= (n - 1).bit_length():
         return 1
-    i = 1
-    while _acap(i, j, n) < n:
+    col = _COLUMNS[j >> 2]      # col[0] = 2^j < n
+    i = 2
+    while col[i - 1] < n:
         i += 1
     return i
 
@@ -482,98 +504,19 @@ class LinkForest(Leveled):
             qi += 1
         return order
 
-    def check_invariants(self):
-        """Full sweep of staging and contraction consistency.
-
-        Checks, for every live tree on every level: the recorded size,
-        the stage against its size window, per-node stage and subtree
-        agreement, the per-subtree size floor, the subtree-count ceiling,
-        each member's id in its subtree, and that parent edges between
-        subtree roots contract exactly to the tree one level down.  Then,
-        per level, that every sub and down entry belongs to a walked tree
-        and every other node is on the free list, so nothing a link
-        replaced is still held.
-        """
-        ack = self.ack
-        live = {k: set() for k in self.pi}
-        top = self.pi[self.L]
-        for root in [v for v in range(len(top)) if top[v] is None]:
-            k = self.L
-            nodes = self.tree_nodes(root, k)
-            while True:
-                live[k].update(nodes)
-                r = nodes[0]
-                sz = len(nodes)
-                st = self.stage[k][r]
-                assert self.ts[k][r] == sz, (k, r)
-                if sz < 4:
-                    assert st == 0, (k, r)
-                else:
-                    assert st >= 1, (k, r)
-                    lo = ack.value(k, st)
-                    hi = ack.value(k, st + 1)
-                    assert lo is not None and 2 * lo <= sz, (k, r)
-                    assert hi is None or sz < 2 * hi, (k, r)
-                if st == 0:
-                    for v in nodes:
-                        assert self.sub[k][v] is None and self.stage[k][v] == 0
-                    break
-                lo = ack.value(k, st)
-                seen = {}
-                total = 0
-                for v in nodes:
-                    S = self.sub[k][v]
-                    assert S is not None and self.stage[k][v] == st, (k, v)
-                    seen[id(S)] = S
-                subs = list(seen.values())
-                lid = self.lid[k]
-                for S in subs:
-                    assert len(S.rev) == S.inc.n
-                    for i, v in enumerate(S.rev):
-                        assert self.sub[k][v] is S and lid[v] == i, (k, v)
-                    assert S.inc.n >= 2 * lo, (k, st)
-                    total += S.inc.n
-                assert total == sz
-                assert len(subs) * 2 * lo <= sz, (k, st)
-                if k == 1:
-                    assert len(subs) == 1
-                    break
-                ups = set()
-                kr = None
-                for S in subs:
-                    assert S.up is not None and self.down[k - 1][S.up] is S
-                    ups.add(S.up)
-                    t = S.root
-                    pt = self.pi[k][t]
-                    if pt is None:
-                        kr = S.up
-                        assert self.pi[k - 1][S.up] is None
-                    else:
-                        assert self.pi[k - 1][S.up] == self.sub[k][pt].up
-                assert kr is not None
-                nodes = self.tree_nodes(kr, k - 1)
-                assert set(nodes) == ups
-                k -= 1
-        for k, nodes in live.items():
-            free = self.free.get(k, [])
-            assert len(set(free)) == len(free) and not nodes.intersection(free), k
-            assert len(self.pi[k]) - len(free) == len(nodes), k
-            for v, S in enumerate(self.sub[k]):
-                assert S is None or v in nodes, (k, v)
-            for z, S in enumerate(self.down.get(k, ())):
-                assert S is None or z in nodes, (k, z)
-
 
 class AdaptiveLinkForest:
     """Link forest that re-tunes its level count as the workload grows.
 
     Nodes join the counted population with their first link; links and
     meets both count as operations, meets only once linking has started.
-    Before each counted operation the target level is re-read, and when
-    it leaves {level-1, level} the forest is restaged: the vertex level
-    stays as it is, and every tree of four or more nodes is re-seated as
-    one incremental tree at its proper stage for the new level.  The
-    forest opens at one level, which is what the first link reads.
+    The target level alpha(m1, n1) is re-read after a counted operation
+    that moved n1 or took m1 past mark, the last count with the same
+    ceil(m1/n1) and hence the same alpha.  When it leaves {level-1,
+    level} the forest is restaged: the vertex level stays as it is, and
+    every tree of four or more nodes is re-seated as one incremental tree
+    at its proper stage for the new level.  The forest opens at one
+    level, which is what the first link reads.
     """
 
     def __init__(self, max_n, stats=None):
@@ -583,6 +526,7 @@ class AdaptiveLinkForest:
         self.n1 = 0   # nodes that have been in a link
         self.m1 = 0   # links plus meet queries since the first link
         self.ops = 0  # counted operations, indexes the reorganization log
+        self.mark = 0  # last m1 at which alpha keeps its last-read value
 
     @property
     def n(self):
@@ -610,12 +554,7 @@ class AdaptiveLinkForest:
         lf = self.lf
         r = lf._link_root(x, y)
         ts = lf.ts[lf.L]
-        self.n1 += (ts[r] == 1) + (ts[y] == 1)
-        self.ops += 1
-        self.m1 += 1
-        lv = alpha(self.m1, self.n1)
-        if lv != self.level and lv != self.level - 1:
-            self._relevel(lv)
+        self._count((ts[r] == 1) + (ts[y] == 1))
         self.lf._join(r, x, y)
 
     def ca(self, x, y):
@@ -625,12 +564,27 @@ class AdaptiveLinkForest:
         check_id(x, n)
         check_id(y, n)
         if self.n1:
-            self.ops += 1
-            self.m1 += 1
-            lv = alpha(self.m1, self.n1)
-            if lv != self.level and lv != self.level - 1:
-                self._relevel(lv)
+            self._count(0)
         return self.lf._ca(x, y)
+
+    def _count(self, fresh):
+        """Count one operation that brings `fresh` nodes into the count.
+
+        alpha is read again only when n1 moved or m1 passed the mark;
+        otherwise it still has the value last read, and the level that
+        read left in place stands.
+        """
+        self.ops += 1
+        m1 = self.m1 = self.m1 + 1
+        if fresh:
+            self.n1 += fresh
+        elif m1 <= self.mark:
+            return
+        n1 = self.n1
+        self.mark = n1 * ((m1 + n1 - 1) // n1)
+        lv = alpha(m1, n1)
+        if lv != self.level and lv != self.level - 1:
+            self._relevel(lv)
 
     def nca(self, x, y):
         t = self.ca(x, y)

@@ -1,12 +1,14 @@
 """Shared invariant sweeps used across the test modules.
 
-Every sweep takes a numbered structure (StaticCa or IncrementalTree; both
-expose the same flat arrays) plus the node set of one stored tree, and
-asserts the numbering contract: interval shape, guard emptiness, subtree
-containment, geometric weight growth, and laminarity of live intervals.
-The references the engines are compared against live here too: ancestor
-table entries by a path walk, and meets under a moved root by three
-stored queries or by a physically rerooted copy of the forest.
+The numbering sweeps take a numbered structure (StaticCa or
+IncrementalTree; both expose the same flat arrays) plus the node set of
+one stored tree, and assert the numbering contract: interval shape, guard
+emptiness, subtree containment, geometric weight growth, and laminarity
+of live intervals.  check_link_invariants sweeps a LinkForest's staging
+and contraction.  The references the engines are compared against live
+here too: ancestor table entries by a path walk, and meets under a moved
+root by three stored queries or by a physically rerooted copy of the
+forest.
 """
 
 from bisect import bisect_left
@@ -265,3 +267,85 @@ def reroot_physical(f, z):
                 g._uf[w] = u
                 stack.extend((t, d + 1) for t in g.children[w])
     return g
+
+
+def check_link_invariants(lf):
+    """Full sweep of a LinkForest's staging and contraction consistency.
+
+    Checks, for every live tree on every level: the recorded size,
+    the stage against its size window, per-node stage and subtree
+    agreement, the per-subtree size floor, the subtree-count ceiling,
+    each member's id in its subtree, and that parent edges between
+    subtree roots contract exactly to the tree one level down.  Then,
+    per level, that every sub and down entry belongs to a walked tree
+    and every other node is on the free list, so nothing a link
+    replaced is still held.
+    """
+    ack = lf.ack
+    live = {k: set() for k in lf.pi}
+    top = lf.pi[lf.L]
+    for root in [v for v in range(len(top)) if top[v] is None]:
+        k = lf.L
+        nodes = lf.tree_nodes(root, k)
+        while True:
+            live[k].update(nodes)
+            r = nodes[0]
+            sz = len(nodes)
+            st = lf.stage[k][r]
+            assert lf.ts[k][r] == sz, (k, r)
+            if sz < 4:
+                assert st == 0, (k, r)
+            else:
+                assert st >= 1, (k, r)
+                lo = ack.value(k, st)
+                hi = ack.value(k, st + 1)
+                assert lo is not None and 2 * lo <= sz, (k, r)
+                assert hi is None or sz < 2 * hi, (k, r)
+            if st == 0:
+                for v in nodes:
+                    assert lf.sub[k][v] is None and lf.stage[k][v] == 0
+                break
+            lo = ack.value(k, st)
+            seen = {}
+            total = 0
+            for v in nodes:
+                S = lf.sub[k][v]
+                assert S is not None and lf.stage[k][v] == st, (k, v)
+                seen[id(S)] = S
+            subs = list(seen.values())
+            lid = lf.lid[k]
+            for S in subs:
+                assert len(S.rev) == S.inc.n
+                for i, v in enumerate(S.rev):
+                    assert lf.sub[k][v] is S and lid[v] == i, (k, v)
+                assert S.inc.n >= 2 * lo, (k, st)
+                total += S.inc.n
+            assert total == sz
+            assert len(subs) * 2 * lo <= sz, (k, st)
+            if k == 1:
+                assert len(subs) == 1
+                break
+            ups = set()
+            kr = None
+            for S in subs:
+                assert S.up is not None and lf.down[k - 1][S.up] is S
+                ups.add(S.up)
+                t = S.root
+                pt = lf.pi[k][t]
+                if pt is None:
+                    kr = S.up
+                    assert lf.pi[k - 1][S.up] is None
+                else:
+                    assert lf.pi[k - 1][S.up] == lf.sub[k][pt].up
+            assert kr is not None
+            nodes = lf.tree_nodes(kr, k - 1)
+            assert set(nodes) == ups
+            k -= 1
+    for k, nodes in live.items():
+        free = lf.free.get(k, [])
+        assert len(set(free)) == len(free) and not nodes.intersection(free), k
+        assert len(lf.pi[k]) - len(free) == len(nodes), k
+        for v, S in enumerate(lf.sub[k]):
+            assert S is None or v in nodes, (k, v)
+        for z, S in enumerate(lf.down.get(k, ())):
+            assert S is None or z in nodes, (k, z)

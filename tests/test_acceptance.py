@@ -17,7 +17,8 @@ from dynca import (DYNAMIC_PARAMS, STATIC_PARAMS, AckermannTable,
 from dynca.linkforest import _acap
 from dynca.traces import as_links, compatible_engines, generate, run
 
-from _checks import check_compression_exact, check_fat_order
+from _checks import (check_compression_exact, check_fat_order,
+                     check_link_invariants)
 
 PROFILES = ("leaf-heavy", "query-heavy", "root-heavy",
             "link-balanced", "link-skewed")
@@ -275,7 +276,7 @@ def test_criterion_6_link_engine_bounds():
                 roots.remove(y)
                 lf.link(x, y)
                 linked.update((x, y))
-                lf.check_invariants()
+                check_link_invariants(lf)
                 ln = max(2, len(linked))
                 if lf.stats.eta > 2 * ln * a_inv(level, ln):
                     problems.append(f"eta {lf.stats.eta} over bound at "

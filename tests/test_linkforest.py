@@ -13,6 +13,8 @@ from dynca.multilevel import MultilevelInc
 from dynca import (AckermannTable, AdaptiveLinkForest, CapacityError, Forest,
                    LinkForest, a_inv, alpha, oracle_ca)
 
+from _checks import check_link_invariants
+
 
 def test_table_frozen_values():
     t = AckermannTable(65536)
@@ -60,6 +62,42 @@ def test_alpha_frozen():
     assert alpha(10 ** 6, 10) == 1        # heavy use of few nodes
     with pytest.raises(ValueError):
         alpha(0, 5)
+
+
+def _alpha_by_definition(m, n):
+    """alpha as first written: least i with _acap(i, j, n) >= n."""
+    j = 4 * -(-m // n)
+    if n <= 4 or j >= (n - 1).bit_length():
+        return 1
+    i = 1
+    while linkforest._acap(i, j, n) < n:
+        i += 1
+    return i
+
+
+def test_alpha_matches_its_definition():
+    """Every A(i, j) within reach and its neighbours, j = 4, 8, 12.
+
+    Each n is asked at the first and the last m of j = 4, 8, 12 and 16,
+    for n up to 2^21, and at the 2^64 end of the tabulated range.
+    """
+    top = 1 << 21
+    ns = set(range(1, 70))
+    for j in (4, 8, 12):
+        i = 1
+        while (a := linkforest._acap(i, j, top + 2)) <= top + 1:
+            ns.update((a - 1, a, a + 1))
+            i += 1
+    for k in range(2, 22):
+        ns.update(((1 << k) - 1, (1 << k) + 1))
+    ns.update(((1 << 64) - 1, 1 << 64))
+    for n in sorted(ns):
+        for c in range(1, 5):
+            for m in ((c - 1) * n + 1, c * n):
+                assert alpha(m, n) == _alpha_by_definition(m, n), (m, n)
+    assert alpha(1, 1 << 64) == 3
+    with pytest.raises(ValueError):
+        alpha(1, (1 << 64) + 1)
 
 
 def test_a_inv_frozen():
@@ -123,7 +161,7 @@ def test_two_singletons_stay_bare():
     assert lf.sub[1][a] is None and lf.sub[1][b] is None
     assert lf.pi[1][b] == a and lf.pi[1][a] is None
     assert lf.find_root(b) == a
-    lf.check_invariants()
+    check_link_invariants(lf)
 
 
 def test_five_node_merge_reaches_stage_one():
@@ -137,7 +175,7 @@ def test_five_node_merge_reaches_stage_one():
     lf.link(v[3], v[4])                   # 5 nodes stay in stage 1
     assert lf.stage[1][v[0]] == 1
     assert lf.sub[1][v[4]] is lf.sub[1][v[0]]
-    lf.check_invariants()
+    check_link_invariants(lf)
     assert lf.ca(v[2], v[4]) == (v[0], v[1], v[3])
 
 
@@ -153,7 +191,7 @@ def test_absorb_into_higher_stage():
     lf.link(v[2], v[4])                   # 6 < 8: absorbed, same subtree
     assert lf.stage[1][v[0]] == 1
     assert lf.sub[1][v[5]] is S
-    lf.check_invariants()
+    check_link_invariants(lf)
     assert lf.nca(v[5], v[3]) == v[0]
 
 
@@ -171,7 +209,7 @@ def test_pour_lower_stage_root_path():
     for u in v:
         assert lf.sub[1][u] is S
         assert lf.stage[1][u] == 1
-    lf.check_invariants()
+    check_link_invariants(lf)
     assert lf.ca(v[5], v[1]) == (v[5], v[5], v[6])
     assert lf.nca(v[4], v[3]) == v[4]
 
@@ -191,7 +229,7 @@ def test_equal_stage_merge_recurses_below():
     assert lf.stage[2][a[0]] == 2
     assert lf.sub[2][a[0]] is not lf.sub[2][b[0]]
     assert lf.pi[1][zB] == zA
-    lf.check_invariants()
+    check_link_invariants(lf)
     assert lf.ca(a[5], b[4]) == (a[0], a[5], a[3])
     assert lf.ca(b[4], a[3]) == (a[3], b[0], a[3])
 
@@ -220,7 +258,7 @@ def test_differential_fixed_level(level, skew, rng):
         lf.make_node()
         f.make_node()
     _random_links(lf, f, rng, n, skew)
-    lf.check_invariants()
+    check_link_invariants(lf)
     for _ in range(4000):
         x = rng.randrange(n)
         y = rng.randrange(n)
@@ -243,7 +281,7 @@ def test_invariants_and_eta_after_every_link(rng):
         lf.link(x, y)
         f.link(x, y)
         linked.update((x, y))
-        lf.check_invariants()
+        check_link_invariants(lf)
         ln = max(2, len(linked))
         assert lf.stats.eta <= 2 * ln * a_inv(1, ln)
     for _ in range(2000):
@@ -273,17 +311,101 @@ def test_adaptive_rejected_link_changes_nothing():
         af.make_node()
     with pytest.raises(ValueError):
         af.link(2, 2)                     # one tree before the first link
-    assert (af.ops, af.m1, af.n1) == (0, 0, 0)
+    assert (af.ops, af.m1, af.n1, af.mark) == (0, 0, 0, 0)
     af.link(0, 1)
 
     def state():
-        return (af.ops, af.m1, af.n1, list(af.reorg_log), copy.deepcopy(af.stats))
+        return (af.ops, af.m1, af.n1, af.mark, af.level, list(af.reorg_log),
+                copy.deepcopy(af.stats))
 
     before = state()
     for x, y in ((1, 0), (0, 1), (3, 1)):
         with pytest.raises(ValueError):
             af.link(x, y)
+    for x, y in ((0, 4), (-1, 0), (True, 1)):
+        with pytest.raises(ValueError):
+            af.ca(x, y)
     assert state() == before
+
+
+def test_adaptive_reads_alpha_only_when_it_can_move(rng):
+    """Level and log match a shadow that reads alpha at every operation.
+
+    Links of fresh pairs pull 4*ceil(m1/n1) down, query bursts and links
+    of two counted trees push it up.  Past 2^16 counted nodes alpha
+    reaches 3, so a burst takes the level from 3 to 1 in a query, where
+    n1 stands still and only the mark decides whether alpha is read.
+    """
+    n = (1 << 16) + 100
+    af = AdaptiveLinkForest(n)
+    for _ in range(n):
+        af.make_node()
+    shadow = {"ops": 0, "m1": 0, "n1": 0, "level": 1}
+    log = []
+    counted = set()
+    roots = []
+
+    def count(nodes):
+        shadow["ops"] += 1
+        shadow["m1"] += 1
+        for u in nodes:
+            if u not in counted:
+                counted.add(u)
+                shadow["n1"] += 1
+        lv = alpha(shadow["m1"], shadow["n1"])
+        level = shadow["level"]
+        if lv != level and lv != level - 1:
+            log.append((shadow["ops"], level, lv))
+            shadow["level"] = lv
+        assert (af.level, af.reorg_log) == (shadow["level"], log)
+        assert (af.m1, af.n1) == (shadow["m1"], shadow["n1"])
+
+    def pairs(k):
+        for _ in range(k):
+            x = len(counted)
+            af.link(x, x + 1)
+            count((x, x + 1))
+            roots.append(x)
+
+    def merges(k):
+        for _ in range(k):
+            x, y = roots.pop(), roots.pop()
+            af.link(x, y)
+            count((x, y))
+            roots.append(x)
+
+    def queries(k):
+        for _ in range(k):
+            v = rng.randrange(len(counted))
+            af.ca(v, v)
+            count(())
+
+    pairs(40)
+    queries(200)
+    merges(30)
+    pairs((1 << 15) - 20)
+    merges(30)
+    queries(4 * shadow["n1"] - shadow["m1"] + 10)
+    pairs(5)
+    queries(3000)
+    assert [(a, b) for _, a, b in log] == [(1, 2), (2, 3), (3, 1), (1, 2)]
+
+
+def test_alpha_caches_stay_small_under_growth():
+    """Every link of a 2^14-node growth counts a new node, yet the column
+    table and the _acap cache behind alpha hold only a few hundred entries."""
+    linkforest._acap.cache_clear()
+    n = 1 << 14
+    af = AdaptiveLinkForest(n)
+    for _ in range(n):
+        af.make_node()
+    rng = random.Random(3)
+    for v in range(1, n):
+        af.link(rng.randrange(v), v)
+    assert af.n1 == n and af.reorg_log == [(16, 1, 2)]
+    sizes = (linkforest._acap.cache_info().currsize,
+             len(linkforest._COLUMNS))
+    assert sum(sizes) <= 300, sizes
 
 
 def test_adaptive_reorg_at_population_crossing():
@@ -296,7 +418,7 @@ def test_adaptive_reorg_at_population_crossing():
         want = alpha(i + 1, 2 * (i + 1))
         assert af.level == want
     assert af.reorg_log == [(9, 1, 2)]
-    af.lf.check_invariants()
+    check_link_invariants(af.lf)
 
 
 def test_adaptive_reorg_drops_the_old_forest():
@@ -340,7 +462,7 @@ def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
     assert all(a is b for a, b in zip(kept, (lf.pi[2], lf.ch[2], lf.ts[2])))
     assert made == []
     assert lf.stage[2][v[0]] >= 1 and lf.sub[2][v[11]] is lf.sub[2][v[0]]
-    lf.check_invariants()
+    check_link_invariants(lf)
     assert af.nca(v[3], v[9]) == v[3]
 
 
@@ -425,7 +547,7 @@ def test_retired_subtree_takes_its_arena(case):
     # Arena takes no weak references: the test's own name and the
     # call's argument must be all that still holds it
     assert sys.getrefcount(arena) == 2
-    lf.check_invariants()
+    check_link_invariants(lf)
     assert lf.nca(v[2], y) == v[0]
 
 
@@ -439,7 +561,7 @@ def test_adaptive_chain_climbs_stages_inside_period():
     assert af.level == 1
     assert af.reorg_log == []
     assert af.lf.stage[1][v[0]] == 2      # 12 nodes: 2 * A(1, 2) <= 12 < 2 * A(1, 3)
-    af.lf.check_invariants()
+    check_link_invariants(af.lf)
     assert af.nca(v[3], v[9]) == v[3]
 
 
@@ -461,7 +583,7 @@ def test_adaptive_differential(rng):
             a = rng.randrange(n)
             b = rng.randrange(n)
             assert af.ca(a, b) == oracle_ca(f, a, b), (a, b)
-    af.lf.check_invariants()
+    check_link_invariants(af.lf)
     assert af.stats.reorgs == len(af.reorg_log)
 
 
@@ -507,7 +629,7 @@ def test_pour_moves_subtree_root(level, rng):
     def link(x, y):
         lf.link(x, y)
         f.link(x, y)
-        lf.check_invariants()
+        check_link_invariants(lf)
         for a in range(n):
             for b in range(n):
                 assert lf.ca(a, b) == oracle_ca(f, a, b), (a, b)
@@ -559,7 +681,7 @@ def test_eta_counts_each_subtree_add_once(rng, monkeypatch):
 
 def _holds_live_only(lf):
     """The forest keeps exactly the subtrees and contracted nodes it walks."""
-    lf.check_invariants()
+    check_link_invariants(lf)
     subs = {k: {id(S): S for S in lf.sub[k] if S is not None}.values()
             for k in lf.sub}
     gc.collect()
