@@ -85,9 +85,3 @@ class Arena:
             self.push(h, v)
         else:
             raise IndexError(f"index {idx} skips past stored length {self.n[h]}")
-
-    def read(self, h: int, start: int, stop: int) -> list:
-        if not 0 <= start <= stop <= self.n[h]:
-            raise IndexError(f"range [{start}:{stop}] out of bounds for array {h}")
-        o = self.off[h]
-        return self.backing[o + start:o + stop]

@@ -2,13 +2,15 @@
 
 Trees at the top level hold the real vertices.  A tree of fewer than four
 nodes is kept as bare parent lists; anything larger is partitioned into
-subtrees, each one three-level incremental tree of linear total growth
-(the linear_tree shape in multilevel.py), and contracting every subtree
-yields the tree one level down, where the same scheme repeats.  Stages
-classify tree sizes by a row of Ackermann's function, one row per level,
-so a link between trees of unequal stages only re-adds the smaller side,
-links between equal stages recurse one level down, and a tree that
-outgrows its stage is rebuilt once as a single subtree of the next stage.
+subtrees, and contracting every subtree yields the tree one level down,
+where the same scheme repeats.  A subtree whose stage keeps it under 64
+nodes is one packed tree (PackedTree in microset.py); any other is a
+three-level incremental tree of linear total growth (the linear_tree
+shape in multilevel.py).  Stages classify tree sizes by a row of
+Ackermann's function, one row per level, so a link between trees of
+unequal stages only re-adds the smaller side, links between equal stages
+recurse one level down, and a tree that outgrows its stage is rebuilt
+once as a single subtree of the next stage.
 The level count is the inverse-Ackermann value of the operation counts,
 tracked by a wrapper that restages the forest whenever that value
 drifts: the vertex level stays, and only its staging is built again.
@@ -37,6 +39,7 @@ from functools import lru_cache
 from .errors import CapacityError, check_id
 from .forest import CaTriple
 from .levels import Leveled
+from .microset import PackedTree
 from .multilevel import MultilevelInc
 from .stats import Stats
 
@@ -174,7 +177,7 @@ class AckermannTable:
 
 
 class _Sub:
-    """One staged subtree: a three-level incremental tree plus its id maps.
+    """One staged subtree: a packed or three-level tree plus its id maps.
 
     lid is its level's id list, shared by every subtree there: a level
     node belongs to one live subtree, and lid gives its incremental id
@@ -386,7 +389,14 @@ class LinkForest(Leveled):
     def _rebuild(self, r, k, sg):
         """The whole level-k tree becomes one fresh subtree in stage sg."""
         lid = self.lid[k]
-        S = _Sub(MultilevelInc(self.max_n, stats=self.stats), lid)
+        lim = self.ack.value(k, sg + 1)
+        if lim is not None and 2 * lim <= PackedTree.CAP + 1:
+            # the stage keeps the tree, and so this subtree with any roots
+            # a pour adds, under 2 * lim nodes
+            inc = PackedTree(self.stats)
+        else:
+            inc = MultilevelInc(self.max_n, stats=self.stats)
+        S = _Sub(inc, lid)
         lid[r] = 0
         S.rev.append(r)
         self.sub[k][r] = S

@@ -12,9 +12,18 @@ serves every microset on a level; a member's own id is the top bit of
 its anc word.  A microset is also the subtree record that the meet
 recursion in levels.py walks: root, up and ca(x, y) over the host's
 node ids.
+
+PackedTree is the same word trick hosting itself: a whole tree of at
+most 63 nodes, its ids dense from 0 and node i owning bit i, so the meet
+reads off the word with no id map.  The link forest keeps every subtree
+whose stage holds it under 64 nodes in one; add_root and the queries
+under a moved root come from Spine.
 """
 
+from .errors import CapacityError, check_id
 from .forest import CaTriple
+from .incremental import Spine
+from .stats import Stats
 
 
 class Microset:
@@ -80,6 +89,58 @@ class Microset:
         self.stats.note_query(steps)
         return tuple.__new__(CaTriple, (a, cx, cy))
 
-    def members(self):
-        """Current members in insertion order."""
-        return self.arena.read(self.vh, 0, self.n)
+
+class PackedTree(Spine):
+    """A growing tree of at most 63 nodes, ids 0..n-1, 0 the first root.
+
+    anc[i] is the set of i's stored ancestors, i included, as bits: a
+    parent's id is below its child's, so the meet of x and y is the
+    highest common bit and the child of the meet toward x is the lowest
+    bit that x has and y has not.
+    """
+
+    CAP = 63
+
+    def __init__(self, stats=None):
+        self.stats = stats if stats is not None else Stats()
+        self.piT = [None]
+        self.sm = [0]
+        self.anc = [1]
+        self.varrho = 0
+        self.stats.eta += 1
+
+    def add_leaf(self, x):
+        """Attach and return a new child of x."""
+        y = len(self.piT)
+        check_id(x, y)
+        if y >= self.CAP:
+            raise CapacityError(f"packed tree is at its capacity {self.CAP}")
+        self.piT.append(x)
+        self.sm.append(self.sm[x])
+        self.anc.append(self.anc[x] | (1 << y))
+        st = self.stats
+        st.eta += 1
+        st.work += 1
+        return y
+
+    def _stored(self, x, y):
+        """Characteristic ancestors of distinct x, y in the stored rooting."""
+        anc = self.anc
+        ax = anc[x]
+        ay = anc[y]
+        steps = 5
+        a = (ax & ay).bit_length() - 1
+        if a == x:
+            cx = x
+        else:
+            d = ax & ~ay
+            cx = (d & -d).bit_length() - 1
+            steps += 3
+        if a == y:
+            cy = y
+        else:
+            d = ay & ~ax
+            cy = (d & -d).bit_length() - 1
+            steps += 3
+        self.stats.note_query(steps)
+        return tuple.__new__(CaTriple, (a, cx, cy))

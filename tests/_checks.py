@@ -8,7 +8,7 @@ of live intervals.  check_link_invariants sweeps a LinkForest's staging
 and contraction.  The references the engines are compared against live
 here too: ancestor table entries by a path walk, and meets under a moved
 root by three stored queries or by a physically rerooted copy of the
-forest.
+forest.  arena_read and microset_members read a microset's stored ids back.
 """
 
 from bisect import bisect_left
@@ -225,6 +225,19 @@ def shared_rows_ok(obj, nodes, root):
             assert d is None or row is not obj.tab[d], f"{u} shares the row it must own"
         else:
             assert row is obj.tab[obj.piD[u]], f"{u} does not share its parent's row"
+
+
+def arena_read(arena, h, start, stop):
+    """Cells start..stop-1 of arena array h; IndexError past its stored length."""
+    if not 0 <= start <= stop <= arena.n[h]:
+        raise IndexError(f"range [{start}:{stop}] out of bounds for array {h}")
+    o = arena.off[h]
+    return arena.backing[o + start:o + stop]
+
+
+def microset_members(m):
+    """A microset's members in insertion order."""
+    return arena_read(m.arena, m.vh, 0, m.n)
 
 
 def rerooted_ca(f, x, y, z, ca_fn):

@@ -16,15 +16,20 @@ grown tree.  Its depth puts a grown engine's meets many edges away from
 the first wide ancestor its query reads, and gives the link engines
 trees in stage 2 and above; the adaptive engine usually reorganizes on
 the way.  The other growth rules keep to CAP vertices besides the chain.
+The link engines keep small staged subtrees as packed trees and larger
+ones as multilevel trees; a derandomized run checks that both come up.
 """
 
 import dataclasses
 from array import array
+from collections import Counter
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import (RuleBasedStateMachine, precondition, rule,
+                                 run_state_machine_as_test)
 
 from dynca import AdaptiveLinkForest, CaTriple, Forest, LinkForest, oracle_ca
+from dynca import linkforest
 from dynca.traces import GROWN
 
 CAP = 48
@@ -252,3 +257,19 @@ class Differential(RuleBasedStateMachine):
 TestDifferential = Differential.TestCase
 TestDifferential.settings = settings(max_examples=60, stateful_step_count=60,
                                      deadline=None)
+
+
+def test_run_reaches_both_record_kinds(monkeypatch):
+    """A fixed run of the machine builds packed and multilevel subtrees."""
+    kinds = Counter()
+    init = linkforest._Sub.__init__
+
+    def record(self, inc, lid):
+        init(self, inc, lid)
+        kinds[type(inc).__name__] += 1
+
+    monkeypatch.setattr(linkforest._Sub, "__init__", record)
+    run_state_machine_as_test(Differential, settings=settings(
+        max_examples=8, stateful_step_count=60, deadline=None,
+        derandomize=True, database=None))
+    assert kinds["PackedTree"] and kinds["MultilevelInc"], kinds

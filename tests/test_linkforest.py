@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from dynca import linkforest
+from dynca.microset import PackedTree
 from dynca.multilevel import MultilevelInc
 from dynca import (AckermannTable, AdaptiveLinkForest, CapacityError, Forest,
                    LinkForest, a_inv, alpha, oracle_ca)
@@ -503,12 +504,13 @@ def test_adaptive_frozen_run():
 
     The reorganization comes at op 11,649, when trees of up to 20 nodes
     sit in stage 2, so the restaging re-seats many staged trees.  The
-    digest covers every answer; the counters pin the work done.
+    digest covers every answer; the counters pin the work done.  Subtrees
+    under 64 nodes are packed trees, which note one query per meet.
     """
     af = AdaptiveLinkForest(5000)
     digest = _merge_and_ask(af, 5000, random.Random(12))
     s = af.stats
-    assert (s.eta, s.work, s.queries, s.max_query_steps) == (16386, 42271, 7853, 11)
+    assert (s.eta, s.work, s.queries, s.max_query_steps) == (16386, 42774, 7851, 11)
     assert af.reorg_log == [(11649, 1, 2)]
     assert (af.n1, af.m1) == (5000, 19996)
     assert digest == "adb43d93df84d8338097f45331faab95bf1ede034e90da32c640255d1e17de59"
@@ -519,34 +521,40 @@ def _star(lf, nodes):
         lf.link(nodes[0], u)
 
 
-@pytest.mark.parametrize("case", ["pour", "rebuild"])
+@pytest.mark.parametrize("case", ["pour", "rebuild", "rebuild-64"])
 def test_retired_subtree_takes_its_arena(case):
-    """The losing side's subtree frees its microset store with it.
+    """The losing side's subtree record is freed, with its microset store.
 
     A pour re-adds a stage-1 tree of 4 into a stage-2 tree of 8; a
     rebuild merges two stage-1 trees of 4 into one stage-2 subtree.
+    Both retire packed trees, which hold no arena.  rebuild-64 merges two
+    stage-5 trees of 64, whose records are multilevel trees.
     """
-    lf = LinkForest(1, 32)
-    v = [lf.make_node() for _ in range(12)]
-    _star(lf, v[:4])
-    _star(lf, v[4:8])
+    side = 64 if case == "rebuild-64" else 4
+    lf = LinkForest(1, 128)
+    v = [lf.make_node() for _ in range(128)]
+    _star(lf, v[:side])
+    _star(lf, v[side:2 * side])
     if case == "pour":
         lf.link(v[0], v[4])               # 8 >= 2 * 4: one stage-2 subtree
-        _star(lf, v[8:])
+        _star(lf, v[8:12])
         assert lf.stage[1][v[0]] == 2 and lf.stage[1][v[8]] == 1
         x, y = v[1], v[8]
     else:
-        x, y = v[1], v[4]
+        x, y = v[1], v[side]
     S = lf.sub[1][y]
     inc = weakref.ref(S.inc)
-    arena = S.inc.arena
+    arena = getattr(S.inc, "arena", None)
+    assert (arena is None) == (side < 64) == isinstance(S.inc, PackedTree)
     del S
     lf.link(x, y)
     gc.collect()
     assert inc() is None
-    # Arena takes no weak references: the test's own name and the
-    # call's argument must be all that still holds it
-    assert sys.getrefcount(arena) == 2
+    if arena is not None:
+        assert lf.stage[1][v[0]] == 6
+        # Arena takes no weak references: the test's own name and the
+        # call's argument must be all that still holds it
+        assert sys.getrefcount(arena) == 2
     check_link_invariants(lf)
     assert lf.nca(v[2], y) == v[0]
 
@@ -686,7 +694,7 @@ def _holds_live_only(lf):
             for k in lf.sub}
     gc.collect()
     alive = {id(o) for o in gc.get_objects()
-             if isinstance(o, MultilevelInc) and o.stats is lf.stats}
+             if isinstance(o, (MultilevelInc, PackedTree)) and o.stats is lf.stats}
     assert alive == {id(S.inc) for k in subs for S in subs[k]}
     for k in range(1, lf.L):
         ups = {S.up for S in subs[k + 1]}

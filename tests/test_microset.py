@@ -1,9 +1,14 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynca import Arena, Forest, Microset, Stats, oracle_ca
+from dynca import Arena, CapacityError, Forest, Microset, Stats, oracle_ca
+from dynca.microset import PackedTree
+
+from _checks import microset_members
 
 
 def fresh(mu=63, cap=256):
@@ -18,7 +23,7 @@ def test_frozen_root_encoding():
     m, anc = fresh()
     assert anc[7].bit_length() - 1 == 1
     assert anc[7] == 0b10
-    assert m.members() == [7]
+    assert microset_members(m) == [7]
     assert not m.full
 
 
@@ -29,7 +34,7 @@ def test_frozen_add_encoding():
     assert anc[20] == 0b110
     assert m.add(7, 31)          # id 3, second child of the root
     assert anc[31] == 0b1010
-    assert m.members() == [7, 20, 31]
+    assert microset_members(m) == [7, 20, 31]
 
 
 def test_frozen_meet_of_siblings():
@@ -131,3 +136,62 @@ def test_microset_property(seed, mu):
         x = r.choice(members)
         y = r.choice(members)
         assert m.ca(x, y) == oracle_ca(f, x, y)
+
+
+def test_packed_tree_every_small_tree_every_pair():
+    """Every grow sequence on up to 8 nodes, all pairs, against the oracle.
+
+    Node v is added under any earlier node or as a new root, so every
+    parent array with par[v] < v comes up once with no add_root among
+    its ops, and the spine meets are checked on every way of mixing the
+    two.  Each unordered pair asks the oracle once; its swapped triple
+    is the answer for the swapped pair.
+    """
+    for n in range(2, 9):
+        for ops in itertools.product(*(range(-1, v) for v in range(1, n))):
+            f = Forest()
+            f.make_node()
+            t = PackedTree()
+            top = 0
+            for v, u in enumerate(ops, 1):
+                f.make_node()
+                if u < 0:
+                    f.add_root(v, top)
+                    top = v
+                    assert t.add_root() == v
+                else:
+                    f.add_leaf(u, v)
+                    assert t.add_leaf(u) == v
+            assert t.root == top and t.n == n
+            for x in range(n):
+                assert t.ca(x, x) == (x, x, x)
+                for y in range(x + 1, n):
+                    a, ax, ay = want = oracle_ca(f, x, y)
+                    assert t.ca(x, y) == want, (ops, x, y)
+                    assert t.ca(y, x) == (a, ay, ax), (ops, y, x)
+
+
+def test_packed_tree_full_at_63_changes_nothing(rng):
+    """The 64th node is refused, and the tree and its Stats stay as they were."""
+    stats = Stats()
+    t = PackedTree(stats)
+    for v in range(1, 63):
+        if rng.random() < 0.2:
+            t.add_root()
+        else:
+            t.add_leaf(rng.randrange(v))
+    assert t.n == 63 and stats.eta == 63 and stats.work == 62
+
+    def state():
+        return (list(t.piT), list(t.sm), list(t.anc), t.varrho,
+                dataclasses.asdict(stats))
+
+    before = state()
+    for call, args in ((t.add_leaf, (0,)), (t.add_leaf, (62,)), (t.add_root, ())):
+        with pytest.raises(CapacityError):
+            call(*args)
+        assert state() == before
+    for bad in (-1, 63, True, None):
+        with pytest.raises(ValueError):
+            t.add_leaf(bad)
+        assert state() == before

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dynca import (CapacityError, Forest, IncrementalTree, MultilevelInc,
                    edmonds_tree, linear_tree, oracle_ca)
 
-from _checks import rerooted_ca, shared_rows_ok
+from _checks import microset_members, rerooted_ca, shared_rows_ok
 
 
 def check_levels(t):
@@ -21,7 +21,7 @@ def check_levels(t):
             if not any(P is Q for Q in subs):
                 subs.append(P)
         for P in subs:
-            mem = P.members()
+            mem = microset_members(P)
             assert 0 < len(mem) <= t.mu
             assert P.root == mem[0]
             for v in mem:
