@@ -1,13 +1,14 @@
 """Link whole trees together and keep answering meet queries.
 
 The fixed-level forest classifies each tree into a stage by an Ackermann
-row; the adaptive wrapper re-tunes the level count as the workload's
-link/query mix drifts.
+row, reading the stage off the tree's size; the adaptive wrapper re-tunes
+the level count as the workload's link/query mix drifts.
 
 Run:  python3 demos/linking_forests.py
 """
 
 import random
+from bisect import bisect_right
 
 from dynca import AdaptiveLinkForest, LinkForest, alpha
 
@@ -15,20 +16,28 @@ rng = random.Random(7)
 
 # --- stages on a fixed level ---
 
+
+def size_and_stage(lf, x):
+    """Size of x's tree and its stage, read off the size as the forest does."""
+    size = lf.ts[lf.L][lf.find_root(x)]
+    return size, bisect_right(lf.floors[lf.L], size)
+
+
 lf = LinkForest(level=1, max_n=64)
 v = [lf.make_node() for _ in range(8)]
+print("stage floors on level 1:", lf.floors[1])
 
 lf.link(v[0], v[1])
 lf.link(v[1], v[2])
-print("3 linked nodes, stage", lf.stage[1][v[0]], "(under 4: bare lists)")
+print("size %d, stage %d (under 4: bare lists)" % size_and_stage(lf, v[0]))
 
 lf.link(v[0], v[3])
-print("4th node arrives, stage", lf.stage[1][v[0]],
-      "(the whole tree moved into a packed subtree)")
+print("size %d, stage %d (the whole tree moved into a packed subtree)"
+      % size_and_stage(lf, v[0]))
 
 for i in range(4, 8):
     lf.link(v[i - 1], v[i])
-print("8 nodes, stage", lf.stage[1][v[0]])
+print("size %d, stage %d" % size_and_stage(lf, v[0]))
 print("ca(v5, v2) =", tuple(lf.ca(v[5], v[2])))
 
 # --- the adaptive wrapper counts from the first link ---

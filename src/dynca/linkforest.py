@@ -7,10 +7,13 @@ where the same scheme repeats.  A subtree whose stage keeps it under 64
 nodes is one packed tree (PackedTree in microset.py); any other is a
 three-level incremental tree of linear total growth (the linear_tree
 shape in multilevel.py).  Stages classify tree sizes by a row of
-Ackermann's function, one row per level, so a link between trees of
-unequal stages only re-adds the smaller side, links between equal stages
-recurse one level down, and a tree that outgrows its stage is rebuilt
-once as a single subtree of the next stage.
+Ackermann's function, one row per level: a level-k tree of size s is in
+stage bisect_right(floors[k], s), floors[k] holding 2*A(k, j) for
+j = 1, 2, ..., so the stage is read off the size and nothing is stored
+per node.  A link between trees of unequal stages only re-adds the
+smaller side, links between equal stages recurse one level down, and a
+tree that outgrows its stage is rebuilt once as a single subtree of the
+next stage.
 The level count is the inverse-Ackermann value of the operation counts,
 tracked by a wrapper that restages the forest whenever that value
 drifts: the vertex level stays, and only its staging is built again.
@@ -34,6 +37,7 @@ levels below the vertex level reuse ids and hold rows only for live
 nodes.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 
 from .errors import CapacityError, check_id
@@ -213,8 +217,9 @@ class LinkForest(Leveled):
 
     Vertices live on level `level`; contractions run down to level 1.
     Tree stages on level k are classified by row k of an Ackermann table
-    built for max_n nodes: no tree outgrows it, and a ceiling past max_n
-    reads None, which the staging treats as infinite.
+    built for max_n nodes: floors[k] lists 2*A(k, j) for j = 1, 2, ...
+    up to the first value past max_n, and a size past the last floor
+    stays in the last stage, since no tree outgrows the table.
     """
 
     def __init__(self, level, max_n, stats=None):
@@ -224,13 +229,13 @@ class LinkForest(Leveled):
         if level > ack.size:
             raise ValueError(f"level {level} has no row in a table for {max_n} nodes")
         self.L = level
-        self.ack = ack
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
         rng = range(1, level + 1)
+        self.floors = {k: tuple(2 * v for v in ack.rows[k][1:] if v is not None)
+                       for k in rng}
         self.pi = {k: [] for k in rng}
         self.ch = {k: [] for k in rng}
-        self.stage = {k: [] for k in rng}
         self.ts = {k: [] for k in rng}      # tree size, authoritative at roots
         self.sub = {k: [] for k in rng}     # _Sub, or None in stage 0
         self.lid = {k: [] for k in rng}     # id inside sub[k][v]
@@ -247,13 +252,11 @@ class LinkForest(Leveled):
             v = free.pop()
             self.pi[k][v] = None
             self.ch[k][v] = []
-            self.stage[k][v] = 0
             self.ts[k][v] = 1
             return v
         v = len(self.pi[k])
         self.pi[k].append(None)
         self.ch[k].append([])
-        self.stage[k].append(0)
         self.ts[k].append(1)
         self.sub[k].append(None)
         self.lid[k].append(0)
@@ -299,7 +302,7 @@ class LinkForest(Leveled):
 
     def link(self, x, y):
         """Make the root y a child of x, merging y's tree into x's."""
-        self._join(self._link_root(x, y), x, y)
+        self._l(self._link_root(x, y), x, y, self.L)
 
     def _link_root(self, x, y):
         """Root of x's tree; raises unless y is a root of another tree."""
@@ -313,38 +316,36 @@ class LinkForest(Leveled):
             raise ValueError("link within one tree")
         return r
 
-    def _join(self, r, x, y):
-        """The merge behind a validated link; r is the root of x's tree."""
-        self._l(r, x, y, self.L)
-
     def _l(self, r, x, y, k):
         """Merge, then re-add as little as the stage gap allows.
 
         r is the root of x's level-k tree, y the root of the other one.
-        The first matching case runs: a merged size past its stage ceiling
-        rebuilds the whole tree one stage up; unequal stages pour the
-        lower-stage side into the subtree at the junction; equal stages
-        recurse on the contracted trees, or are trivially done below the
-        staging threshold.
+        Each stage is read off a tree size, the two roots' before the
+        merge and r's after it.  The first matching case runs: a merged
+        size whose stage exceeds both rebuilds the whole tree in that
+        stage, which by the doubling law is one above the higher of the
+        two; unequal stages pour the lower-stage side into the subtree at
+        the junction; equal stages recurse on the contracted trees, or are
+        trivially done below the staging threshold.
         """
         pi = self.pi[k]
-        stage = self.stage[k]
         ts = self.ts[k]
-        sx = stage[r]
-        sy = stage[y]
+        fl = self.floors[k]
+        sx = bisect_right(fl, ts[r])
+        sy = bisect_right(fl, ts[y])
         ts[r] += ts[y]
         pi[y] = x
         self.ch[k][x].append(y)
         sg = sx if sx >= sy else sy
-        lim = self.ack.value(k, sg + 1)
+        st = bisect_right(fl, ts[r])
         sub = self.sub[k]
-        if lim is not None and ts[r] >= 2 * lim:
+        if st > sg:
             self._retire(sub[r], k)
             self._retire(sub[y], k)
-            self._rebuild(r, k, sg + 1)
+            self._rebuild(r, k, st)
         elif sx > sy:
             self._retire(sub[y], k)
-            self._fill(sub[x], y, (), None, k, sx)
+            self._fill(sub[x], y, (), None, k)
         elif sx < sy:
             self._retire(sub[r], k)
             S = sub[y]
@@ -358,8 +359,7 @@ class LinkForest(Leveled):
                 lid[v] = S.inc.add_root()
                 S.rev.append(v)
                 sub[v] = S
-                stage[v] = sy
-            self._fill(S, r, set(path), y, k, sy)
+            self._fill(S, r, set(path), y, k)
         elif sg > 0:
             assert k > 1, "equal stages above 0 cannot meet at the bottom level"
             self._l(sub[r].up, sub[x].up, sub[y].up, k - 1)
@@ -387,12 +387,16 @@ class LinkForest(Leveled):
             self.free[k] += nodes
 
     def _rebuild(self, r, k, sg):
-        """The whole level-k tree becomes one fresh subtree in stage sg."""
+        """The whole level-k tree becomes one fresh subtree in stage sg.
+
+        sg is the stage read off the tree's size, and its ceiling picks the
+        record kind; nothing about the stage is stored per node.
+        """
         lid = self.lid[k]
-        lim = self.ack.value(k, sg + 1)
-        if lim is not None and 2 * lim <= PackedTree.CAP + 1:
+        fl = self.floors[k]
+        if sg < len(fl) and fl[sg] <= PackedTree.CAP + 1:
             # the stage keeps the tree, and so this subtree with any roots
-            # a pour adds, under 2 * lim nodes
+            # a pour adds, under its ceiling fl[sg]
             inc = PackedTree(self.stats)
         else:
             inc = MultilevelInc(self.max_n, stats=self.stats)
@@ -400,14 +404,13 @@ class LinkForest(Leveled):
         lid[r] = 0
         S.rev.append(r)
         self.sub[k][r] = S
-        self.stage[k][r] = sg
-        self._fill(S, r, (r,), None, k, sg)
+        self._fill(S, r, (r,), None, k)
         if k > 1:
             z = self._new_node(k - 1)
             S.up = z
             self.down[k - 1][z] = S
 
-    def _fill(self, S, top, have, skip, k, sg):
+    def _fill(self, S, top, have, skip, k):
         """Add top and the nodes below it to subtree S, parents first.
 
         Members listed in have are walked through without being added
@@ -419,7 +422,6 @@ class LinkForest(Leveled):
         pi = self.pi[k]
         ch = self.ch[k]
         sub = self.sub[k]
-        stage = self.stage[k]
         queue = [top]
         qi = 0
         while qi < len(queue):
@@ -429,7 +431,6 @@ class LinkForest(Leveled):
                 lid[v] = inc.add_leaf(lid[pi[v]])
                 rev.append(v)
                 sub[v] = S
-                stage[v] = sg
             for w in ch[v]:
                 if w != skip:
                     queue.append(w)
@@ -440,8 +441,8 @@ class LinkForest(Leveled):
         The new forest takes over the vertex level's parent, child and
         size lists as they are, so no vertex is made again and this
         forest must not be used after; only the staging is built anew.
-        Trees under four nodes stay bare, larger ones become a single
-        subtree in the highest stage whose floor their size meets.
+        Trees under four nodes stay bare in stage 0; each larger one
+        becomes a single subtree in the stage read off its size.
         """
         lf = LinkForest(level, self.max_n, self.stats)
         k = self.L
@@ -449,21 +450,14 @@ class LinkForest(Leveled):
         lf.pi[level] = pi = self.pi[k]
         lf.ch[level] = self.ch[k]
         lf.ts[level] = ts = self.ts[k]
-        lf.stage[level] = [0] * n
         lf.sub[level] = [None] * n
         lf.lid[level] = [0] * n
-        value = lf.ack.value
+        fl = lf.floors[level]
         for r in range(n):
-            size = ts[r]
-            if pi[r] is not None or size < 4:
-                continue
-            sg = 1
-            while True:
-                v = value(level, sg + 1)
-                if v is None or 2 * v > size:
-                    break
-                sg += 1
-            lf._rebuild(r, level, sg)
+            if pi[r] is None:
+                sg = bisect_right(fl, ts[r])
+                if sg:
+                    lf._rebuild(r, level, sg)
         return lf
 
     def ca(self, x, y):
@@ -534,8 +528,7 @@ class AdaptiveLinkForest:
         self.lf = LinkForest(1, max_n, self.stats)
         self.level = 1
         self.n1 = 0   # nodes that have been in a link
-        self.m1 = 0   # links plus meet queries since the first link
-        self.ops = 0  # counted operations, indexes the reorganization log
+        self.m1 = 0   # links and meets since the first link; reorg_log's index
         self.mark = 0  # last m1 at which alpha keeps its last-read value
 
     @property
@@ -565,7 +558,8 @@ class AdaptiveLinkForest:
         r = lf._link_root(x, y)
         ts = lf.ts[lf.L]
         self._count((ts[r] == 1) + (ts[y] == 1))
-        self.lf._join(r, x, y)
+        lf = self.lf        # the count may have restaged the forest
+        lf._l(r, x, y, lf.L)
 
     def ca(self, x, y):
         """Characteristic ancestors, or None across trees."""
@@ -584,7 +578,6 @@ class AdaptiveLinkForest:
         otherwise it still has the value last read, and the level that
         read left in place stands.
         """
-        self.ops += 1
         m1 = self.m1 = self.m1 + 1
         if fresh:
             self.n1 += fresh
@@ -603,6 +596,6 @@ class AdaptiveLinkForest:
     def _relevel(self, lv):
         """Restage the forest for lv levels, logging the reorganization."""
         self.stats.reorgs += 1
-        self.stats.reorg_log.append((self.ops, self.level, lv))
+        self.stats.reorg_log.append((self.m1, self.level, lv))
         self.lf = self.lf.relevel(lv)
         self.level = lv

@@ -5,15 +5,15 @@ IncrementalTree; both expose the same flat arrays) plus the node set of
 one stored tree, and assert the numbering contract: interval shape, guard
 emptiness, subtree containment, geometric weight growth, and laminarity
 of live intervals.  check_link_invariants sweeps a LinkForest's staging
-and contraction.  The references the engines are compared against live
-here too: ancestor table entries by a path walk, and meets under a moved
-root by three stored queries or by a physically rerooted copy of the
-forest.  arena_read and microset_members read a microset's stored ids back.
+and contraction, against stages window_stage finds on a table of its own.
+The references the engines are compared against live here too: ancestor
+table entries by a path walk, and meets under a moved root by three
+stored queries or by a physically rerooted copy of the forest.  arena_read and microset_members read a microset's stored ids back.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
-from dynca import Forest, combine_rerooted
+from dynca import AckermannTable, Forest, combine_rerooted
 from dynca.errors import check_id
 from dynca.fat_preorder import EPS
 
@@ -282,19 +282,42 @@ def reroot_physical(f, z):
     return g
 
 
+def window_stage(ack, k, size):
+    """Stage of a level-k tree of `size` nodes, by a window search on ack.
+
+    0 under four nodes; otherwise the st with 2*A(k, st) <= size <
+    2*A(k, st+1), a ceiling past the table reading as infinite.
+    """
+    if size < 4:
+        return 0
+    st = 1
+    while (hi := ack.value(k, st + 1)) is not None and 2 * hi <= size:
+        st += 1
+    return st
+
+
+def tree_stage(lf, k, v):
+    """Stage of v's level-k tree in LinkForest lf, from its node count."""
+    pi = lf.pi[k]
+    while pi[v] is not None:
+        v = pi[v]
+    return window_stage(AckermannTable(max(4, lf.max_n)), k,
+                        len(lf.tree_nodes(v, k)))
+
+
 def check_link_invariants(lf):
     """Full sweep of a LinkForest's staging and contraction consistency.
 
-    Checks, for every live tree on every level: the recorded size,
-    the stage against its size window, per-node stage and subtree
-    agreement, the per-subtree size floor, the subtree-count ceiling,
-    each member's id in its subtree, and that parent edges between
-    subtree roots contract exactly to the tree one level down.  Then,
-    per level, that every sub and down entry belongs to a walked tree
-    and every other node is on the free list, so nothing a link
-    replaced is still held.
+    Checks, for every live tree on every level: the recorded size, the
+    stage the forest reads off it against an independent window search,
+    the size window itself, subtree membership, the per-subtree size
+    floor, the subtree-count ceiling, each member's id in its subtree,
+    and that parent edges between subtree roots contract exactly to the
+    tree one level down.  Then, per level, that every sub and down entry
+    belongs to a walked tree and every other node is on the free list,
+    so nothing a link replaced is still held.
     """
-    ack = lf.ack
+    ack = AckermannTable(max(4, lf.max_n))
     live = {k: set() for k in lf.pi}
     top = lf.pi[lf.L]
     for root in [v for v in range(len(top)) if top[v] is None]:
@@ -304,26 +327,22 @@ def check_link_invariants(lf):
             live[k].update(nodes)
             r = nodes[0]
             sz = len(nodes)
-            st = lf.stage[k][r]
+            st = window_stage(ack, k, sz)
             assert lf.ts[k][r] == sz, (k, r)
-            if sz < 4:
-                assert st == 0, (k, r)
-            else:
-                assert st >= 1, (k, r)
-                lo = ack.value(k, st)
-                hi = ack.value(k, st + 1)
-                assert lo is not None and 2 * lo <= sz, (k, r)
-                assert hi is None or sz < 2 * hi, (k, r)
+            assert bisect_right(lf.floors[k], sz) == st, (k, r)
             if st == 0:
                 for v in nodes:
-                    assert lf.sub[k][v] is None and lf.stage[k][v] == 0
+                    assert lf.sub[k][v] is None, (k, v)
                 break
             lo = ack.value(k, st)
+            hi = ack.value(k, st + 1)
+            assert lo is not None and 2 * lo <= sz, (k, r)
+            assert hi is None or sz < 2 * hi, (k, r)
             seen = {}
             total = 0
             for v in nodes:
                 S = lf.sub[k][v]
-                assert S is not None and lf.stage[k][v] == st, (k, v)
+                assert S is not None, (k, v)
                 seen[id(S)] = S
             subs = list(seen.values())
             lid = lf.lid[k]

@@ -18,7 +18,7 @@ from dynca.linkforest import _acap
 from dynca.traces import as_links, compatible_engines, generate, run
 
 from _checks import (check_compression_exact, check_fat_order,
-                     check_link_invariants)
+                     check_link_invariants, tree_stage)
 
 PROFILES = ("leaf-heavy", "query-heavy", "root-heavy",
             "link-balanced", "link-skewed")
@@ -257,8 +257,9 @@ def test_criterion_6_link_engine_bounds():
     v = [lf.make_node() for _ in range(5)]
     for i in range(4):
         lf.link(v[0], v[i + 1])
-    if lf.stage[1][v[0]] != 1:
-        problems.append(f"5-node tree in stage {lf.stage[1][v[0]]}")
+    st = tree_stage(lf, 1, v[0])
+    if st != 1:
+        problems.append(f"5-node tree in stage {st}")
 
     # per-link sweeps: stage rule, subtree-count bound, eta bound
     rng = random.Random(0xACC6)

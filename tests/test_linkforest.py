@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 import weakref
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -14,7 +15,7 @@ from dynca.multilevel import MultilevelInc
 from dynca import (AckermannTable, AdaptiveLinkForest, CapacityError, Forest,
                    LinkForest, a_inv, alpha, oracle_ca)
 
-from _checks import check_link_invariants
+from _checks import check_link_invariants, tree_stage, window_stage
 
 
 def test_table_frozen_values():
@@ -124,6 +125,47 @@ def test_forest_constructor_errors():
         LinkForest(AckermannTable(8).size + 1, 8)   # no row for that level
 
 
+@pytest.mark.parametrize("n", [8, 100, 1 << 12])
+def test_floors_read_the_window_stage(n):
+    """The stage read off floors is the window search's, at every size.
+
+    Sizes in a stage whose ceiling is past the table (None) stay in it.
+    """
+    ack = AckermannTable(max(4, n))
+    lf = LinkForest(ack.size, n)
+    open_top = 0
+    for k in range(1, ack.size + 1):
+        fl = lf.floors[k]
+        for size in range(1, n + 1):
+            st = window_stage(ack, k, size)
+            assert bisect_right(fl, size) == st, (k, size)
+            open_top += st > 0 and ack.value(k, st + 1) is None
+    assert open_top
+
+
+def test_level_two_record_kinds():
+    """Sizes 8..31 share one packed tree; the 32nd node rebuilds it.
+
+    On level 2 of a table for 2^12 nodes the floors are 4, 8 and 32:
+    stage 2 caps its trees at 32 nodes, under a packed tree's 64, and
+    stage 3 has no tabulated ceiling, so its record is a multilevel tree.
+    """
+    rng = random.Random(3)
+    lf = LinkForest(2, 1 << 12)
+    v = [lf.make_node() for _ in range(32)]
+    for i in range(1, 8):
+        lf.link(v[rng.randrange(i)], v[i])
+    S = lf.sub[2][v[0]]
+    for i in range(8, 32):
+        assert lf.sub[2][v[0]] is S and S.inc.n == i
+        assert isinstance(S.inc, PackedTree) and tree_stage(lf, 2, v[0]) == 2
+        lf.link(v[rng.randrange(i)], v[i])
+    S = lf.sub[2][v[0]]
+    assert isinstance(S.inc, MultilevelInc) and S.inc.n == 32
+    assert tree_stage(lf, 2, v[0]) == 3
+    check_link_invariants(lf)
+
+
 def test_make_node_capacity():
     lf = LinkForest(1, 2)
     lf.make_node()
@@ -158,7 +200,7 @@ def test_two_singletons_stay_bare():
     lf = LinkForest(1, 8)
     a, b = lf.make_node(), lf.make_node()
     lf.link(a, b)
-    assert lf.stage[1][a] == 0
+    assert tree_stage(lf, 1, a) == 0
     assert lf.sub[1][a] is None and lf.sub[1][b] is None
     assert lf.pi[1][b] == a and lf.pi[1][a] is None
     assert lf.find_root(b) == a
@@ -170,11 +212,11 @@ def test_five_node_merge_reaches_stage_one():
     v = [lf.make_node() for _ in range(5)]
     lf.link(v[0], v[1])
     lf.link(v[1], v[2])                   # 3 nodes, still bare
-    assert lf.stage[1][v[0]] == 0
+    assert tree_stage(lf, 1, v[0]) == 0
     lf.link(v[0], v[3])                   # 4th node crosses the floor
-    assert lf.stage[1][v[0]] == 1
+    assert tree_stage(lf, 1, v[0]) == 1
     lf.link(v[3], v[4])                   # 5 nodes stay in stage 1
-    assert lf.stage[1][v[0]] == 1
+    assert tree_stage(lf, 1, v[0]) == 1
     assert lf.sub[1][v[4]] is lf.sub[1][v[0]]
     check_link_invariants(lf)
     assert lf.ca(v[2], v[4]) == (v[0], v[1], v[3])
@@ -186,11 +228,11 @@ def test_absorb_into_higher_stage():
     v = [lf.make_node() for _ in range(6)]
     for i in range(3):
         lf.link(v[0], v[i + 1])
-    assert lf.stage[1][v[0]] == 1
+    assert tree_stage(lf, 1, v[0]) == 1
     S = lf.sub[1][v[0]]
     lf.link(v[4], v[5])
     lf.link(v[2], v[4])                   # 6 < 8: absorbed, same subtree
-    assert lf.stage[1][v[0]] == 1
+    assert tree_stage(lf, 1, v[0]) == 1
     assert lf.sub[1][v[5]] is S
     check_link_invariants(lf)
     assert lf.nca(v[5], v[3]) == v[0]
@@ -209,7 +251,7 @@ def test_pour_lower_stage_root_path():
     assert lf.find_root(v[0]) == v[4]
     for u in v:
         assert lf.sub[1][u] is S
-        assert lf.stage[1][u] == 1
+        assert tree_stage(lf, 1, u) == 1
     check_link_invariants(lf)
     assert lf.ca(v[5], v[1]) == (v[5], v[5], v[6])
     assert lf.nca(v[4], v[3]) == v[4]
@@ -222,12 +264,12 @@ def test_equal_stage_merge_recurses_below():
     for i in range(7):
         lf.link(a[0], a[i + 1])
         lf.link(b[0], b[i + 1])
-    assert lf.stage[2][a[0]] == 2 and lf.stage[2][b[0]] == 2
+    assert tree_stage(lf, 2, a[0]) == 2 and tree_stage(lf, 2, b[0]) == 2
     zA = lf.sub[2][a[0]].up
     zB = lf.sub[2][b[0]].up
     assert zA is not None and zB is not None
     lf.link(a[3], b[0])                   # 16 < 2*A(2,3): stages tie, recurse
-    assert lf.stage[2][a[0]] == 2
+    assert tree_stage(lf, 2, a[0]) == 2
     assert lf.sub[2][a[0]] is not lf.sub[2][b[0]]
     assert lf.pi[1][zB] == zA
     check_link_invariants(lf)
@@ -296,7 +338,7 @@ def test_adaptive_first_link_counts():
     v = [af.make_node() for _ in range(3)]
     assert af.ca(v[0], v[1]) is None      # not counted before the first link
     assert af.ca(v[2], v[2]) == (v[2], v[2], v[2])
-    assert (af.m1, af.n1, af.ops, af.level) == (0, 0, 0, 1)
+    assert (af.m1, af.n1, af.level) == (0, 0, 1)
     lf = af.lf
     af.link(v[0], v[1])
     assert af.lf is lf                    # the first link opens no new forest
@@ -312,11 +354,11 @@ def test_adaptive_rejected_link_changes_nothing():
         af.make_node()
     with pytest.raises(ValueError):
         af.link(2, 2)                     # one tree before the first link
-    assert (af.ops, af.m1, af.n1, af.mark) == (0, 0, 0, 0)
+    assert (af.m1, af.n1, af.mark) == (0, 0, 0)
     af.link(0, 1)
 
     def state():
-        return (af.ops, af.m1, af.n1, af.mark, af.level, list(af.reorg_log),
+        return (af.m1, af.n1, af.mark, af.level, list(af.reorg_log),
                 copy.deepcopy(af.stats))
 
     before = state()
@@ -462,7 +504,7 @@ def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
     assert lf is not old and lf.L == af.level == 2
     assert all(a is b for a, b in zip(kept, (lf.pi[2], lf.ch[2], lf.ts[2])))
     assert made == []
-    assert lf.stage[2][v[0]] >= 1 and lf.sub[2][v[11]] is lf.sub[2][v[0]]
+    assert tree_stage(lf, 2, v[0]) >= 1 and lf.sub[2][v[11]] is lf.sub[2][v[0]]
     check_link_invariants(lf)
     assert af.nca(v[3], v[9]) == v[3]
 
@@ -538,7 +580,7 @@ def test_retired_subtree_takes_its_arena(case):
     if case == "pour":
         lf.link(v[0], v[4])               # 8 >= 2 * 4: one stage-2 subtree
         _star(lf, v[8:12])
-        assert lf.stage[1][v[0]] == 2 and lf.stage[1][v[8]] == 1
+        assert tree_stage(lf, 1, v[0]) == 2 and tree_stage(lf, 1, v[8]) == 1
         x, y = v[1], v[8]
     else:
         x, y = v[1], v[side]
@@ -551,7 +593,7 @@ def test_retired_subtree_takes_its_arena(case):
     gc.collect()
     assert inc() is None
     if arena is not None:
-        assert lf.stage[1][v[0]] == 6
+        assert tree_stage(lf, 1, v[0]) == 6
         # Arena takes no weak references: the test's own name and the
         # call's argument must be all that still holds it
         assert sys.getrefcount(arena) == 2
@@ -568,7 +610,7 @@ def test_adaptive_chain_climbs_stages_inside_period():
         af.link(v[i], v[i + 1])
     assert af.level == 1
     assert af.reorg_log == []
-    assert af.lf.stage[1][v[0]] == 2      # 12 nodes: 2 * A(1, 2) <= 12 < 2 * A(1, 3)
+    assert tree_stage(af.lf, 1, v[0]) == 2      # 12 nodes: 2 * A(1, 2) <= 12 < 2 * A(1, 3)
     check_link_invariants(af.lf)
     assert af.nca(v[3], v[9]) == v[3]
 
@@ -713,10 +755,10 @@ def test_forest_holds_only_live_trees(level, rng, monkeypatch):
     fills = Counter()
     fill = linkforest.LinkForest._fill
 
-    def count(self, S, top, have, skip, k, sg):
+    def count(self, S, top, have, skip, k):
         fills["pour-x" if isinstance(have, set) else
               "rebuild" if have else "pour-y"] += 1
-        fill(self, S, top, have, skip, k, sg)
+        fill(self, S, top, have, skip, k)
 
     monkeypatch.setattr(linkforest.LinkForest, "_fill", count)
     if level == "adaptive":
