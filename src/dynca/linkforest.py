@@ -3,10 +3,12 @@
 Trees at the top level hold the real vertices.  A tree of fewer than four
 nodes is kept as bare parent lists; anything larger is partitioned into
 subtrees, and contracting every subtree yields the tree one level down,
-where the same scheme repeats.  A subtree whose stage keeps it under 64
-nodes is one packed tree (PackedTree in microset.py); any other is a
-three-level incremental tree of linear total growth (the linear_tree
-shape in multilevel.py).  Stages classify tree sizes by a row of
+where the same scheme repeats.  A subtree is built as one packed tree
+(PackedTree in microset.py) when it has at most PackedTree.CAP nodes,
+and as a three-level incremental tree of linear total growth (the
+linear_tree shape in multilevel.py) when it is larger; a packed subtree
+that a later pour fills is copied once into a three-level tree, and the
+pour goes on there.  Stages classify tree sizes by a row of
 Ackermann's function, one row per level: a level-k tree of size s is in
 stage bisect_right(floors[k], s), floors[k] holding 2*A(k, j) for
 j = 1, 2, ..., so the stage is read off the size and nothing is stored
@@ -183,6 +185,9 @@ class AckermannTable:
 class _Sub:
     """One staged subtree: a packed or three-level tree plus its id maps.
 
+    inc is a PackedTree while the subtree fits in one, and a MultilevelInc
+    once it has been built or promoted past PackedTree.CAP nodes.
+
     lid is its level's id list, shared by every subtree there: a level
     node belongs to one live subtree, and lid gives its incremental id
     inside it.  rev inverts that for this subtree, and up is the node
@@ -342,7 +347,7 @@ class LinkForest(Leveled):
         if st > sg:
             self._retire(sub[r], k)
             self._retire(sub[y], k)
-            self._rebuild(r, k, st)
+            self._rebuild(r, k)
         elif sx > sy:
             self._retire(sub[y], k)
             self._fill(sub[x], y, (), None, k)
@@ -356,7 +361,10 @@ class LinkForest(Leveled):
                 path.append(v)
                 v = pi[v]
             for v in path:
-                lid[v] = S.inc.add_root()
+                try:
+                    lid[v] = S.inc.add_root()
+                except CapacityError:
+                    lid[v] = self._promote(S).add_root()
                 S.rev.append(v)
                 sub[v] = S
             self._fill(S, r, set(path), y, k)
@@ -386,17 +394,15 @@ class LinkForest(Leveled):
                 down[v] = None
             self.free[k] += nodes
 
-    def _rebuild(self, r, k, sg):
-        """The whole level-k tree becomes one fresh subtree in stage sg.
+    def _rebuild(self, r, k):
+        """The whole level-k tree rooted at r becomes one fresh subtree.
 
-        sg is the stage read off the tree's size, and its ceiling picks the
-        record kind; nothing about the stage is stored per node.
+        The tree's size picks the record kind: a packed tree when it fits,
+        else a three-level tree.  A packed record that a later pour fills
+        is promoted then, by _promote.
         """
         lid = self.lid[k]
-        fl = self.floors[k]
-        if sg < len(fl) and fl[sg] <= PackedTree.CAP + 1:
-            # the stage keeps the tree, and so this subtree with any roots
-            # a pour adds, under its ceiling fl[sg]
+        if self.ts[k][r] <= PackedTree.CAP:
             inc = PackedTree(self.stats)
         else:
             inc = MultilevelInc(self.max_n, stats=self.stats)
@@ -428,12 +434,39 @@ class LinkForest(Leveled):
             v = queue[qi]
             qi += 1
             if v not in have:
-                lid[v] = inc.add_leaf(lid[pi[v]])
+                try:
+                    lid[v] = inc.add_leaf(lid[pi[v]])
+                except CapacityError:
+                    inc = self._promote(S)
+                    lid[v] = inc.add_leaf(lid[pi[v]])
                 rev.append(v)
                 sub[v] = S
             for w in ch[v]:
                 if w != skip:
                     queue.append(w)
+
+    def _promote(self, S):
+        """Move the full packed record of S into a three-level tree.
+
+        The nodes are added again in id order, each added root as a root,
+        so every id, parent, spine meet and the root stay as they were and
+        lid and rev need no change.  No vertex is added, so eta is left as
+        it was; the work of the copy counts.
+        """
+        t = S.inc
+        st = self.stats
+        eta = st.eta
+        inc = MultilevelInc(self.max_n, stats=st)
+        sm = t.sm
+        piT = t.piT
+        for i in range(1, len(piT)):
+            if sm[i] == i:
+                inc.add_root()
+            else:
+                inc.add_leaf(piT[i])
+        st.eta = eta
+        S.inc = inc
+        return inc
 
     def relevel(self, level):
         """This forest's trees on a new forest of `level` levels.
@@ -454,10 +487,8 @@ class LinkForest(Leveled):
         lf.lid[level] = [0] * n
         fl = lf.floors[level]
         for r in range(n):
-            if pi[r] is None:
-                sg = bisect_right(fl, ts[r])
-                if sg:
-                    lf._rebuild(r, level, sg)
+            if pi[r] is None and bisect_right(fl, ts[r]):
+                lf._rebuild(r, level)
         return lf
 
     def ca(self, x, y):

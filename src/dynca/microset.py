@@ -1,4 +1,5 @@
-"""Word-packed trees of at most 63 nodes with constant-time meets.
+"""Word-packed trees with constant-time meets: microsets of at most 63 nodes
+and packed trees of at most 255.
 
 Nodes get ids in insertion order starting at 1, and id j owns bit j of a
 word, so a node's ancestor set is one int.  The meet of x and y is the
@@ -14,10 +15,13 @@ recursion in levels.py walks: root, up and ca(x, y) over the host's
 node ids.
 
 PackedTree is the same word trick hosting itself: a whole tree of at
-most 63 nodes, its ids dense from 0 and node i owning bit i, so the meet
-reads off the word with no id map.  The link forest keeps every subtree
-whose stage holds it under 64 nodes in one; add_root and the queries
-under a moved root come from Spine.
+most CAP = 255 nodes, its ids dense from 0 and node i owning bit i, so
+the meet reads off the word with no id map.  The link forest keeps every
+subtree of at most CAP nodes in one; add_root and the queries under a
+moved root come from Spine.  Its words outgrow a machine word, yet in
+CPython an add still costs a fraction of a three-level tree's and a
+query about as much, as measured up to 2048 nodes; the cap is set by
+memory instead, the ancestor words holding about n^2/2 bits in all.
 """
 
 from .errors import CapacityError, check_id
@@ -91,15 +95,16 @@ class Microset:
 
 
 class PackedTree(Spine):
-    """A growing tree of at most 63 nodes, ids 0..n-1, 0 the first root.
+    """A growing tree of at most CAP nodes, ids 0..n-1, 0 the first root.
 
     anc[i] is the set of i's stored ancestors, i included, as bits: a
     parent's id is below its child's, so the meet of x and y is the
     highest common bit and the child of the meet toward x is the lowest
-    bit that x has and y has not.
+    bit that x has and y has not.  An add past CAP raises CapacityError
+    and changes nothing, so a host can promote the tree and retry.
     """
 
-    CAP = 63
+    CAP = 255
 
     def __init__(self, stats=None):
         self.stats = stats if stats is not None else Stats()

@@ -22,7 +22,7 @@ from .fat_preorder import StaticCa
 from .forest import Forest, oracle_ca
 from .incremental import IncrementalTree
 from .linkforest import AdaptiveLinkForest
-from .multilevel import edmonds_tree, linear_tree
+from .multilevel import MultilevelInc, edmonds_tree, linear_tree
 from .stats import Stats
 
 STRUCTURAL = ("make_node", "add_leaf", "add_root", "link")
@@ -205,7 +205,7 @@ class _Engine:
 
     @property
     def arena_cells(self):
-        # only the leveled engines store their microsets on an arena
+        # the leveled grown engines store their microsets on an arena
         arena = getattr(self.t, "arena", None)
         return arena.used if arena is not None else 0
 
@@ -301,6 +301,14 @@ class LinkEngine(_Engine):
     def __init__(self, name, max_n):
         super().__init__(name, max_n)
         self.t = AdaptiveLinkForest(max_n, stats=self.stats)
+
+    @property
+    def arena_cells(self):
+        # each live multilevel subtree record stores its microsets on an arena
+        lf = self.t.lf
+        live = {S for subs in lf.sub.values() for S in subs if S is not None}
+        return sum(S.inc.arena.used for S in live
+                   if isinstance(S.inc, MultilevelInc))
 
     def apply(self, op):
         k = op.kind

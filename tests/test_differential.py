@@ -16,8 +16,12 @@ grown tree.  Its depth puts a grown engine's meets many edges away from
 the first wide ancestor its query reads, and gives the link engines
 trees in stage 2 and above; the adaptive engine usually reorganizes on
 the way.  The other growth rules keep to CAP vertices besides the chain.
-The link engines keep small staged subtrees as packed trees and larger
-ones as multilevel trees; a derandomized run checks that both come up.
+The link engines keep staged subtrees of at most PackedTree.CAP nodes as
+packed trees and larger ones as multilevel trees, and a packed record
+that a pour fills is promoted to a multilevel one.  The chain is longer
+than PackedTree.CAP, so on levels 2 and up, whose stages are wide, it
+grows one record through that promotion; a derandomized run checks that
+both kinds and a promotion come up.
 """
 
 import dataclasses
@@ -30,10 +34,11 @@ from hypothesis.stateful import (RuleBasedStateMachine, precondition, rule,
 
 from dynca import AdaptiveLinkForest, CaTriple, Forest, LinkForest, oracle_ca
 from dynca import linkforest
+from dynca.microset import PackedTree
 from dynca.traces import GROWN
 
 CAP = 48
-DEEP = 200
+DEEP = PackedTree.CAP + 1
 
 LINKED = {
     "link-1": lambda n: LinkForest(1, n),
@@ -260,7 +265,7 @@ TestDifferential.settings = settings(max_examples=60, stateful_step_count=60,
 
 
 def test_run_reaches_both_record_kinds(monkeypatch):
-    """A fixed run of the machine builds packed and multilevel subtrees."""
+    """A fixed run of the machine builds both record kinds and promotes one."""
     kinds = Counter()
     init = linkforest._Sub.__init__
 
@@ -268,8 +273,16 @@ def test_run_reaches_both_record_kinds(monkeypatch):
         init(self, inc, lid)
         kinds[type(inc).__name__] += 1
 
+    promote = linkforest.LinkForest._promote
+
+    def promoted(self, S):
+        kinds["promoted"] += 1
+        return promote(self, S)
+
     monkeypatch.setattr(linkforest._Sub, "__init__", record)
+    monkeypatch.setattr(linkforest.LinkForest, "_promote", promoted)
     run_state_machine_as_test(Differential, settings=settings(
         max_examples=8, stateful_step_count=60, deadline=None,
         derandomize=True, database=None))
     assert kinds["PackedTree"] and kinds["MultilevelInc"], kinds
+    assert kinds["promoted"], kinds

@@ -147,12 +147,14 @@ def test_level_two_record_kinds():
     """Sizes 8..31 share one packed tree; the 32nd node rebuilds it.
 
     On level 2 of a table for 2^12 nodes the floors are 4, 8 and 32:
-    stage 2 caps its trees at 32 nodes, under a packed tree's 64, and
-    stage 3 has no tabulated ceiling, so its record is a multilevel tree.
+    stage 2 holds trees of 8..31 nodes, and stage 3 has no tabulated
+    ceiling.  The tree's size picks the record, so the stage-3 rebuild at
+    32 nodes is packed too, and the 256th node promotes that record in
+    place to a multilevel tree.
     """
     rng = random.Random(3)
     lf = LinkForest(2, 1 << 12)
-    v = [lf.make_node() for _ in range(32)]
+    v = [lf.make_node() for _ in range(PackedTree.CAP + 1)]
     for i in range(1, 8):
         lf.link(v[rng.randrange(i)], v[i])
     S = lf.sub[2][v[0]]
@@ -161,9 +163,108 @@ def test_level_two_record_kinds():
         assert isinstance(S.inc, PackedTree) and tree_stage(lf, 2, v[0]) == 2
         lf.link(v[rng.randrange(i)], v[i])
     S = lf.sub[2][v[0]]
-    assert isinstance(S.inc, MultilevelInc) and S.inc.n == 32
+    for i in range(32, PackedTree.CAP + 1):
+        assert lf.sub[2][v[0]] is S and S.inc.n == i
+        assert isinstance(S.inc, PackedTree) and tree_stage(lf, 2, v[0]) == 3
+        lf.link(v[rng.randrange(i)], v[i])
+    assert lf.sub[2][v[0]] is S
+    assert isinstance(S.inc, MultilevelInc) and S.inc.n == PackedTree.CAP + 1
     assert tree_stage(lf, 2, v[0]) == 3
     check_link_invariants(lf)
+
+
+def _one_record_at(size, rng):
+    """A level-2 tree of `size` nodes held by one packed record.
+
+    From 32 nodes on the tree stays in stage 3, so every later link pours
+    into the record it was rebuilt as; one in five of those links hangs
+    the tree below a fresh vertex, which the record takes by add_root.
+    Returns the forest, its oracle, the link function and the tree root.
+    """
+    n = PackedTree.CAP + 8
+    lf = LinkForest(2, n)
+    f = Forest()
+    for _ in range(n):
+        lf.make_node()
+        f.make_node()
+
+    def link(x, y):
+        lf.link(x, y)
+        f.link(x, y)
+
+    top = 0
+    for v in range(1, size):
+        if v > 32 and rng.random() < 0.2:
+            link(v, top)
+            top = v
+        else:
+            link(rng.randrange(v), v)
+    S = lf.sub[2][top]
+    assert isinstance(S.inc, PackedTree) and S.inc.n == size
+    assert sum(S.inc.sm[i] == i for i in range(size)) > 1
+    return lf, f, link, top
+
+
+def _record_promotions(monkeypatch):
+    """Wrap _promote; each entry holds the record's state around one call."""
+    seen = []
+    promote = linkforest.LinkForest._promote
+
+    def state(t):
+        return t.n, t.varrho, list(t.sm), list(t.piT)
+
+    def wrap(self, S):
+        old = S.inc
+        eta = self.stats.eta
+        before = (type(old), state(old))
+        inc = promote(self, S)
+        seen.append((weakref.ref(old), before, (type(inc), state(inc)),
+                     self.stats.eta - eta))
+        return inc
+
+    monkeypatch.setattr(linkforest.LinkForest, "_promote", wrap)
+    return seen
+
+
+@pytest.mark.parametrize("pour", ["leaf", "root"])
+def test_full_packed_record_promotes_in_place(pour, monkeypatch):
+    """A pour past PackedTree.CAP moves the record to a multilevel tree.
+
+    leaf hangs a bare four-node tree under the record (sx > sy); root
+    hangs the record below the end of a bare chain (sx < sy), so the
+    chain joins as added roots and its side leaf as a leaf.  Either way
+    the record is one short of full, so the second node added promotes
+    it: ids, parents, spine meets and the root carry over, the copy adds
+    no eta, and the packed record is freed.
+    """
+    seen = _record_promotions(monkeypatch)
+    lf, f, link, top = _one_record_at(PackedTree.CAP - 1, random.Random(4))
+    S = lf.sub[2][top]
+    a, b, c, d = range(PackedTree.CAP - 1, PackedTree.CAP + 3)
+    link(a, b)
+    link(b, c)
+    link(a, d)
+    eta = lf.stats.eta
+    if pour == "leaf":
+        link(17, a)
+        assert lf.sub[2][a] is S and lf.find_root(a) == top
+    else:
+        link(c, top)
+        assert lf.find_root(top) == a and S.root == a
+    assert lf.stats.eta == eta + 4
+    assert len(seen) == 1
+    old, before, after, added = seen[0]
+    assert before[0] is PackedTree and after[0] is MultilevelInc
+    assert after[1] == before[1] and before[1][0] == PackedTree.CAP
+    assert added == 0
+    gc.collect()
+    assert old() is None
+    assert isinstance(S.inc, MultilevelInc) and S.inc.n == PackedTree.CAP + 3
+    assert all(lf.sub[2][v] is S for v in range(PackedTree.CAP + 3))
+    check_link_invariants(lf)
+    for x in range(lf.n):
+        for y in range(lf.n):
+            assert lf.ca(x, y) == oracle_ca(f, x, y), (x, y)
 
 
 def test_make_node_capacity():
@@ -547,12 +648,13 @@ def test_adaptive_frozen_run():
     The reorganization comes at op 11,649, when trees of up to 20 nodes
     sit in stage 2, so the restaging re-seats many staged trees.  The
     digest covers every answer; the counters pin the work done.  Subtrees
-    under 64 nodes are packed trees, which note one query per meet.
+    of at most PackedTree.CAP nodes are packed trees, which note one query
+    per meet.
     """
     af = AdaptiveLinkForest(5000)
     digest = _merge_and_ask(af, 5000, random.Random(12))
     s = af.stats
-    assert (s.eta, s.work, s.queries, s.max_query_steps) == (16386, 42774, 7851, 11)
+    assert (s.eta, s.work, s.queries, s.max_query_steps) == (16386, 42099, 7654, 11)
     assert af.reorg_log == [(11649, 1, 2)]
     assert (af.n1, af.m1) == (5000, 19996)
     assert digest == "adb43d93df84d8338097f45331faab95bf1ede034e90da32c640255d1e17de59"
@@ -563,18 +665,21 @@ def _star(lf, nodes):
         lf.link(nodes[0], u)
 
 
-@pytest.mark.parametrize("case", ["pour", "rebuild", "rebuild-64"])
+@pytest.mark.parametrize("case", ["pour", "rebuild", "rebuild-64",
+                                  "rebuild-256"])
 def test_retired_subtree_takes_its_arena(case):
     """The losing side's subtree record is freed, with its microset store.
 
     A pour re-adds a stage-1 tree of 4 into a stage-2 tree of 8; a
-    rebuild merges two stage-1 trees of 4 into one stage-2 subtree.
-    Both retire packed trees, which hold no arena.  rebuild-64 merges two
-    stage-5 trees of 64, whose records are multilevel trees.
+    rebuild merges two stage-1 trees of 4 into one stage-2 subtree, and
+    rebuild-64 two stage-5 trees of 64 into stage 6.  All of them retire
+    packed trees, which hold no arena.  rebuild-256 merges two stage-7
+    trees of 256, past a packed tree's capacity, whose records are
+    multilevel trees.
     """
-    side = 64 if case == "rebuild-64" else 4
-    lf = LinkForest(1, 128)
-    v = [lf.make_node() for _ in range(128)]
+    side = {"rebuild-64": 64, "rebuild-256": 256}.get(case, 4)
+    lf = LinkForest(1, 512)
+    v = [lf.make_node() for _ in range(512)]
     _star(lf, v[:side])
     _star(lf, v[side:2 * side])
     if case == "pour":
@@ -587,13 +692,15 @@ def test_retired_subtree_takes_its_arena(case):
     S = lf.sub[1][y]
     inc = weakref.ref(S.inc)
     arena = getattr(S.inc, "arena", None)
-    assert (arena is None) == (side < 64) == isinstance(S.inc, PackedTree)
+    assert ((arena is None) == (side <= PackedTree.CAP)
+            == isinstance(S.inc, PackedTree))
     del S
     lf.link(x, y)
     gc.collect()
     assert inc() is None
+    if side > 4:
+        assert tree_stage(lf, 1, v[0]) == side.bit_length() - 1
     if arena is not None:
-        assert tree_stage(lf, 1, v[0]) == 6
         # Arena takes no weak references: the test's own name and the
         # call's argument must be all that still holds it
         assert sys.getrefcount(arena) == 2

@@ -171,27 +171,29 @@ def test_packed_tree_every_small_tree_every_pair():
                     assert t.ca(y, x) == (a, ay, ax), (ops, y, x)
 
 
-def test_packed_tree_full_at_63_changes_nothing(rng):
-    """The 64th node is refused, and the tree and its Stats stay as they were."""
+def test_packed_tree_full_at_cap_changes_nothing(rng):
+    """The node past CAP is refused, and the tree and its Stats stay as they were."""
+    cap = PackedTree.CAP
     stats = Stats()
     t = PackedTree(stats)
-    for v in range(1, 63):
+    for v in range(1, cap):
         if rng.random() < 0.2:
             t.add_root()
         else:
             t.add_leaf(rng.randrange(v))
-    assert t.n == 63 and stats.eta == 63 and stats.work == 62
+    assert t.n == cap and stats.eta == cap and stats.work == cap - 1
 
     def state():
         return (list(t.piT), list(t.sm), list(t.anc), t.varrho,
                 dataclasses.asdict(stats))
 
     before = state()
-    for call, args in ((t.add_leaf, (0,)), (t.add_leaf, (62,)), (t.add_root, ())):
+    for call, args in ((t.add_leaf, (0,)), (t.add_leaf, (cap - 1,)),
+                       (t.add_root, ())):
         with pytest.raises(CapacityError):
             call(*args)
         assert state() == before
-    for bad in (-1, 63, True, None):
+    for bad in (-1, cap, True, None):
         with pytest.raises(ValueError):
             t.add_leaf(bad)
         assert state() == before

@@ -429,3 +429,30 @@ def test_csv_splits_rebuilds_from_root_renumberings():
     assert rows["link"]["reorgs"] == str(e.stats.reorgs)
     assert rows["inc"]["reorgs"] == "0"
     assert int(rows["inc"]["root_renumberings"]) >= 1
+
+
+def test_link_arena_cells_sum_the_live_multilevel_records(tmp_path, capsys):
+    """The link row's arena_cells is the cells of its live multilevel records.
+
+    A skewed link trace grows trees past a packed record's capacity; the
+    sum is checked against every live MultilevelInc that shares the
+    engine's Stats, found without the forest's own lists.
+    """
+    import gc
+    from dynca import MultilevelInc
+
+    tr = generate(1, "link-skewed", 500, 1000)
+    e = make_engine("link", tr.n_nodes)
+    for op in tr:
+        e.apply(op)
+    gc.collect()
+    cells = sum(o.arena.used for o in gc.get_objects()
+                if isinstance(o, MultilevelInc) and o.stats is e.stats)
+    assert cells > 0 and e.arena_cells == cells
+    path = tmp_path / "skewed.trace"
+    path.write_text(format_trace(tr))
+    assert main(["run", "--engine", "link", "--trace", str(path),
+                 "--max-n", str(tr.n_nodes), "--stats", "csv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    row = dict(zip(CSV_HEADER.split(","), out[1].split(",")))
+    assert row["engine"] == "link" and int(row["arena_cells"]) == cells
