@@ -24,10 +24,13 @@ count passes a multiple of the node count, so the wrapper reads it again
 only then or when a link counts a new node; any other operation costs
 one compare.
 
-Meets across subtrees run through Leveled._c in levels.py, the recursion
-the multilevel engine shares: each staged subtree is a _Sub record
-exposing root, up and ca(x, y) in level ids, a stage-0 tree keeps None
-in sub, and _flat walks its bare parent lists.
+A query whose ends share a vertex-level subtree record costs one query
+of that record, with no walk to either root: trees only merge, so a
+record never spans two trees.  Any other query walks both ends to their
+roots, which tells trees apart, and then runs Leveled._c in levels.py,
+the meet recursion the multilevel engine shares: each staged subtree is
+a _Sub record exposing root, up and ca(x, y) in level ids, a stage-0
+tree keeps None in sub, and _flat walks its bare parent lists.
 
 The forest holds its live trees, not its link history.  A rebuild drops
 the subtrees of both merged trees, and a pour drops those of the side it
@@ -499,10 +502,20 @@ class LinkForest(Leveled):
         return self._ca(x, y)
 
     def _ca(self, x, y):
-        """ca without the id checks."""
+        """ca without the id checks.
+
+        Ends that share a vertex-level subtree record cost one query of
+        that record: trees only merge, so a record never spans two trees,
+        and _c would take the same branch.  Any other pair walks both ends
+        to their roots, then recurses through the levels.
+        """
         if x == y:
             self.stats.note_query(0)
             return tuple.__new__(CaTriple, (x, x, x))
+        sub = self.sub[self.L]
+        S = sub[x]
+        if S is not None and S is sub[y]:
+            return S.ca(x, y)
         if self._find_root(x) != self._find_root(y):
             return None
         return self._c(x, y, self.L)
@@ -593,14 +606,24 @@ class AdaptiveLinkForest:
         lf._l(r, x, y, lf.L)
 
     def ca(self, x, y):
-        """Characteristic ancestors, or None across trees."""
+        """Characteristic ancestors, or None across trees.
+
+        A meet below the mark is counted by one compare and an add; past
+        it, _count reads alpha again and may restage the forest.  The ids
+        are checked before anything is counted.  Ends in one vertex-level
+        record cost one record query, any other pair two root walks and
+        the level recursion (LinkForest._ca).
+        """
         lf = self.lf
         n = len(lf.pi[lf.L])
         check_id(x, n)
         check_id(y, n)
-        if self.n1:
+        if self.m1 < self.mark:
+            self.m1 += 1
+        elif self.n1:       # meets count only once linking has started
             self._count(0)
-        return self.lf._ca(x, y)
+            lf = self.lf    # the count may have restaged the forest
+        return lf._ca(x, y)
 
     def _count(self, fresh):
         """Count one operation that brings `fresh` nodes into the count.

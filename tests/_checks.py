@@ -316,6 +316,12 @@ def check_link_invariants(lf):
     tree one level down.  Then, per level, that every sub and down entry
     belongs to a walked tree and every other node is on the free list,
     so nothing a link replaced is still held.
+
+    Every member of a subtree lies in the tree being walked.  The size
+    sum implies it, but it is checked outright because LinkForest._ca
+    rests on it: ends that share a vertex-level record are answered
+    without a root walk, which is sound only if no record spans two
+    trees.
     """
     ack = AckermannTable(max(4, lf.max_n))
     live = {k: set() for k in lf.pi}
@@ -338,6 +344,7 @@ def check_link_invariants(lf):
             hi = ack.value(k, st + 1)
             assert lo is not None and 2 * lo <= sz, (k, r)
             assert hi is None or sz < 2 * hi, (k, r)
+            members = set(nodes)
             seen = {}
             total = 0
             for v in nodes:
@@ -350,6 +357,7 @@ def check_link_invariants(lf):
                 assert len(S.rev) == S.inc.n
                 for i, v in enumerate(S.rev):
                     assert lf.sub[k][v] is S and lid[v] == i, (k, v)
+                    assert v in members, (k, v, r)
                 assert S.inc.n >= 2 * lo, (k, st)
                 total += S.inc.n
             assert total == sz

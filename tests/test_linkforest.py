@@ -297,6 +297,98 @@ def test_cross_tree_queries_are_none():
     assert lf.ca(a, b) == (a, a, b)
 
 
+@pytest.mark.parametrize("kind", ["1", "2", "3", "adaptive"])
+def test_same_record_query_skips_root_walks(kind, monkeypatch):
+    """Ends in one vertex-level record are answered with no root walk.
+
+    The forest holds a 12-node tree A, a tree B linked from two 8-node
+    trees of equal stage, a 5-node tree C, a bare pair and singletons.
+    Above one level B's halves tie in stage, so the link recurses one
+    level down and B keeps two records; on one level every staged tree
+    is a single record.  The adaptive forest restages to two levels
+    while B's first half grows.  For every distinct pair, a same-record
+    pair walks to no root and any other pair walks both ends.  A deep
+    copy answers the same pairs by root walks and then _c, counting each
+    adaptive meet first, and agrees answer for answer and counter for
+    counter.
+    """
+    walks = [0]
+    find_root = LinkForest._find_root
+
+    def counted(self, x):
+        walks[0] += 1
+        return find_root(self, x)
+
+    monkeypatch.setattr(LinkForest, "_find_root", counted)
+    n = 40
+    rng = random.Random(5)
+    adaptive = kind == "adaptive"
+    fr = AdaptiveLinkForest(n) if adaptive else LinkForest(int(kind), n)
+    f = Forest()
+    for _ in range(n):
+        fr.make_node()
+        f.make_node()
+
+    def link(x, y):
+        fr.link(x, y)
+        f.link(x, y)
+
+    def grow(lo, hi):
+        for v in range(lo + 1, hi):
+            link(rng.randrange(lo, v), v)
+
+    grow(0, 12)
+    grow(12, 20)
+    grow(20, 28)
+    link(rng.randrange(12, 20), 20)
+    grow(28, 33)
+    link(33, 34)
+    lf = fr.lf if adaptive else fr
+    assert lf.L == (2 if adaptive else int(kind))
+    sub = lf.sub[lf.L]
+
+    def records(lo, hi):
+        assert all(sub[v] is not None for v in range(lo, hi))
+        return len({id(sub[v]) for v in range(lo, hi)})
+
+    assert (records(0, 12), records(28, 33)) == (1, 1)
+    assert records(12, 28) == (1 if lf.L == 1 else 2)
+    assert sub[33] is None and sub[34] is None
+    check_link_invariants(lf)
+
+    def before(fr, x, y):
+        if adaptive:
+            if fr.n1:
+                fr._count(0)
+            fr = fr.lf
+        if fr._find_root(x) != fr._find_root(y):
+            return None
+        return fr._c(x, y, fr.L)
+
+    twin = copy.deepcopy(fr)
+    log = list(fr.stats.reorg_log)
+    kinds = Counter()
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            same = sub[x] is not None and sub[x] is sub[y]
+            walks[0] = 0
+            got = fr.ca(x, y)
+            assert walks[0] == (0 if same else 2), (x, y)
+            assert got == oracle_ca(f, x, y), (x, y)
+            assert before(twin, x, y) == got, (x, y)
+            kinds[same, got is None] += 1
+    assert fr.stats == twin.stats and fr.stats.reorg_log == log
+    if adaptive:
+        assert (fr.m1, fr.n1, fr.mark, fr.level) == (
+            twin.m1, twin.n1, twin.mark, twin.level)
+    b = 16 * 15 if lf.L == 1 else 2 * 8 * 7
+    assert kinds[True, False] == 12 * 11 + b + 5 * 4
+    assert kinds[False, False] == 16 * 15 - b + 2
+    assert kinds[True, True] == 0 and kinds[False, True] > 0
+
+
 def test_two_singletons_stay_bare():
     lf = LinkForest(1, 8)
     a, b = lf.make_node(), lf.make_node()
@@ -449,7 +541,11 @@ def test_adaptive_first_link_counts():
     assert af.m1 == 2                     # meets count once linking starts
 
 
-def test_adaptive_rejected_link_changes_nothing():
+def test_adaptive_rejected_link_changes_nothing(monkeypatch):
+    """Rejected links and meets count nothing, the last at m1 == mark too.
+
+    There the next valid meet passes the mark, so it reads alpha once.
+    """
     af = AdaptiveLinkForest(4)
     for _ in range(4):
         af.make_node()
@@ -470,6 +566,23 @@ def test_adaptive_rejected_link_changes_nothing():
         with pytest.raises(ValueError):
             af.ca(x, y)
     assert state() == before
+    af.ca(0, 1)
+    assert af.m1 == af.mark == 2
+    reads = []
+
+    def counted(m, n):
+        reads.append((m, n))
+        return alpha(m, n)
+
+    monkeypatch.setattr(linkforest, "alpha", counted)
+    before = state()
+    for bad in (1.0, None, -1, af.n, True):
+        for x, y in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError):
+                af.ca(x, y)
+    assert state() == before and reads == []
+    assert af.ca(1, 0) == (0, 1, 0)
+    assert reads == [(3, 2)] and af.m1 == 3
 
 
 def test_adaptive_reads_alpha_only_when_it_can_move(rng):
@@ -579,6 +692,30 @@ def test_adaptive_reorg_drops_the_old_forest():
     gc.collect()
     assert old() is None
     assert af.nca(v[3], v[9]) == v[3]
+
+
+def test_adaptive_meet_that_restages_answers_on_the_new_forest(monkeypatch):
+    """A meet past the mark whose alpha read restages the forest is
+    answered by the restaged forest, not the one it was asked on."""
+    af = AdaptiveLinkForest(16)
+    v = [af.make_node() for _ in range(6)]
+    for i in range(5):
+        af.link(v[0], v[i + 1])
+    af.ca(v[1], v[2])
+    assert af.m1 == af.mark
+    old = af.lf
+    seen = []
+    ca = LinkForest._ca
+
+    def asked(self, x, y):
+        seen.append(self)
+        return ca(self, x, y)
+
+    monkeypatch.setattr(LinkForest, "_ca", asked)
+    monkeypatch.setattr(linkforest, "alpha", lambda m, n: 3)
+    assert af.ca(v[1], v[2]) == (v[0], v[1], v[2])
+    assert af.reorg_log == [(7, 1, 3)] and af.lf is not old
+    assert seen == [af.lf]
 
 
 def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
