@@ -18,9 +18,19 @@ come from Spine in incremental.py, shared with IncrementalTree: the
 vertex level's spine meets cost at most one stored query, which here is
 one run of that recursion from level L.
 
-Two presets: two levels with mu = floor(log2 cap) gives O(log n) total
-growth work per vertex below the packed layer; three levels with
-mu = ceil(log2 cap) brings total growth work down to O(n).
+Two presets, both at the one default microset size
+mu = min(63, 3 ceil(log2 cap)): two levels (edmonds_tree) give O(log n)
+total growth work per vertex below the packed layer, and three levels
+(linear_tree) bring total growth work down to O(n).  The bounds need a
+microset of at least log2 cap nodes, which 3 ceil(log2 cap) is for
+every cap below 2^63, and of at most one word, which the cap at 63
+bits keeps.  Larger microsets leave fewer contracted nodes, so fewer
+queries recurse to level 1 and fewer growth ops reach the fat-numbered
+tree.  Three is the largest multiple that keeps acceptance criterion
+5's work/(m+n) flat within 25% over n = 2^10..2^14 for linear_tree
+(seeded uniform trees): 1x reads 11.23 -> 12.29, 2x 12.38 -> 12.74,
+3x 10.88 -> 12.88 (drift 1.18), 4x 10.41 -> 13.10 (drift 1.26) and a
+flat 63 7.96 -> 12.98 (drift 1.63).
 """
 
 from math import ceil, log2
@@ -48,7 +58,7 @@ class MultilevelInc(Spine, Leveled):
         self.L = levels
         self.max_n = max_n
         if mu is None:
-            mu = max(2, min(63, ceil(log2(max(max_n, 4)))))
+            mu = min(63, 3 * ceil(log2(max(max_n, 4))))
         if not 2 <= mu <= 63:
             raise ValueError(f"subtree capacity {mu} outside [2, 63]")
         self.mu = mu
@@ -141,14 +151,21 @@ class MultilevelInc(Spine, Leveled):
 
 
 def edmonds_tree(max_n, stats=None):
-    """Two levels, packed sets of floor(log2 cap) nodes over one fat tree."""
-    mu = max(2, min(63, int(log2(max(max_n, 4)))))
-    return MultilevelInc(max_n, levels=2, mu=mu, stats=stats)
+    """Two levels: packed sets over one fat tree.
+
+    The sets hold MultilevelInc's default mu = min(63, 3 ceil(log2 cap))
+    nodes, as linear_tree's do: at least log2 cap and at most one word.
+    The module docstring gives the criterion-5 ratios behind the
+    multiple three.
+    """
+    return MultilevelInc(max_n, levels=2, stats=stats)
 
 
 def linear_tree(max_n, stats=None):
-    """Three levels, packed sets of ceil(log2 cap) nodes, linear total growth.
+    """Three levels of packed sets, linear total growth.
 
-    That is MultilevelInc's default shape.
+    That is MultilevelInc's default shape: sets of min(63, 3 ceil(log2
+    cap)) nodes, at least log2 cap and at most one word.  The module
+    docstring gives the criterion-5 ratios behind the multiple three.
     """
     return MultilevelInc(max_n, stats=stats)

@@ -747,6 +747,62 @@ def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
     assert af.nca(v[3], v[9]) == v[3]
 
 
+def test_adaptive_replay_ends_with_multi_record_tree(rng, monkeypatch):
+    """Batched random links at n = 4096, every answer held to the oracle.
+
+    Sixteen rounds each link 256 random roots under random vertices of
+    other trees and then ask 256 meets, half of them inside one tree.
+    The batched links take the wrapper to two levels early, so the last
+    tree spans many vertex-level records, and pairs in one tree but in
+    different records run the level recursion rather than one record's
+    meet.
+    """
+    cross = 0
+    c = LinkForest._c
+
+    def counted(self, x, y, k):
+        nonlocal cross
+        sub = self.sub[k]
+        if k == self.L and sub[x] is not None and sub[y] not in (None, sub[x]):
+            cross += 1
+        return c(self, x, y, k)
+
+    monkeypatch.setattr(LinkForest, "_c", counted)
+    n = 4096
+    batch = n // 16
+    af = AdaptiveLinkForest(n)
+    f = Forest()
+    for _ in range(n):
+        af.make_node()
+        f.make_node()
+    members = {v: [v] for v in range(n)}
+    roots = list(range(n))
+    while len(roots) > 1:
+        for _ in range(min(batch, len(roots) - 1)):
+            i, j = rng.sample(range(len(roots)), 2)
+            r, y = roots[i], roots[j]
+            roots[j] = roots[-1]
+            roots.pop()
+            x = rng.choice(members[r])
+            af.link(x, y)
+            f.link(x, y)
+            members[r] += members.pop(y)
+        joined = [r for r in roots if len(members[r]) > 1]
+        for q in range(batch):
+            if q % 2:
+                x, y = rng.sample(members[rng.choice(joined)], 2)
+            else:
+                x, y = rng.randrange(n), rng.randrange(n)
+            assert af.ca(x, y) == oracle_ca(f, x, y), (x, y)
+    lf = af.lf
+    assert af.level == lf.L >= 2
+    check_link_invariants(lf)
+    top = lf.sub[lf.L]
+    records = {id(top[v]) for v in lf.tree_nodes(roots[0], lf.L)}
+    assert len(records) >= 2
+    assert cross > 0
+
+
 def _merge_and_ask(af, n, rng):
     """Random links of whole trees, three queries after each.
 
@@ -882,8 +938,13 @@ def test_adaptive_differential(rng):
 
 
 def test_adaptive_reorgs_count_wrapper_rebuilds_only():
-    """A long chain restarts its subtree's level-1 root; reorgs skips that."""
-    n = 2000
+    """A long chain restarts its subtree's level-1 root; reorgs skips that.
+
+    At the default mu of 3 ceil(log2 n) the chain's record seeds its
+    level-1 tree at 2,000 nodes but restarts its root only from about
+    3,000; 4,000 restarts it twice.
+    """
+    n = 4000
     af = AdaptiveLinkForest(n)
     for _ in range(n):
         af.make_node()
@@ -958,7 +1019,9 @@ def test_eta_counts_each_subtree_add_once(rng, monkeypatch):
         made.append(self)
 
     monkeypatch.setattr(linkforest._Sub, "__init__", record)
-    n = 400
+    # the last record contracts down to a level-1 tree only from about
+    # 5,000 nodes at the default mu of 3 ceil(log2 n)
+    n = 8000
     lf = LinkForest(1, n)
     for _ in range(n):
         lf.make_node()

@@ -87,10 +87,22 @@ def test_constructor_validation():
 
 
 def test_default_mu_clamps():
-    assert MultilevelInc(4).mu == 2
-    assert MultilevelInc(1 << 20, levels=2).mu == 20
-    assert edmonds_tree(1 << 20).mu == 20
-    assert linear_tree((1 << 20) + 1).mu == 21
+    """One rule for both presets: 3 ceil(log2 cap) nodes, capped at 63."""
+    for cap, mu in ((4, 6), (1 << 14, 42), (1 << 20, 60), ((1 << 21) + 1, 63)):
+        assert MultilevelInc(cap).mu == mu, cap
+        assert MultilevelInc(cap, levels=2).mu == mu, cap
+        assert edmonds_tree(cap).mu == mu, cap
+        assert linear_tree(cap).mu == mu, cap
+    # a microset of at least log2 cap nodes, for every cap below 2^63
+    caps = [2, 3, 5, 1000, (1 << 21) - 1, (1 << 21) + 1, (1 << 40) + 7,
+            (1 << 62) + 1, (1 << 63) - 1]
+    caps += [1 << k for k in range(1, 63)]
+    for cap in caps:
+        assert MultilevelInc(cap).mu >= (cap - 1).bit_length(), cap
+    with pytest.raises(ValueError):
+        MultilevelInc(100, mu=1)
+    with pytest.raises(ValueError):
+        MultilevelInc(100, mu=64)
 
 
 def test_capacity_error():
@@ -186,8 +198,12 @@ def test_contracted_levels_shrink_geometrically(rng):
 
 
 def test_level1_rows_shared_where_no_child_reads_them(rng):
-    """The contracted level-1 tree shares rows by the same rule."""
-    t = linear_tree(20000)
+    """The contracted level-1 tree shares rows by the same rule.
+
+    mu = 15, ceil(log2 20000), gives the level-1 tree enough nodes; at
+    the default mu of 45 it would hold two.
+    """
+    t = MultilevelInc(20000, mu=15)
     for _ in range(19999):
         if rng.random() < 0.25:
             t.add_root()
@@ -196,6 +212,50 @@ def test_level1_rows_shared_where_no_child_reads_them(rng):
         if t.inc is not None:
             shared_rows_ok(t.inc, range(t.inc.n), 0)
     assert t.inc.n >= 20
+
+
+@pytest.mark.parametrize("make", [edmonds_tree, linear_tree])
+def test_presets_reach_level_one_at_default_mu(make, rng):
+    """Both presets at their default mu, n = 2^13, one add_root in ten.
+
+    Leaf parents come from the 8 newest vertices: under uniform parents
+    linear_tree's level-1 tree keeps a single node at this n.  g keeps
+    the stored rooting (a new root is a leaf under the old one), so each
+    pair is checked twice against the oracle: the stored meet, which
+    recurses down the levels, and the meet under the current root.
+    """
+    n = 1 << 13
+    g = Forest()
+    g.make_node()
+    t = make(n)
+    for _ in range(n - 1):
+        y = g.make_node()
+        if rng.random() < 0.1:
+            g.add_leaf(t.root, y)
+            assert t.add_root() == y
+        else:
+            x = rng.randrange(max(0, t.n - 8), t.n)
+            g.add_leaf(x, y)
+            assert t.add_leaf(x) == y
+    assert t.inc is not None and t.inc.n > 1
+    flat = 0
+    level1 = t._flat
+
+    def counted(x, y, k):
+        nonlocal flat
+        flat += 1
+        return level1(x, y, k)
+
+    t._flat = counted
+    z = t.root
+    for _ in range(3000):
+        x = rng.randrange(n)
+        y = rng.randrange(n)
+        want = rerooted_ca(g, x, y, z, lambda a, b: oracle_ca(g, a, b))
+        assert t.ca(x, y) == want, (x, y)
+        if x != y:
+            assert t._stored(x, y) == oracle_ca(g, x, y), (x, y)
+    assert flat > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -274,9 +334,13 @@ def test_rerooted_meets_match_three_query_combine(name, seed, steps, root_rate):
 
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_eta_counts_vertex_additions_only(name, rng):
-    """Inner levels and the level-1 seed stay out of eta."""
+    """Inner levels and the level-1 seed stay out of eta.
+
+    The linear shape runs at mu = 12, ceil(log2 4096): at its default
+    mu of 36 this tree would never seed a level-1 tree.
+    """
     n = 4096
-    t = ENGINES[name](n)
+    t = MultilevelInc(n, mu=12) if name == "linear" else ENGINES[name](n)
     for _ in range(n - 1):
         if rng.random() < 0.1:
             t.add_root()
