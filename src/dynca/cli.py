@@ -8,9 +8,6 @@ from .errors import CapacityError, ConfigError, TraceParseError
 from .traces import (PROFILES, ENGINES, extern_answer, format_trace,
                      generate, parse_trace, run)
 
-DEFAULT_MAX_N = 1 << 20
-
-
 def _resolve_max_n(flag):
     if flag is not None:
         return flag
@@ -23,7 +20,7 @@ def _resolve_max_n(flag):
         if v < 1:
             raise ConfigError("NCA_MAX_N must be positive")
         return v
-    return DEFAULT_MAX_N
+    return None
 
 
 def _cmd_run(args):
@@ -81,7 +78,7 @@ def build_parser():
     rp.add_argument("--stats", choices=("csv", "none"), default="none",
                     help="emit per-engine counters as CSV on stdout")
     rp.add_argument("--max-n", type=int, default=None,
-                    help="node capacity (default: NCA_MAX_N or 2**20)")
+                    help="node capacity (default: NCA_MAX_N, else trace size)")
     rp.set_defaults(fn=_cmd_run)
 
     gp = sub.add_parser("gen", help="generate a workload trace")

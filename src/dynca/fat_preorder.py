@@ -133,6 +133,14 @@ STATIC_PARAMS = FatParams(alpha=None, beta=Rational(2, 1), c=4, e=2)
 DYNAMIC_PARAMS = FatParams(alpha=Rational(6, 5), beta=Rational(10, 7), c=5, e=4)
 
 
+def fat_cells(bound, n):
+    """n zeros for fat numbers below bound: 64-bit cells while they fit.
+
+    Unsigned: array('Q') stores skip the format parsing of array('q') ones.
+    """
+    return array("Q", (0,)) * n if bound <= 2 ** 64 else [0] * n
+
+
 def assign_numbers(t, order):
     """Compress, number and give ancestor rows to a subtree of host t.
 
@@ -142,9 +150,9 @@ def assign_numbers(t, order):
     A stored root takes a fresh interval at 0.  Any other node takes the
     next c*sigma^e cells at its compressed parent d's cursor Qbar[d].
     Breadth-first order packs compressed siblings left to right.
-    (sigma^e, i_u) is kept per weight in t._rungs.  Only p, q and the
-    cursor Qbar are stored: the guard ends are implied, p - sigma^e below
-    and q + sigma^e above.
+    (sigma^e, i_u, c*sigma^e) is kept per weight in t._rungs.  Only p, q
+    and the cursor Qbar are stored: the guard ends are implied, p - sigma^e
+    below and q + sigma^e above.
 
     Only a node that can be some node's d owns a row: the stored root,
     all EPS, and each apex of weight above 1, which has a child.  Its row
@@ -194,18 +202,18 @@ def assign_numbers(t, order):
         r = rungs.get(sg)
         if r is None:
             w = sg ** e
-            r = rungs[sg] = (w, flb((c - 2) * w) + 1)
-        w, i_u = r
+            r = rungs[sg] = (w, flb((c - 2) * w) + 1, c * w)
+        w, i_u, cw = r
         if a is None:
             lo = 0
-            hi = c * w
+            hi = cw
             row = array(t._tc, (EPS,)) * i_u
             written += i_u
         else:
             d = a if apex[a] else piD[a]
             piD[u] = d
             lo = Qbar[d]
-            hi = lo + c * w
+            hi = lo + cw
             top = iq[d]
             if hi > q[d]:
                 raise AssertionError("packing cursor ran past the high guard")
@@ -218,8 +226,8 @@ def assign_numbers(t, order):
                 one[0] = u
                 row[i_u:top] = one * (top - i_u)
                 written += len(row)
-        p[u] = lo + w
-        Qbar[u] = lo + w + 1
+        p[u] = pu = lo + w
+        Qbar[u] = pu + 1
         q[u] = hi - w
         tab[u] = row
         iq[u] = i_u
@@ -347,6 +355,8 @@ class StaticCa(FatQueryMixin):
     Builds the compression, the numbering, and the ancestor tables for
     every tree of the forest in one pass.  Queries across trees return
     None.  Mutating the forest afterwards does not affect this structure.
+    p, q and Qbar take 64-bit cells while c * n^e fits one (n up to 2^31
+    for STATIC_PARAMS), else lists.
     """
 
     def __init__(self, forest, params=STATIC_PARAMS, stats=None):
@@ -360,6 +370,7 @@ class StaticCa(FatQueryMixin):
         self._e = e = params.e
         # rows hold node ids below n and EPS
         self._tc = "i" if n < 2 ** 31 else "q"
+        top = c * n ** e
         self._rungs = {}
         piT = list(forest.parent)
         self.piT = piT
@@ -370,12 +381,12 @@ class StaticCa(FatQueryMixin):
         self.pos = [0] * n
         self.piD = [None] * n
         self.sigma = [1] * n
-        self.p = [0] * n
-        self.q = [0] * n
-        self.Qbar = [0] * n
+        self.p = fat_cells(top, n)
+        self.q = fat_cells(top, n)
+        self.Qbar = fat_cells(top, n)
         self.tab = [None] * n
         self.iq = [0] * n
-        self._lt = shared_log_table(params.beta, c * n ** e)
+        self._lt = shared_log_table(params.beta, top)
         self._flb = self._lt.floor_log_beta
         for r in range(n):
             if piT[r] is None:

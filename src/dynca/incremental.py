@@ -13,7 +13,10 @@ machine-int arrays, 32-bit unless the capacity needs 64, and only the
 stored root and apexes with children own one: every other node shares
 its compressed parent's row.  A renumbering writes rows only for the
 apexes with children among the nodes it covers, and a leaf added without
-drift writes none.
+drift writes none.  The fat numbers p, q and Qbar stay below c * max_n^e,
+so they take unsigned 64-bit cells up to max_n = 43,826 and lists above;
+the other per-node fields are lists.  A leaf's ch is None until its first
+child.
 
 add_root does not touch the numbering at all.  The new node is stored as
 a physical leaf under the previous logical root and only a root handle
@@ -28,7 +31,7 @@ tree and for the leveled MultilevelInc.
 
 from .errors import CapacityError, check_id
 from .fat_preorder import (DYNAMIC_PARAMS, FatQueryMixin, assign_numbers,
-                           shared_log_table)
+                           fat_cells, shared_log_table)
 # combine_rerooted stays in this namespace: bench/tracing.py wraps it here
 from .forest import CaTriple, combine_rerooted  # noqa: F401
 from .stats import Stats
@@ -106,7 +109,8 @@ class IncrementalTree(Spine, FatQueryMixin):
         self._e = e
         self._anum = params.alpha.num
         self._aden = params.alpha.den
-        self._lt = shared_log_table(params.beta, c * max(max_n, 2) ** e)
+        top = c * max(max_n, 2) ** e
+        self._lt = shared_log_table(params.beta, top)
         self._flb = self._lt.floor_log_beta
         # rows hold node ids below max_n and EPS, so 32-bit cells do
         # unless the capacity itself needs more
@@ -120,11 +124,11 @@ class IncrementalTree(Spine, FatQueryMixin):
         self.succ = [None]
         self.pos = [0]
         self.piD = [None]
-        self.p = [0]
-        self.q = [0]
-        self.Qbar = [0]
+        self.p = fat_cells(top, 1)
+        self.q = fat_cells(top, 1)
+        self.Qbar = fat_cells(top, 1)
         self.renum = [0]
-        self.ch = [[]]
+        self.ch = [None]  # a node's child list, None until its first child
         self.iq = [0]
         self.tab = [None]
         self.sm = [0]
@@ -162,10 +166,12 @@ class IncrementalTree(Spine, FatQueryMixin):
         self.q.append(0)
         self.Qbar.append(0)
         self.renum.append(0)
-        self.ch.append([])
+        self.ch.append(None)
         self.iq.append(0)
         self.tab.append(None)
         self.sm.append(self.sm[x])
+        if self.ch[x] is None:
+            self.ch[x] = []
         self.ch[x].append(y)
 
         # count the new descendant along the apex chain and find the
@@ -214,7 +220,7 @@ class IncrementalTree(Spine, FatQueryMixin):
             s[u] = 1
             succ[u] = None
             renum[u] += 1
-            order += ch[u]
+            order += ch[u] or ()
         st = self.stats
         if v == 0:
             st.root_renumberings += 1

@@ -28,8 +28,11 @@ def guards(obj, u):
 
 
 def children(t, u):
-    """Stored children of u in an IncrementalTree, in attachment order."""
-    return t.ch[u]
+    """Stored children of u in an IncrementalTree, in attachment order.
+
+    A node holds no child list until its first child arrives.
+    """
+    return list(t.ch[u] or ())
 
 
 def dchildren(obj, nodes):

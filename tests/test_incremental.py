@@ -167,6 +167,60 @@ def test_capacity_beyond_32_bit_ids(rng):
             assert t.ca(x, y) == oracle_ca(f, x, y), (x, y)
 
 
+def _grow_against_oracle(t, n, rng, queries):
+    """Grow t to n vertices beside a Forest, one add_root in 64, then ask."""
+    f = Forest()
+    f.make_node()
+    root = 0
+    while t.n < n:
+        if rng.random() < 1 / 64:
+            y = f.make_node()
+            f.add_root(y, root)
+            root = y
+            assert t.add_root() == y
+        else:
+            x = rng.randrange(t.n)
+            y = f.make_node()
+            f.add_leaf(x, y)
+            assert t.add_leaf(x) == y
+    c, e = DYNAMIC_PARAMS.c, DYNAMIC_PARAMS.e
+    for name in ("p", "q", "Qbar"):
+        assert max(getattr(t, name)) < c * t.max_n ** e, name
+    for _ in range(queries):
+        x = rng.randrange(n)
+        y = rng.randrange(n)
+        assert t.ca(x, y) == oracle_ca(f, x, y), (x, y)
+
+
+def test_fat_numbers_in_64_bit_cells_up_to_their_bound():
+    """c * max_n^e fits an unsigned 64-bit cell up to max_n = 43,826."""
+    c, e = DYNAMIC_PARAMS.c, DYNAMIC_PARAMS.e
+    assert c * 43_826 ** e <= 2 ** 64 < c * 43_827 ** e
+    at = IncrementalTree(43_826)
+    above = IncrementalTree(43_827)
+    for name in ("p", "q", "Qbar"):
+        assert getattr(at, name).typecode == "Q", name
+        assert type(getattr(above, name)) is list, name
+    f = Forest()
+    f.add_leaf(f.make_node(), f.make_node())
+    assert StaticCa(f).p.typecode == "Q"
+
+
+def test_growth_to_2_15_in_64_bit_cells(rng):
+    t = IncrementalTree(1 << 15)
+    assert t.p.typecode == "Q"
+    _grow_against_oracle(t, 1 << 15, rng, 2000)
+    # the root last renumbered at weight above 2^15 / alpha, so its
+    # interval ends past 4 * 27,000^4: the cells' high bits are in use
+    assert max(t.q) >= 2 ** 60
+
+
+def test_growth_in_list_cells(rng):
+    t = IncrementalTree(1 << 20)
+    assert type(t.p) is list
+    _grow_against_oracle(t, 600, rng, 2000)
+
+
 def test_add_root_chain():
     t = IncrementalTree(32)
     ys = [t.add_root() for _ in range(5)]

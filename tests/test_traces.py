@@ -384,6 +384,25 @@ def test_cli_max_n_flag_beats_env(tmp_path, capsys, monkeypatch):
     assert "NCA_MAX_N" in capsys.readouterr().err
 
 
+def test_cli_unset_max_n_sizes_by_trace(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t.trace"
+    main(["gen", "--profile", "leaf-heavy", "--n", "30", "--m", "5",
+          "--seed", "1", "-o", str(path)])
+    seen = []
+
+    def spy(trace, engines, check=False, max_n=None):
+        seen.append(max_n)
+        return traces.run(trace, engines, check=check, max_n=max_n)
+
+    monkeypatch.setattr(dynca.cli, "run", spy)
+    monkeypatch.delenv("NCA_MAX_N", raising=False)
+    assert main(["run", "--engine", "oracle", "--engine", "inc",
+                 "--trace", str(path), "--check"]) == 0
+    monkeypatch.setenv("NCA_MAX_N", "")
+    assert main(["run", "--engine", "oracle", "--trace", str(path)]) == 0
+    assert seen == [None, None]
+
+
 def _assert_dynca_help(r):
     assert r.returncode == 0, r.stderr
     usage = r.stdout.split("\n\n", 1)[0]
