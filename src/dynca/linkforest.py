@@ -19,10 +19,11 @@ next stage.
 The level count is the inverse-Ackermann value of the operation counts,
 tracked by a wrapper that restages the forest whenever that value
 drifts: the vertex level stays, and only its staging is built again.
-With the node count fixed, that value moves only when the operation
-count passes a multiple of the node count, so the wrapper reads it again
-only then or when a link counts a new node; any other operation costs
-one compare.
+That value is set by ceil(m/n) and by where n falls in one column of
+Ackermann values, so the wrapper reads it again only when the ratio's
+ceiling moves or the node count passes the column entry that held it; a
+meet below the next multiple of the node count costs one compare, and a
+link that counts new nodes a few integer operations.
 
 A query whose ends share a vertex-level subtree record costs one query
 of that record, with no walk to either root: trees only merge, so a
@@ -42,7 +43,7 @@ levels below the vertex level reuse ids and hold rows only for live
 nodes.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .errors import CapacityError, check_id
@@ -102,21 +103,28 @@ _COLUMNS = (None,) + tuple(_column(j) for j in range(4, 64, 4))
 def alpha(m, n):
     """Least i whose Ackermann row reaches n at argument j = 4*ceil(m/n).
 
-    Row 1 reaches n once j >= ceil(log2 n); below that, the rows are read
-    from the precomputed column of j, so a call is a short lookup.
+    That is one past the index of the first entry >= n in the
+    precomputed column of j, found by bisection; from j = 64 on, row 1
+    reaches every n up to _CAP.
     """
     if m < 1 or n < 1:
         raise ValueError("alpha needs positive operation and node counts")
     if n > _CAP:
         raise ValueError("alpha is tabulated for node counts up to 2^64")
-    j = 4 * ((m + n - 1) // n)
-    if j >= (n - 1).bit_length():
-        return 1
-    col = _COLUMNS[j >> 2]      # col[0] = 2^j < n
-    i = 2
-    while col[i - 1] < n:
-        i += 1
-    return i
+    c = (m + n - 1) // n
+    return bisect_left(_COLUMNS[c], n) + 1 if c < len(_COLUMNS) else 1
+
+
+def _reach(c, n):
+    """Largest node count whose alpha at ceil(m/n) = c is still n's.
+
+    alpha's value is set by the first entry >= n in the column of j = 4c,
+    so it holds while n grows up to that entry.
+    """
+    if c >= len(_COLUMNS):
+        return _CAP
+    col = _COLUMNS[c]
+    return col[bisect_left(col, n)]
 
 
 class AckermannTable:
@@ -298,7 +306,7 @@ class LinkForest(Leveled):
                 while pi[t] is not None:
                     t = pi[t]
             else:
-                t = S.root
+                t = S.rev[S.inc.varrho]     # S.root, without the call
                 if self.pi[k][t] is not None:
                     x = S.up
                     k -= 1
@@ -314,10 +322,11 @@ class LinkForest(Leveled):
 
     def _link_root(self, x, y):
         """Root of x's tree; raises unless y is a root of another tree."""
-        n = len(self.pi[self.L])
+        pi = self.pi[self.L]
+        n = len(pi)
         check_id(x, n)
         check_id(y, n)
-        if self.pi[self.L][y] is not None:
+        if pi[y] is not None:
             raise ValueError(f"link target {y} is not a root")
         r = self._find_root(x)
         if r == y:
@@ -334,43 +343,41 @@ class LinkForest(Leveled):
         stage, which by the doubling law is one above the higher of the
         two; unequal stages pour the lower-stage side into the subtree at
         the junction; equal stages recurse on the contracted trees, or are
-        trivially done below the staging threshold.
+        trivially done below the staging threshold.  A pour of a fresh
+        singleton, below x or above y's root, is one add to one record.
         """
         pi = self.pi[k]
         ts = self.ts[k]
         fl = self.floors[k]
-        sx = bisect_right(fl, ts[r])
-        sy = bisect_right(fl, ts[y])
-        ts[r] += ts[y]
+        tx = ts[r]
+        ty = ts[y]
+        sx = bisect_right(fl, tx)
+        sy = bisect_right(fl, ty)
+        ts[r] = tx + ty
         pi[y] = x
         self.ch[k][x].append(y)
         sg = sx if sx >= sy else sy
-        st = bisect_right(fl, ts[r])
+        st = bisect_right(fl, tx + ty)
         sub = self.sub[k]
         if st > sg:
             self._retire(sub[r], k)
             self._retire(sub[y], k)
             self._rebuild(r, k)
         elif sx > sy:
-            self._retire(sub[y], k)
-            self._fill(sub[x], y, (), None, k)
+            if ty == 1:     # a fresh singleton: one add_leaf
+                self._seat(sub[x], y, x, k)
+            else:
+                self._retire(sub[y], k)
+                self._fill(sub[x], y, None, k)
         elif sx < sy:
             self._retire(sub[r], k)
             S = sub[y]
-            lid = self.lid[k]
-            path = []
             v = x
             while v is not None:
-                path.append(v)
+                self._seat(S, v, None, k)
                 v = pi[v]
-            for v in path:
-                try:
-                    lid[v] = S.inc.add_root()
-                except CapacityError:
-                    lid[v] = self._promote(S).add_root()
-                S.rev.append(v)
-                sub[v] = S
-            self._fill(S, r, set(path), y, k)
+            if tx > 1:      # a fresh singleton x is one add_root
+                self._fill(S, r, y, k)
         elif sg > 0:
             assert k > 1, "equal stages above 0 cannot meet at the bottom level"
             self._l(sub[r].up, sub[x].up, sub[y].up, k - 1)
@@ -413,40 +420,45 @@ class LinkForest(Leveled):
         lid[r] = 0
         S.rev.append(r)
         self.sub[k][r] = S
-        self._fill(S, r, (r,), None, k)
+        self._fill(S, r, None, k)
         if k > 1:
             z = self._new_node(k - 1)
             S.up = z
             self.down[k - 1][z] = S
 
-    def _fill(self, S, top, have, skip, k):
-        """Add top and the nodes below it to subtree S, parents first.
+    def _fill(self, S, top, skip, k):
+        """Add top and the nodes below it that S lacks, parents first.
 
-        Members listed in have are walked through without being added
-        again; the subtree under skip is left out entirely.
+        The subtree under skip is left out entirely.
         """
-        inc = S.inc
-        lid = self.lid[k]
-        rev = S.rev
         pi = self.pi[k]
         ch = self.ch[k]
         sub = self.sub[k]
         queue = [top]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            if v not in have:
-                try:
-                    lid[v] = inc.add_leaf(lid[pi[v]])
-                except CapacityError:
-                    inc = self._promote(S)
-                    lid[v] = inc.add_leaf(lid[pi[v]])
-                rev.append(v)
-                sub[v] = S
+        # the loop also walks the children it appends
+        for v in queue:
+            if sub[v] is not S:
+                self._seat(S, v, pi[v], k)
             for w in ch[v]:
                 if w != skip:
                     queue.append(w)
+
+    def _seat(self, S, v, u, k):
+        """Add level-k node v to subtree S, below member u or, when u is
+        None, above S's root.
+
+        An add that a full packed record refuses promotes the record,
+        and is made again on the three-level tree that replaces it.
+        """
+        lid = self.lid[k]
+        try:
+            i = S.inc.add_root() if u is None else S.inc._add_leaf(lid[u])
+        except CapacityError:
+            inc = self._promote(S)
+            i = inc.add_root() if u is None else inc._add_leaf(lid[u])
+        lid[v] = i
+        S.rev.append(v)
+        self.sub[k][v] = S
 
     def _promote(self, S):
         """Move the full packed record of S into a three-level tree.
@@ -559,8 +571,9 @@ class AdaptiveLinkForest:
     Nodes join the counted population with their first link; links and
     meets both count as operations, meets only once linking has started.
     The target level alpha(m1, n1) is re-read after a counted operation
-    that moved n1 or took m1 past mark, the last count with the same
-    ceil(m1/n1) and hence the same alpha.  When it leaves {level-1,
+    that moved ceil(m1/n1), which a meet does only past mark, or took n1
+    past reach, the column entry up to which alpha keeps its value; a
+    leaf growth of 2^14 links reads it twice.  When it leaves {level-1,
     level} the forest is restaged: the vertex level stays as it is, and
     every tree of four or more nodes is re-seated as one incremental tree
     at its proper stage for the new level.  The forest opens at one
@@ -573,7 +586,9 @@ class AdaptiveLinkForest:
         self.level = 1
         self.n1 = 0   # nodes that have been in a link
         self.m1 = 0   # links and meets since the first link; reorg_log's index
-        self.mark = 0  # last m1 at which alpha keeps its last-read value
+        self.c = 0     # ceil(m1/n1) as of the last count
+        self.mark = 0  # n1 * c: the last m1 that keeps c while n1 stands
+        self.reach = 0  # last n1 at which alpha keeps its last-read value
 
     @property
     def n(self):
@@ -628,9 +643,11 @@ class AdaptiveLinkForest:
     def _count(self, fresh):
         """Count one operation that brings `fresh` nodes into the count.
 
-        alpha is read again only when n1 moved or m1 passed the mark;
-        otherwise it still has the value last read, and the level that
-        read left in place stands.
+        alpha is read again only when ceil(m1/n1) moved, which a meet
+        can do only past the mark, or when n1 passed the reach; otherwise
+        it still has the value last read, and the level that read left
+        in place stands.  The reach comes from alpha's column, not from
+        the value read.
         """
         m1 = self.m1 = self.m1 + 1
         if fresh:
@@ -638,7 +655,12 @@ class AdaptiveLinkForest:
         elif m1 <= self.mark:
             return
         n1 = self.n1
-        self.mark = n1 * ((m1 + n1 - 1) // n1)
+        c = (m1 + n1 - 1) // n1
+        self.mark = n1 * c
+        if c == self.c and n1 <= self.reach:
+            return
+        self.c = c
+        self.reach = _reach(c, n1)
         lv = alpha(m1, n1)
         if lv != self.level and lv != self.level - 1:
             self._relevel(lv)

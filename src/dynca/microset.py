@@ -116,8 +116,12 @@ class PackedTree(Spine):
 
     def add_leaf(self, x):
         """Attach and return a new child of x."""
+        check_id(x, len(self.piT))
+        return self._add_leaf(x)
+
+    def _add_leaf(self, x):
+        """add_leaf without the id check, for a host that owns x's id."""
         y = len(self.piT)
-        check_id(x, y)
         if y >= self.CAP:
             raise CapacityError(f"packed tree is at its capacity {self.CAP}")
         self.piT.append(x)

@@ -103,6 +103,11 @@ class MultilevelInc(Spine, Leveled):
         self.stats.eta += 1
         return y
 
+    # the link forest's add for a member it owns: splitting the id check
+    # off into a call of its own would cost the grown engines more per
+    # add than the forest saves
+    _add_leaf = add_leaf
+
     def _attach(self, x, l):
         """Grow level l with a new node under x, contracting filled subtrees."""
         if l == 1:

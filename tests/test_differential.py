@@ -1,9 +1,10 @@
 """Every engine against the oracle, one random op sequence at a time.
 
 A hypothesis state machine grows one oracle forest and mirrors each op
-into the grown engines (inc, inc-log2, inc-linear), which hold the tree
-of vertex 0, and into the link engines (LinkForest at levels 1-3 and
-AdaptiveLinkForest), which hold every vertex.  A grown engine follows a
+into the grown engines (inc, inc-log2, inc-linear, and multilevel trees
+of two and three levels with microsets of four nodes), which hold the
+tree of vertex 0, and into the link engines (LinkForest at levels 1-3
+and AdaptiveLinkForest), which hold every vertex.  A grown engine follows a
 link that touches its tree: a tree hung below it arrives as add_leafs,
 and a tree it is hung into arrives as add_roots up the path from the
 link point, then add_leafs for the rest.  Invalid calls are mixed in:
@@ -21,7 +22,9 @@ packed trees and larger ones as multilevel trees, and a packed record
 that a pour fills is promoted to a multilevel one.  The chain is longer
 than PackedTree.CAP, so on levels 2 and up, whose stages are wide, it
 grows one record through that promotion; a derandomized run checks that
-both kinds and a promotion come up.
+both kinds and a promotion come up.  A second derandomized run builds
+every multilevel record with microsets of four nodes, so the records'
+level-1 trees meet the oracle too.
 """
 
 import dataclasses
@@ -35,10 +38,19 @@ from hypothesis.stateful import (RuleBasedStateMachine, precondition, rule,
 from dynca import AdaptiveLinkForest, CaTriple, Forest, LinkForest, oracle_ca
 from dynca import linkforest
 from dynca.microset import PackedTree
+from dynca.multilevel import MultilevelInc
 from dynca.traces import GROWN
 
 CAP = 48
 DEEP = PackedTree.CAP + 1
+
+# the CLI's grown engines, and multilevel trees whose microsets of four
+# fill within a few adds, so their level-1 trees see every kind of op
+GROWN_HERE = {
+    **GROWN,
+    "inc-2-mu4": lambda n: MultilevelInc(n, levels=2, mu=4),
+    "inc-3-mu4": lambda n: MultilevelInc(n, levels=3, mu=4),
+}
 
 LINKED = {
     "link-1": lambda n: LinkForest(1, n),
@@ -100,7 +112,7 @@ class Differential(RuleBasedStateMachine):
         super().__init__()
         self.f = Forest()
         self.f.make_node()
-        self.grown = {k: make(CAP + DEEP) for k, make in GROWN.items()}
+        self.grown = {k: make(CAP + DEEP) for k, make in GROWN_HERE.items()}
         self.linked = {k: make(CAP + DEEP) for k, make in LINKED.items()}
         for t in self.linked.values():
             t.make_node()
@@ -286,3 +298,43 @@ def test_run_reaches_both_record_kinds(monkeypatch):
         derandomize=True, database=None))
     assert kinds["PackedTree"] and kinds["MultilevelInc"], kinds
     assert kinds["promoted"], kinds
+
+
+def test_small_microset_records_meet_the_oracle(monkeypatch):
+    """A fixed run of the machine with every link-forest multilevel record
+    built at mu = 4.
+
+    Such a record seeds its level-1 tree after 16 nodes, so the chain's
+    promoted record grows one, and the chain's singleton links promote a
+    full packed record outside _fill, through the single add they make.
+    """
+    records = []
+
+    def small(max_n, stats=None):
+        records.append(MultilevelInc(max_n, mu=4, stats=stats))
+        return records[-1]
+
+    promotions = Counter()
+    filling = [0]
+    fill = linkforest.LinkForest._fill
+    promote = linkforest.LinkForest._promote
+
+    def counted_fill(self, *args):
+        filling[0] += 1
+        try:
+            return fill(self, *args)
+        finally:
+            filling[0] -= 1
+
+    def promoted(self, S):
+        promotions["in _fill" if filling[0] else "outside _fill"] += 1
+        return promote(self, S)
+
+    monkeypatch.setattr(linkforest, "MultilevelInc", small)
+    monkeypatch.setattr(linkforest.LinkForest, "_fill", counted_fill)
+    monkeypatch.setattr(linkforest.LinkForest, "_promote", promoted)
+    run_state_machine_as_test(Differential, settings=settings(
+        max_examples=8, stateful_step_count=60, deadline=None,
+        derandomize=True, database=None))
+    assert any(t.inc is not None for t in records), len(records)
+    assert promotions["outside _fill"], promotions

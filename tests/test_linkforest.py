@@ -267,6 +267,123 @@ def test_full_packed_record_promotes_in_place(pour, monkeypatch):
             assert lf.ca(x, y) == oracle_ca(f, x, y), (x, y)
 
 
+def _count_record_adds(monkeypatch):
+    """Count record adds and the forest walks a singleton link must skip.
+
+    A record add is counted once, by the entry it came in through:
+    add_root adds through add_leaf, and the forest adds through
+    _add_leaf, so the calls nested in an add are not counted again.
+    """
+    calls = Counter()
+    depth = [0]
+
+    def counted(owner, name, key):
+        orig = getattr(owner, name)
+
+        def wrap(*a):
+            if not depth[0]:
+                calls[key] += 1
+            depth[0] += 1
+            try:
+                return orig(*a)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(owner, name, wrap)
+
+    for cls in (PackedTree, MultilevelInc):
+        counted(cls, "add_leaf", "add_leaf")
+        counted(cls, "_add_leaf", "add_leaf")
+        counted(cls, "add_root", "add_root")
+    counted(LinkForest, "_fill", "_fill")
+    counted(LinkForest, "tree_nodes", "tree_nodes")
+    return calls
+
+
+@pytest.mark.parametrize("size", [70, 300])
+@pytest.mark.parametrize("level", [1, 2, 3, "adaptive"])
+def test_singleton_link_is_one_record_add(level, size, rng, monkeypatch):
+    """A fresh singleton linked into a staged tree costs one record add.
+
+    Hung below any vertex it is one add_leaf on that vertex's record;
+    hung above the root, one add_root on the root's record.  Neither
+    enters _fill or tree_nodes, and each adds exactly 1 to eta.  The
+    tree holds 70 nodes in a packed record or 300 in a three-level one,
+    and the 40 singleton links stay inside its stage.
+    """
+    n = size + 40
+    f = Forest()
+    if level == "adaptive":
+        af = AdaptiveLinkForest(n)
+        make, link, forest = af.make_node, af.link, lambda: af.lf
+    else:
+        lf = LinkForest(level, n)
+        make, link, forest = lf.make_node, lf.link, lambda: lf
+    for _ in range(n):
+        make()
+        f.make_node()
+    for v in range(1, size):
+        p = rng.randrange(v)
+        link(p, v)
+        f.link(p, v)
+    top = 0
+    calls = _count_record_adds(monkeypatch)
+    for v in range(size, n):
+        lf = forest()
+        k = lf.L
+        above = rng.random() < 0.5
+        x, y = (v, top) if above else (rng.randrange(v), v)
+        S = lf.sub[k][top]
+        assert S is not None and isinstance(
+            S.inc, PackedTree if size <= PackedTree.CAP else MultilevelInc)
+        eta = lf.stats.eta
+        calls.clear()
+        link(x, y)
+        f.link(x, y)
+        assert forest() is lf and lf.sub[k][v] is S
+        assert lf.stats.eta == eta + 1
+        assert calls == Counter(["add_root" if above else "add_leaf"]), (
+            v, calls)
+        if above:
+            top = v
+            assert S.root == v and lf.find_root(x) == v
+    lf = forest()
+    check_link_invariants(lf)
+    for _ in range(300):
+        x, y = rng.randrange(n), rng.randrange(n)
+        assert lf.ca(x, y) == oracle_ca(f, x, y), (x, y)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_singleton_link_promotes_a_full_packed_record(above, monkeypatch):
+    """A singleton linked into a full packed record promotes it once.
+
+    The record holds PackedTree.CAP nodes, so the one add the link makes
+    promotes it to a three-level tree and goes on there, below a vertex
+    or above the root; the link still enters neither _fill nor
+    tree_nodes and adds exactly 1 to eta.
+    """
+    seen = _record_promotions(monkeypatch)
+    lf, f, link, top = _one_record_at(PackedTree.CAP, random.Random(6))
+    S = lf.sub[2][top]
+    calls = _count_record_adds(monkeypatch)
+    eta = lf.stats.eta
+    v = PackedTree.CAP
+    if above:
+        link(v, top)
+        assert S.root == v
+    else:
+        link(100, v)
+    assert lf.stats.eta == eta + 1
+    assert len(seen) == 1 and seen[0][3] == 0
+    assert calls["_fill"] == calls["tree_nodes"] == 0
+    assert isinstance(S.inc, MultilevelInc) and S.inc.n == PackedTree.CAP + 1
+    assert lf.sub[2][v] is S
+    check_link_invariants(lf)
+    for x in range(lf.n):
+        for y in range(0, lf.n, 7):
+            assert lf.ca(x, y) == oracle_ca(f, x, y), (x, y)
+
+
 def test_make_node_capacity():
     lf = LinkForest(1, 2)
     lf.make_node()
@@ -663,6 +780,28 @@ def test_alpha_caches_stay_small_under_growth():
     sizes = (linkforest._acap.cache_info().currsize,
              len(linkforest._COLUMNS))
     assert sum(sizes) <= 300, sizes
+
+
+def test_leaf_growth_reads_alpha_twice(monkeypatch):
+    """Every link of a seeded 2^14-node leaf growth counts a new node, yet
+    alpha is read only where it can move: at the first link, and when
+    n1 = 17 passes 16, the reach of row 1 in the column of j = 4."""
+    reads = []
+
+    def counted(m, n):
+        reads.append((m, n))
+        return alpha(m, n)
+
+    monkeypatch.setattr(linkforest, "alpha", counted)
+    n = 1 << 14
+    af = AdaptiveLinkForest(n)
+    for _ in range(n):
+        af.make_node()
+    rng = random.Random(5)
+    for v in range(1, n):
+        af.link(rng.randrange(v), v)
+    assert af.n1 == n and af.reorg_log == [(16, 1, 2)]
+    assert reads == [(1, 2), (16, 17)]
 
 
 def test_adaptive_reorg_at_population_crossing():
@@ -1062,10 +1201,10 @@ def test_forest_holds_only_live_trees(level, rng, monkeypatch):
     fills = Counter()
     fill = linkforest.LinkForest._fill
 
-    def count(self, S, top, have, skip, k):
-        fills["pour-x" if isinstance(have, set) else
-              "rebuild" if have else "pour-y"] += 1
-        fill(self, S, top, have, skip, k)
+    def count(self, S, top, skip, k):
+        fills["pour-x" if skip is not None else
+              "rebuild" if self.sub[k][top] is S else "pour-y"] += 1
+        fill(self, S, top, skip, k)
 
     monkeypatch.setattr(linkforest.LinkForest, "_fill", count)
     if level == "adaptive":
