@@ -1,8 +1,9 @@
 """Link whole trees together and keep answering meet queries.
 
 The fixed-level forest classifies each tree into a stage by an Ackermann
-row, reading the stage off the tree's size; the adaptive wrapper re-tunes
-the level count as the workload's link/query mix drifts.
+row, reading the stage off the tree's size; the adaptive forest re-tunes
+its level count as the workload's link/query mix drifts, restaging itself
+in place.
 
 Run:  python3 demos/linking_forests.py
 """
@@ -40,7 +41,7 @@ for i in range(4, 8):
 print("size %d, stage %d" % size_and_stage(lf, v[0]))
 print("ca(v5, v2) =", tuple(lf.ca(v[5], v[2])))
 
-# --- the adaptive wrapper counts from the first link ---
+# --- the adaptive forest counts from the first link ---
 
 af = AdaptiveLinkForest(max_n=1 << 12)
 nodes = [af.make_node() for _ in range(1 << 12)]
@@ -53,7 +54,7 @@ print("first link: counted ops m =", af.m1, " linked nodes n =", af.n1,
       " level =", af.level)
 
 # pair up fresh singletons: n grows as fast as m, alpha climbs,
-# and the wrapper restages the forest the moment alpha leaves
+# and the forest restages itself in place the moment alpha leaves
 # {level-1, level}
 for i in range(1, 300):
     af.link(nodes[2 * i], nodes[2 * i + 1])

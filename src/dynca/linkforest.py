@@ -16,11 +16,11 @@ per node.  A link between trees of unequal stages only re-adds the
 smaller side, links between equal stages recurse one level down, and a
 tree that outgrows its stage is rebuilt once as a single subtree of the
 next stage.
-The level count is the inverse-Ackermann value of the operation counts,
-tracked by a wrapper that restages the forest whenever that value
-drifts: the vertex level stays, and only its staging is built again.
+The level count is the inverse-Ackermann value of the operation counts:
+the adaptive forest restages itself in place whenever that value
+drifts, keeping the vertex level and building only its staging again.
 That value is set by ceil(m/n) and by where n falls in one column of
-Ackermann values, so the wrapper reads it again only when the ratio's
+Ackermann values, so the forest reads it again only when the ratio's
 ceiling moves or the node count passes the column entry that held it; a
 meet below the next multiple of the node count costs one compare, and a
 link that counts new nodes a few integer operations.
@@ -231,7 +231,7 @@ class _Sub:
 class LinkForest(Leveled):
     """Forest under make_node / link / ca at a fixed level count.
 
-    Vertices live on level `level`; contractions run down to level 1.
+    Vertices live on level L; contractions run down to level 1.
     Tree stages on level k are classified by row k of an Ackermann table
     built for max_n nodes: floors[k] lists 2*A(k, j) for j = 1, 2, ...
     up to the first value past max_n, and a size past the last floor
@@ -239,15 +239,27 @@ class LinkForest(Leveled):
     """
 
     def __init__(self, level, max_n, stats=None):
-        if level < 1:
-            raise ValueError("need at least one level")
-        ack = AckermannTable(max(4, max_n))
-        if level > ack.size:
-            raise ValueError(f"level {level} has no row in a table for {max_n} nodes")
-        self.L = level
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
+        self._stage(level, [], [], [])
+
+    def _stage(self, level, pi, ch, ts):
+        """Levels 1..level around the vertex lists pi, ch and ts.
+
+        The level is checked before anything is touched.  Everything
+        below the vertex level is built anew, with empty free lists:
+        trees under four nodes stay bare in stage 0, and each larger one
+        becomes a single subtree in the stage read off its size.
+        """
+        if level < 1:
+            raise ValueError("need at least one level")
+        ack = AckermannTable(max(4, self.max_n))
+        if level > ack.size:
+            raise ValueError(
+                f"level {level} has no row in a table for {self.max_n} nodes")
+        n = len(pi)
         rng = range(1, level + 1)
+        self.L = level
         self.floors = {k: tuple(2 * v for v in ack.rows[k][1:] if v is not None)
                        for k in rng}
         self.pi = {k: [] for k in rng}
@@ -257,6 +269,15 @@ class LinkForest(Leveled):
         self.lid = {k: [] for k in rng}     # id inside sub[k][v]
         self.down = {k: [] for k in range(1, level)}
         self.free = {k: [] for k in range(1, level)}  # retired, reusable
+        self.pi[level] = pi
+        self.ch[level] = ch
+        self.ts[level] = ts
+        self.sub[level] = [None] * n
+        self.lid[level] = [0] * n
+        fl = self.floors[level]
+        for r in range(n):
+            if pi[r] is None and bisect_right(fl, ts[r]):
+                self._rebuild(r, level)
 
     def _new_node(self, k):
         """A fresh singleton on level k, reusing a retired id below L.
@@ -484,27 +505,15 @@ class LinkForest(Leveled):
         return inc
 
     def relevel(self, level):
-        """This forest's trees on a new forest of `level` levels.
+        """Restage this forest in place for `level` levels.
 
-        The new forest takes over the vertex level's parent, child and
-        size lists as they are, so no vertex is made again and this
-        forest must not be used after; only the staging is built anew.
-        Trees under four nodes stay bare in stage 0; each larger one
-        becomes a single subtree in the stage read off its size.
+        The vertex level's parent, child and size lists stay as they are,
+        so no vertex is made again; only the levels below and the
+        subtree records are built anew.  A level with no table row
+        raises and leaves the forest as it was.
         """
-        lf = LinkForest(level, self.max_n, self.stats)
         k = self.L
-        n = len(self.pi[k])
-        lf.pi[level] = pi = self.pi[k]
-        lf.ch[level] = self.ch[k]
-        lf.ts[level] = ts = self.ts[k]
-        lf.sub[level] = [None] * n
-        lf.lid[level] = [0] * n
-        fl = lf.floors[level]
-        for r in range(n):
-            if pi[r] is None and bisect_right(fl, ts[r]):
-                lf._rebuild(r, level)
-        return lf
+        self._stage(level, self.pi[k], self.ch[k], self.ts[k])
 
     def ca(self, x, y):
         """Characteristic ancestors, or None across trees."""
@@ -565,7 +574,7 @@ class LinkForest(Leveled):
         return order
 
 
-class AdaptiveLinkForest:
+class AdaptiveLinkForest(LinkForest):
     """Link forest that re-tunes its level count as the workload grows.
 
     Nodes join the counted population with their first link; links and
@@ -573,17 +582,15 @@ class AdaptiveLinkForest:
     The target level alpha(m1, n1) is re-read after a counted operation
     that moved ceil(m1/n1), which a meet does only past mark, or took n1
     past reach, the column entry up to which alpha keeps its value; a
-    leaf growth of 2^14 links reads it twice.  When it leaves {level-1,
-    level} the forest is restaged: the vertex level stays as it is, and
-    every tree of four or more nodes is re-seated as one incremental tree
-    at its proper stage for the new level.  The forest opens at one
-    level, which is what the first link reads.
+    leaf growth of 2^14 links reads it twice.  When it leaves {L-1, L}
+    the forest restages itself in place (relevel): the vertex level
+    stays as it is, and every tree of four or more nodes is re-seated as
+    one incremental tree at its proper stage for the new level.  The
+    forest opens at one level, which is what the first link reads.
     """
 
     def __init__(self, max_n, stats=None):
-        self.stats = stats if stats is not None else Stats()
-        self.lf = LinkForest(1, max_n, self.stats)
-        self.level = 1
+        super().__init__(1, max_n, stats)
         self.n1 = 0   # nodes that have been in a link
         self.m1 = 0   # links and meets since the first link; reorg_log's index
         self.c = 0     # ceil(m1/n1) as of the last count
@@ -591,19 +598,12 @@ class AdaptiveLinkForest:
         self.reach = 0  # last n1 at which alpha keeps its last-read value
 
     @property
-    def n(self):
-        return self.lf.n
+    def level(self):
+        return self.L
 
     @property
     def reorg_log(self):
         return self.stats.reorg_log
-
-    def make_node(self):
-        """Create and return a fresh singleton vertex."""
-        return self.lf.make_node()
-
-    def find_root(self, x):
-        return self.lf.find_root(x)
 
     def link(self, x, y):
         """Make the root y a child of x, merging y's tree into x's.
@@ -613,12 +613,10 @@ class AdaptiveLinkForest:
         root of x's tree found by the check survives a restaging, which
         keeps every tree under its own root.
         """
-        lf = self.lf
-        r = lf._link_root(x, y)
-        ts = lf.ts[lf.L]
+        r = self._link_root(x, y)
+        ts = self.ts[self.L]
         self._count((ts[r] == 1) + (ts[y] == 1))
-        lf = self.lf        # the count may have restaged the forest
-        lf._l(r, x, y, lf.L)
+        self._l(r, x, y, self.L)
 
     def ca(self, x, y):
         """Characteristic ancestors, or None across trees.
@@ -629,16 +627,14 @@ class AdaptiveLinkForest:
         record cost one record query, any other pair two root walks and
         the level recursion (LinkForest._ca).
         """
-        lf = self.lf
-        n = len(lf.pi[lf.L])
+        n = len(self.pi[self.L])
         check_id(x, n)
         check_id(y, n)
         if self.m1 < self.mark:
             self.m1 += 1
         elif self.n1:       # meets count only once linking has started
             self._count(0)
-            lf = self.lf    # the count may have restaged the forest
-        return lf._ca(x, y)
+        return self._ca(x, y)
 
     def _count(self, fresh):
         """Count one operation that brings `fresh` nodes into the count.
@@ -647,7 +643,7 @@ class AdaptiveLinkForest:
         can do only past the mark, or when n1 passed the reach; otherwise
         it still has the value last read, and the level that read left
         in place stands.  The reach comes from alpha's column, not from
-        the value read.
+        the value read.  A restaging is logged as (m1, old L, new L).
         """
         m1 = self.m1 = self.m1 + 1
         if fresh:
@@ -662,16 +658,8 @@ class AdaptiveLinkForest:
         self.c = c
         self.reach = _reach(c, n1)
         lv = alpha(m1, n1)
-        if lv != self.level and lv != self.level - 1:
-            self._relevel(lv)
-
-    def nca(self, x, y):
-        t = self.ca(x, y)
-        return None if t is None else t.a
-
-    def _relevel(self, lv):
-        """Restage the forest for lv levels, logging the reorganization."""
-        self.stats.reorgs += 1
-        self.stats.reorg_log.append((self.m1, self.level, lv))
-        self.lf = self.lf.relevel(lv)
-        self.level = lv
+        L = self.L
+        if lv != L and lv != L - 1:
+            self.relevel(lv)
+            self.stats.reorgs += 1
+            self.stats.reorg_log.append((m1, L, lv))

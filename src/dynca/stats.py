@@ -14,7 +14,7 @@ class Stats:
     recompressions: int = 0
     recompression_nodes: int = 0  # nodes renumbered across all recompressions
     table_entries: int = 0        # ancestor table entries written
-    reorgs: int = 0               # link-forest wrapper restagings, one per reorg_log entry
+    reorgs: int = 0               # adaptive link-forest restagings, one per reorg_log entry
     root_renumberings: int = 0    # recompressions from the stored root (its interval restarts)
     queries: int = 0
     max_query_steps: int = 0

@@ -305,8 +305,7 @@ class LinkEngine(_Engine):
     @property
     def arena_cells(self):
         # each live multilevel subtree record stores its microsets on an arena
-        lf = self.t.lf
-        live = {S for subs in lf.sub.values() for S in subs if S is not None}
+        live = {S for subs in self.t.sub.values() for S in subs if S is not None}
         return sum(S.inc.arena.used for S in live
                    if isinstance(S.inc, MultilevelInc))
 

@@ -294,7 +294,7 @@ def test_criterion_6_link_engine_bounds():
 
 
 def _adversarial(m_queries, n=10 ** 4):
-    """Alternating link bursts and query floods; returns the wrapper and
+    """Alternating link bursts and query floods; returns the forest and
     the externally predicted reorganization log."""
     rng = random.Random(99)
     af = AdaptiveLinkForest(n)

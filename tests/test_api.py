@@ -148,18 +148,19 @@ def test_rejected_link_call_changes_nothing(engine):
         r, y = rng.sample(sorted(members), 2)
         t.link(rng.choice(members[r]), y)
         members[r] += members.pop(y)
-    lf = getattr(t, "lf", t)
-    if lf.L > 1:
-        assert any(lf.free.values())
+    if t.L > 1:
+        assert any(t.free.values())
     a, b = sorted(members)[:2]
     child = next(v for v in members[a] if v != a)
 
     def rejects(exc, call, *args):
+        sub = t.sub
+
         def state():
             return (dataclasses.replace(t.stats), list(t.stats.reorg_log),
-                    t.n, getattr(t, "lf", lf) is lf,
-                    {k: len(p) for k, p in lf.pi.items()},
-                    {k: list(f) for k, f in lf.free.items()})
+                    t.n, t.sub is sub, t.L,
+                    {k: len(p) for k, p in t.pi.items()},
+                    {k: list(f) for k, f in t.free.items()})
         before = state()
         with pytest.raises(exc):
             call(*args)
@@ -177,4 +178,4 @@ def test_rejected_link_call_changes_nothing(engine):
     rejects(CapacityError, t.make_node)
     assert t.find_root(child) == a
     t.link(child, b)
-    check_link_invariants(getattr(t, "lf", t))
+    check_link_invariants(t)

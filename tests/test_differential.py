@@ -277,7 +277,8 @@ TestDifferential.settings = settings(max_examples=60, stateful_step_count=60,
 
 
 def test_run_reaches_both_record_kinds(monkeypatch):
-    """A fixed run of the machine builds both record kinds and promotes one."""
+    """A fixed run of the machine builds both record kinds, promotes one,
+    and restages the adaptive forest in place at least once."""
     kinds = Counter()
     init = linkforest._Sub.__init__
 
@@ -291,13 +292,21 @@ def test_run_reaches_both_record_kinds(monkeypatch):
         kinds["promoted"] += 1
         return promote(self, S)
 
+    relevel = linkforest.LinkForest.relevel
+
+    def restaged(self, level):
+        kinds["relevel"] += 1
+        return relevel(self, level)
+
     monkeypatch.setattr(linkforest._Sub, "__init__", record)
     monkeypatch.setattr(linkforest.LinkForest, "_promote", promoted)
+    monkeypatch.setattr(linkforest.LinkForest, "relevel", restaged)
     run_state_machine_as_test(Differential, settings=settings(
         max_examples=8, stateful_step_count=60, deadline=None,
         derandomize=True, database=None))
     assert kinds["PackedTree"] and kinds["MultilevelInc"], kinds
     assert kinds["promoted"], kinds
+    assert kinds["relevel"], kinds
 
 
 def test_small_microset_records_meet_the_oracle(monkeypatch):

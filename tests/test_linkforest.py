@@ -314,7 +314,7 @@ def test_singleton_link_is_one_record_add(level, size, rng, monkeypatch):
     f = Forest()
     if level == "adaptive":
         af = AdaptiveLinkForest(n)
-        make, link, forest = af.make_node, af.link, lambda: af.lf
+        make, link, forest = af.make_node, af.link, lambda: af
     else:
         lf = LinkForest(level, n)
         make, link, forest = lf.make_node, lf.link, lambda: lf
@@ -460,7 +460,7 @@ def test_same_record_query_skips_root_walks(kind, monkeypatch):
     link(rng.randrange(12, 20), 20)
     grow(28, 33)
     link(33, 34)
-    lf = fr.lf if adaptive else fr
+    lf = fr
     assert lf.L == (2 if adaptive else int(kind))
     sub = lf.sub[lf.L]
 
@@ -477,7 +477,6 @@ def test_same_record_query_skips_root_walks(kind, monkeypatch):
         if adaptive:
             if fr.n1:
                 fr._count(0)
-            fr = fr.lf
         if fr._find_root(x) != fr._find_root(y):
             return None
         return fr._c(x, y, fr.L)
@@ -649,9 +648,9 @@ def test_adaptive_first_link_counts():
     assert af.ca(v[0], v[1]) is None      # not counted before the first link
     assert af.ca(v[2], v[2]) == (v[2], v[2], v[2])
     assert (af.m1, af.n1, af.level) == (0, 0, 1)
-    lf = af.lf
+    sub = af.sub
     af.link(v[0], v[1])
-    assert af.lf is lf                    # the first link opens no new forest
+    assert af.sub is sub                  # the first link restages nothing
     assert (af.m1, af.n1, af.level) == (1, 2, 1)
     assert af.reorg_log == []
     assert af.nca(v[0], v[1]) == v[0]
@@ -814,62 +813,72 @@ def test_adaptive_reorg_at_population_crossing():
         want = alpha(i + 1, 2 * (i + 1))
         assert af.level == want
     assert af.reorg_log == [(9, 1, 2)]
-    check_link_invariants(af.lf)
+    check_link_invariants(af)
 
 
-def test_adaptive_reorg_drops_the_old_forest():
+class _WeakSub(linkforest._Sub):
+    """A subtree record that takes weak references."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_adaptive_reorg_drops_the_old_forest(monkeypatch):
+    """A restaging frees every subtree record of the old staging, and the
+    packed or three-level tree inside each."""
+    monkeypatch.setattr(linkforest, "_Sub", _WeakSub)
     # a 12-node chain fills subtrees; disjoint pairs then push the level up
     af = AdaptiveLinkForest(64)
     v = [af.make_node() for _ in range(64)]
     for i in range(11):
         af.link(v[i], v[i + 1])
-    old = weakref.ref(af.lf)
+    old = {S for subs in af.sub.values() for S in subs if S is not None}
+    assert old
+    refs = [weakref.ref(S) for S in old] + [weakref.ref(S.inc) for S in old]
+    del old
     i = 12
     while not af.reorg_log:
         af.link(v[i], v[i + 1])
         i += 2
     gc.collect()
-    assert old() is None
+    assert all(r() is None for r in refs)
     assert af.nca(v[3], v[9]) == v[3]
 
 
 def test_adaptive_meet_that_restages_answers_on_the_new_forest(monkeypatch):
     """A meet past the mark whose alpha read restages the forest is
-    answered by the restaged forest, not the one it was asked on."""
+    answered on the new staging, not the one it was asked on."""
     af = AdaptiveLinkForest(16)
     v = [af.make_node() for _ in range(6)]
     for i in range(5):
         af.link(v[0], v[i + 1])
     af.ca(v[1], v[2])
-    assert af.m1 == af.mark
-    old = af.lf
+    assert af.m1 == af.mark and af.L == 1
     seen = []
     ca = LinkForest._ca
 
     def asked(self, x, y):
-        seen.append(self)
+        seen.append(self.L)
         return ca(self, x, y)
 
     monkeypatch.setattr(LinkForest, "_ca", asked)
     monkeypatch.setattr(linkforest, "alpha", lambda m, n: 3)
     assert af.ca(v[1], v[2]) == (v[0], v[1], v[2])
-    assert af.reorg_log == [(7, 1, 3)] and af.lf is not old
-    assert seen == [af.lf]
+    assert af.reorg_log == [(7, 1, 3)]
+    assert seen == [3]
 
 
 def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
     """A reorganization restages the trees around the vertex level it has.
 
     A 12-node chain is staged at level 1; disjoint pairs then push the
-    level up.  The new forest holds the same parent, child and size
-    lists, and no vertex is made again.
+    level up.  The forest keeps the same parent, child and size list
+    objects, and no vertex is made again.
     """
     af = AdaptiveLinkForest(64)
     v = [af.make_node() for _ in range(64)]
     for i in range(11):
         af.link(v[i], v[i + 1])
-    old = af.lf
-    kept = (old.pi[1], old.ch[1], old.ts[1])
+    kept = (af.pi[1], af.ch[1], af.ts[1])
     made = []
     monkeypatch.setattr(linkforest.LinkForest, "make_node",
                         lambda self: made.append(self))
@@ -877,13 +886,102 @@ def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
     while not af.reorg_log:
         af.link(v[i], v[i + 1])
         i += 2
-    lf = af.lf
-    assert lf is not old and lf.L == af.level == 2
-    assert all(a is b for a, b in zip(kept, (lf.pi[2], lf.ch[2], lf.ts[2])))
+    assert af.L == af.level == 2
+    assert all(a is b for a, b in zip(kept, (af.pi[2], af.ch[2], af.ts[2])))
     assert made == []
-    assert tree_stage(lf, 2, v[0]) >= 1 and lf.sub[2][v[11]] is lf.sub[2][v[0]]
-    check_link_invariants(lf)
+    assert tree_stage(af, 2, v[0]) >= 1 and af.sub[2][v[11]] is af.sub[2][v[0]]
+    check_link_invariants(af)
     assert af.nca(v[3], v[9]) == v[3]
+
+
+def test_adaptive_restages_in_place_down_as_well_as_up(monkeypatch):
+    """Counted links restage one forest from 1 to 3 levels and back to 1.
+
+    alpha is patched to return a set target.  Meets past the mark raise
+    ceil(m1/n1) while the target is still the level in force; the target
+    then moves, and the next link of a fresh pair lowers the ratio again,
+    so _count reads alpha inside that link and restages.  After each
+    restaging the vertex lists are the ones the forest opened with, the
+    staging passes the full sweep, every pair meets as the oracle says,
+    and down and free hold only the levels below the new L.
+    """
+    target = [1]
+    monkeypatch.setattr(linkforest, "alpha", lambda m, n: target[0])
+    n = 48
+    af = AdaptiveLinkForest(n)
+    f = Forest()
+    for _ in range(n):
+        af.make_node()
+        f.make_node()
+    kept = (af.pi[1], af.ch[1], af.ts[1])
+    fresh = iter(range(n))
+
+    def link(x, y):
+        af.link(x, y)
+        f.link(x, y)
+
+    def tree(size, shape):
+        """A new tree of `size` fresh nodes: a chain or a star."""
+        v = [next(fresh) for _ in range(size)]
+        for i in range(1, size):
+            link(v[i - 1] if shape == "chain" else v[0], v[i])
+        return v[0]
+
+    def restage(level):
+        c = af.c
+        while af.c == c:
+            af.ca(0, 0)
+        target[0] = level
+        tree(2, "chain")
+        assert af.L == af.level == level
+        assert all(a is b for a, b in zip(kept, (
+            af.pi[level], af.ch[level], af.ts[level])))
+        assert set(af.down) == set(af.free) == set(range(1, level))
+        check_link_invariants(af)
+        for x in range(n):
+            for y in range(n):
+                assert LinkForest.ca(af, x, y) == oracle_ca(f, x, y), (x, y)
+
+    a = tree(12, "chain")
+    b = tree(6, "star")
+    tree(2, "chain")
+    restage(3)
+    c = tree(8, "chain")
+    link(a, c)                  # equal stages at level 3: recurses below
+    link(tree(5, "star"), b)
+    restage(1)
+    assert [(lo, hi) for _, lo, hi in af.reorg_log] == [(1, 3), (3, 1)]
+    assert af.stats.reorgs == 2
+
+
+@pytest.mark.parametrize("bad", [0, 7])
+def test_refused_restage_changes_nothing(bad):
+    """A level with no row in the forest's Ackermann table is refused
+    before anything is touched: L, the sub dict and each of its lists,
+    the stats and every answer stay as they were."""
+    n = 64                      # a table of 6 rows
+    lf = LinkForest(2, n)
+    for _ in range(n):
+        lf.make_node()
+    rng = random.Random(2)
+    for v in range(1, 40):
+        lf.link(rng.randrange(v), v)
+    lf.link(40, 41)
+
+    def answers():
+        return [lf.ca(x, y) for x in range(n) for y in range(n)]
+
+    before = answers()
+    sub = lf.sub
+    rows = {k: list(subs) for k, subs in sub.items()}
+    stats = copy.deepcopy(lf.stats)
+    with pytest.raises(ValueError):
+        lf.relevel(bad)
+    assert lf.L == 2 and lf.sub is sub
+    assert {k: list(subs) for k, subs in sub.items()} == rows
+    assert lf.stats == stats
+    assert answers() == before
+    check_link_invariants(lf)
 
 
 def test_adaptive_replay_ends_with_multi_record_tree(rng, monkeypatch):
@@ -933,11 +1031,10 @@ def test_adaptive_replay_ends_with_multi_record_tree(rng, monkeypatch):
             else:
                 x, y = rng.randrange(n), rng.randrange(n)
             assert af.ca(x, y) == oracle_ca(f, x, y), (x, y)
-    lf = af.lf
-    assert af.level == lf.L >= 2
-    check_link_invariants(lf)
-    top = lf.sub[lf.L]
-    records = {id(top[v]) for v in lf.tree_nodes(roots[0], lf.L)}
+    assert af.level == af.L >= 2
+    check_link_invariants(af)
+    top = af.sub[af.L]
+    records = {id(top[v]) for v in af.tree_nodes(roots[0], af.L)}
     assert len(records) >= 2
     assert cross > 0
 
@@ -1049,8 +1146,8 @@ def test_adaptive_chain_climbs_stages_inside_period():
         af.link(v[i], v[i + 1])
     assert af.level == 1
     assert af.reorg_log == []
-    assert tree_stage(af.lf, 1, v[0]) == 2      # 12 nodes: 2 * A(1, 2) <= 12 < 2 * A(1, 3)
-    check_link_invariants(af.lf)
+    assert tree_stage(af, 1, v[0]) == 2      # 12 nodes: 2 * A(1, 2) <= 12 < 2 * A(1, 3)
+    check_link_invariants(af)
     assert af.nca(v[3], v[9]) == v[3]
 
 
@@ -1072,7 +1169,7 @@ def test_adaptive_differential(rng):
             a = rng.randrange(n)
             b = rng.randrange(n)
             assert af.ca(a, b) == oracle_ca(f, a, b), (a, b)
-    check_link_invariants(af.lf)
+    check_link_invariants(af)
     assert af.stats.reorgs == len(af.reorg_log)
 
 
@@ -1209,7 +1306,7 @@ def test_forest_holds_only_live_trees(level, rng, monkeypatch):
     monkeypatch.setattr(linkforest.LinkForest, "_fill", count)
     if level == "adaptive":
         af = AdaptiveLinkForest(n)
-        make, link, forest = af.make_node, af.link, lambda: af.lf
+        make, link, forest = af.make_node, af.link, lambda: af
     else:
         lf = LinkForest(level, n)
         make, link, forest = lf.make_node, lf.link, lambda: lf
