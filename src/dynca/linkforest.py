@@ -1,14 +1,18 @@
 """Meet queries under link, with self-tuning inverse-Ackermann overhead.
 
-Trees at the top level hold the real vertices.  A tree of fewer than four
-nodes is kept as bare parent lists; anything larger is partitioned into
-subtrees, and contracting every subtree yields the tree one level down,
-where the same scheme repeats.  A subtree is built as one packed tree
-(PackedTree in microset.py) when it has at most PackedTree.CAP nodes,
-and as a three-level incremental tree of linear total growth (the
-linear_tree shape in multilevel.py) when it is larger; a packed subtree
-that a later pour fills is copied once into a three-level tree, and the
-pour goes on there.  Stages classify tree sizes by a row of
+Trees at the top level hold the real vertices.  Every level keeps its
+tree shape in flat id columns: a parent, a first child, a last child
+and a next sibling per node, -1 marking none, in 32-bit int arrays
+while every id fits one and in lists above that; no node holds a list
+of its own.  A tree of fewer than four nodes is kept as that bare
+shape; anything larger is partitioned into subtrees, and contracting
+every subtree yields the tree one level down, where the same scheme
+repeats.  A subtree is built as one packed tree (PackedTree in
+microset.py) when it has at most PackedTree.CAP nodes, and as a
+three-level incremental tree of linear total growth (the linear_tree
+shape in multilevel.py) when it is larger; a packed subtree that a
+later pour fills is copied once into a three-level tree, and the pour
+goes on there.  Stages classify tree sizes by a row of
 Ackermann's function, one row per level: a level-k tree of size s is in
 stage bisect_right(floors[k], s), floors[k] holding 2*A(k, j) for
 j = 1, 2, ..., so the stage is read off the size and nothing is stored
@@ -31,7 +35,7 @@ record never spans two trees.  Any other query walks both ends to their
 roots, which tells trees apart, and then runs Leveled._c in levels.py,
 the meet recursion the multilevel engine shares: each staged subtree is
 a _Sub record exposing root, up and ca(x, y) in level ids, a stage-0
-tree keeps None in sub, and _flat walks its bare parent lists.
+tree keeps None in sub, and _flat walks its bare parent column.
 
 The forest holds its live trees, not its link history.  A rebuild drops
 the subtrees of both merged trees, and a pour drops those of the side it
@@ -43,6 +47,7 @@ levels below the vertex level reuse ids and hold rows only for live
 nodes.
 """
 
+from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
@@ -55,6 +60,15 @@ from .stats import Stats
 
 
 _CAP = 1 << 64     # alpha's columns clamp here; larger n are refused
+
+
+def _cells(max_n):
+    """An empty id column for a forest of max_n nodes.
+
+    Ids run below max_n on every level, and -1 marks none: a signed
+    32-bit array while that fits, a list above it.
+    """
+    return array("i") if max_n <= 1 << 31 else []
 
 
 def _bits(n):
@@ -232,6 +246,9 @@ class LinkForest(Leveled):
     """Forest under make_node / link / ca at a fixed level count.
 
     Vertices live on level L; contractions run down to level 1.
+    A level's shape is four id columns: pi (the parent), fc and lc (the
+    first and last child) and ns (the next sibling), each -1 where there
+    is none, so a node's children run from fc through ns in link order.
     Tree stages on level k are classified by row k of an Ackermann table
     built for max_n nodes: floors[k] lists 2*A(k, j) for j = 1, 2, ...
     up to the first value past max_n, and a size past the last floor
@@ -241,10 +258,10 @@ class LinkForest(Leveled):
     def __init__(self, level, max_n, stats=None):
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
-        self._stage(level, [], [], [])
+        self._stage(level, *(_cells(max_n) for _ in range(4)), [])
 
-    def _stage(self, level, pi, ch, ts):
-        """Levels 1..level around the vertex lists pi, ch and ts.
+    def _stage(self, level, pi, fc, lc, ns, ts):
+        """Levels 1..level around the vertex level's pi, fc, lc, ns and ts.
 
         The level is checked before anything is touched.  Everything
         below the vertex level is built anew, with empty free lists:
@@ -262,38 +279,45 @@ class LinkForest(Leveled):
         self.L = level
         self.floors = {k: tuple(2 * v for v in ack.rows[k][1:] if v is not None)
                        for k in rng}
-        self.pi = {k: [] for k in rng}
-        self.ch = {k: [] for k in rng}
+        m = self.max_n
+        self.pi = {k: _cells(m) for k in rng}
+        self.fc = {k: _cells(m) for k in rng}
+        self.lc = {k: _cells(m) for k in rng}
+        self.ns = {k: _cells(m) for k in rng}
         self.ts = {k: [] for k in rng}      # tree size, authoritative at roots
         self.sub = {k: [] for k in rng}     # _Sub, or None in stage 0
         self.lid = {k: [] for k in rng}     # id inside sub[k][v]
         self.down = {k: [] for k in range(1, level)}
         self.free = {k: [] for k in range(1, level)}  # retired, reusable
         self.pi[level] = pi
-        self.ch[level] = ch
+        self.fc[level] = fc
+        self.lc[level] = lc
+        self.ns[level] = ns
         self.ts[level] = ts
         self.sub[level] = [None] * n
         self.lid[level] = [0] * n
         fl = self.floors[level]
         for r in range(n):
-            if pi[r] is None and bisect_right(fl, ts[r]):
+            if pi[r] < 0 and bisect_right(fl, ts[r]):
                 self._rebuild(r, level)
 
     def _new_node(self, k):
         """A fresh singleton on level k, reusing a retired id below L.
 
-        Retiring already cleared a reused id's sub and down entries.
+        Retiring already cleared a reused id's sub and down entries; its
+        parent, child and sibling cells are cleared here.
         """
         free = self.free.get(k)
         if free:
             v = free.pop()
-            self.pi[k][v] = None
-            self.ch[k][v] = []
+            self.pi[k][v] = self.fc[k][v] = self.lc[k][v] = self.ns[k][v] = -1
             self.ts[k][v] = 1
             return v
         v = len(self.pi[k])
-        self.pi[k].append(None)
-        self.ch[k].append([])
+        self.pi[k].append(-1)
+        self.fc[k].append(-1)
+        self.lc[k].append(-1)
+        self.ns[k].append(-1)
         self.ts[k].append(1)
         self.sub[k].append(None)
         self.lid[k].append(0)
@@ -324,11 +348,13 @@ class LinkForest(Leveled):
             if S is None:
                 pi = self.pi[k]
                 t = x
-                while pi[t] is not None:
-                    t = pi[t]
+                p = pi[t]
+                while p >= 0:
+                    t = p
+                    p = pi[t]
             else:
                 t = S.rev[S.inc.varrho]     # S.root, without the call
-                if self.pi[k][t] is not None:
+                if self.pi[k][t] >= 0:
                     x = S.up
                     k -= 1
                     continue
@@ -347,7 +373,7 @@ class LinkForest(Leveled):
         n = len(pi)
         check_id(x, n)
         check_id(y, n)
-        if pi[y] is not None:
+        if pi[y] >= 0:
             raise ValueError(f"link target {y} is not a root")
         r = self._find_root(x)
         if r == y:
@@ -376,7 +402,13 @@ class LinkForest(Leveled):
         sy = bisect_right(fl, ty)
         ts[r] = tx + ty
         pi[y] = x
-        self.ch[k][x].append(y)
+        lc = self.lc[k]
+        z = lc[x]
+        if z < 0:
+            self.fc[k][x] = y
+        else:
+            self.ns[k][z] = y
+        lc[x] = y
         sg = sx if sx >= sy else sy
         st = bisect_right(fl, tx + ty)
         sub = self.sub[k]
@@ -394,15 +426,15 @@ class LinkForest(Leveled):
             self._retire(sub[r], k)
             S = sub[y]
             v = x
-            while v is not None:
-                self._seat(S, v, None, k)
+            while v >= 0:
+                self._seat(S, v, -1, k)
                 v = pi[v]
             if tx > 1:      # a fresh singleton x is one add_root
                 self._fill(S, r, y, k)
         elif sg > 0:
             assert k > 1, "equal stages above 0 cannot meet at the bottom level"
             self._l(sub[r].up, sub[x].up, sub[y].up, k - 1)
-        # else: merged size under 4, the parent lists already say it all
+        # else: merged size under 4, the shape columns already say it all
 
     def _retire(self, S, k):
         """Retire the contracted trees below S, level after level.
@@ -453,30 +485,33 @@ class LinkForest(Leveled):
         The subtree under skip is left out entirely.
         """
         pi = self.pi[k]
-        ch = self.ch[k]
+        fc = self.fc[k]
+        ns = self.ns[k]
         sub = self.sub[k]
         queue = [top]
         # the loop also walks the children it appends
         for v in queue:
             if sub[v] is not S:
                 self._seat(S, v, pi[v], k)
-            for w in ch[v]:
+            w = fc[v]
+            while w >= 0:
                 if w != skip:
                     queue.append(w)
+                w = ns[w]
 
     def _seat(self, S, v, u, k):
         """Add level-k node v to subtree S, below member u or, when u is
-        None, above S's root.
+        -1, above S's root.
 
         An add that a full packed record refuses promotes the record,
         and is made again on the three-level tree that replaces it.
         """
         lid = self.lid[k]
         try:
-            i = S.inc.add_root() if u is None else S.inc._add_leaf(lid[u])
+            i = S.inc.add_root() if u < 0 else S.inc._add_leaf(lid[u])
         except CapacityError:
             inc = self._promote(S)
-            i = inc.add_root() if u is None else inc._add_leaf(lid[u])
+            i = inc.add_root() if u < 0 else inc._add_leaf(lid[u])
         lid[v] = i
         S.rev.append(v)
         self.sub[k][v] = S
@@ -507,13 +542,14 @@ class LinkForest(Leveled):
     def relevel(self, level):
         """Restage this forest in place for `level` levels.
 
-        The vertex level's parent, child and size lists stay as they are,
+        The vertex level's shape columns and size list stay as they are,
         so no vertex is made again; only the levels below and the
         subtree records are built anew.  A level with no table row
         raises and leaves the forest as it was.
         """
         k = self.L
-        self._stage(level, self.pi[k], self.ch[k], self.ts[k])
+        self._stage(level, self.pi[k], self.fc[k], self.lc[k], self.ns[k],
+                    self.ts[k])
 
     def ca(self, x, y):
         """Characteristic ancestors, or None across trees."""
@@ -546,13 +582,13 @@ class LinkForest(Leveled):
         return None if t is None else t.a
 
     def _flat(self, x, y, k):
-        """Meet inside a stage-0 tree: walk the bare parent lists."""
+        """Meet inside a stage-0 tree: walk the bare parent column."""
         pi = self.pi[k]
         px = [x]
-        v = x
-        while pi[v] is not None:
-            v = pi[v]
+        v = pi[x]
+        while v >= 0:
             px.append(v)
+            v = pi[v]
         cy = None
         v = y
         while v not in px:
@@ -564,13 +600,20 @@ class LinkForest(Leveled):
             v, px[i - 1] if i else v, cy if cy is not None else v))
 
     def tree_nodes(self, r, k):
-        """Nodes of r's level-k tree, parents before children."""
-        ch = self.ch[k]
+        """Nodes of r's level-k tree, parents before children.
+
+        Breadth first, each node's children in link order, read off the
+        first-child and next-sibling columns.
+        """
+        fc = self.fc[k]
+        ns = self.ns[k]
         order = [r]
-        qi = 0
-        while qi < len(order):
-            order.extend(ch[order[qi]])
-            qi += 1
+        # the loop also walks the children it appends
+        for v in order:
+            w = fc[v]
+            while w >= 0:
+                order.append(w)
+                w = ns[w]
         return order
 
 

@@ -302,7 +302,7 @@ def window_stage(ack, k, size):
 def tree_stage(lf, k, v):
     """Stage of v's level-k tree in LinkForest lf, from its node count."""
     pi = lf.pi[k]
-    while pi[v] is not None:
+    while pi[v] != -1:
         v = pi[v]
     return window_stage(AckermannTable(max(4, lf.max_n)), k,
                         len(lf.tree_nodes(v, k)))
@@ -329,7 +329,7 @@ def check_link_invariants(lf):
     ack = AckermannTable(max(4, lf.max_n))
     live = {k: set() for k in lf.pi}
     top = lf.pi[lf.L]
-    for root in [v for v in range(len(top)) if top[v] is None]:
+    for root in [v for v in range(len(top)) if top[v] == -1]:
         k = lf.L
         nodes = lf.tree_nodes(root, k)
         while True:
@@ -375,9 +375,9 @@ def check_link_invariants(lf):
                 ups.add(S.up)
                 t = S.root
                 pt = lf.pi[k][t]
-                if pt is None:
+                if pt == -1:
                     kr = S.up
-                    assert lf.pi[k - 1][S.up] is None
+                    assert lf.pi[k - 1][S.up] == -1
                 else:
                     assert lf.pi[k - 1][S.up] == lf.sub[k][pt].up
             assert kr is not None

@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 import weakref
+from array import array
 from bisect import bisect_right
 from collections import Counter
 
@@ -511,7 +512,7 @@ def test_two_singletons_stay_bare():
     lf.link(a, b)
     assert tree_stage(lf, 1, a) == 0
     assert lf.sub[1][a] is None and lf.sub[1][b] is None
-    assert lf.pi[1][b] == a and lf.pi[1][a] is None
+    assert lf.pi[1][b] == a and lf.pi[1][a] == -1
     assert lf.find_root(b) == a
     check_link_invariants(lf)
 
@@ -871,14 +872,14 @@ def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
     """A reorganization restages the trees around the vertex level it has.
 
     A 12-node chain is staged at level 1; disjoint pairs then push the
-    level up.  The forest keeps the same parent, child and size list
+    level up.  The forest keeps the same shape columns and size list
     objects, and no vertex is made again.
     """
     af = AdaptiveLinkForest(64)
     v = [af.make_node() for _ in range(64)]
     for i in range(11):
         af.link(v[i], v[i + 1])
-    kept = (af.pi[1], af.ch[1], af.ts[1])
+    kept = (af.pi[1], af.fc[1], af.lc[1], af.ns[1], af.ts[1])
     made = []
     monkeypatch.setattr(linkforest.LinkForest, "make_node",
                         lambda self: made.append(self))
@@ -887,7 +888,8 @@ def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
         af.link(v[i], v[i + 1])
         i += 2
     assert af.L == af.level == 2
-    assert all(a is b for a, b in zip(kept, (af.pi[2], af.ch[2], af.ts[2])))
+    assert all(a is b for a, b in zip(kept, (
+        af.pi[2], af.fc[2], af.lc[2], af.ns[2], af.ts[2])))
     assert made == []
     assert tree_stage(af, 2, v[0]) >= 1 and af.sub[2][v[11]] is af.sub[2][v[0]]
     check_link_invariants(af)
@@ -901,7 +903,7 @@ def test_adaptive_restages_in_place_down_as_well_as_up(monkeypatch):
     ceil(m1/n1) while the target is still the level in force; the target
     then moves, and the next link of a fresh pair lowers the ratio again,
     so _count reads alpha inside that link and restages.  After each
-    restaging the vertex lists are the ones the forest opened with, the
+    restaging the vertex columns are the ones the forest opened with, the
     staging passes the full sweep, every pair meets as the oracle says,
     and down and free hold only the levels below the new L.
     """
@@ -913,7 +915,7 @@ def test_adaptive_restages_in_place_down_as_well_as_up(monkeypatch):
     for _ in range(n):
         af.make_node()
         f.make_node()
-    kept = (af.pi[1], af.ch[1], af.ts[1])
+    kept = (af.pi[1], af.fc[1], af.lc[1], af.ns[1], af.ts[1])
     fresh = iter(range(n))
 
     def link(x, y):
@@ -935,7 +937,8 @@ def test_adaptive_restages_in_place_down_as_well_as_up(monkeypatch):
         tree(2, "chain")
         assert af.L == af.level == level
         assert all(a is b for a, b in zip(kept, (
-            af.pi[level], af.ch[level], af.ts[level])))
+            af.pi[level], af.fc[level], af.lc[level], af.ns[level],
+            af.ts[level])))
         assert set(af.down) == set(af.free) == set(range(1, level))
         check_link_invariants(af)
         for x in range(n):
@@ -1322,3 +1325,139 @@ def test_forest_holds_only_live_trees(level, rng, monkeypatch):
     assert set(fills) == {"rebuild", "pour-x", "pour-y"}, fills
     if forest().L > 1:
         assert any(forest().free.values())
+
+
+_COLUMNS = ("pi", "fc", "lc", "ns")
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_reused_ids_carry_no_stale_links(level, rng, monkeypatch):
+    """A retired id comes back with no parent, child or sibling.
+
+    Random links retire contracted trees, whose ids the levels below
+    the vertex level hand out again.  Each reused id starts with -1 in
+    all four shape columns, and on every level, for every live node,
+    the children walked from the columns are those whose parent is that
+    node, in the order their links were made.
+    """
+    n = 2000
+    tick = iter(range(1 << 30))
+    linked = {}        # (k, y): when y was last linked below its parent
+    reused = Counter()
+    new_node, l = LinkForest._new_node, LinkForest._l
+
+    def fresh(self, k):
+        was_free = bool(self.free.get(k))
+        v = new_node(self, k)
+        if was_free:
+            reused[k] += 1
+            assert [getattr(self, c)[k][v] for c in _COLUMNS] == [-1] * 4
+            assert self.ts[k][v] == 1
+        return v
+
+    def logged(self, r, x, y, k):
+        linked[k, y] = next(tick)
+        l(self, r, x, y, k)
+
+    monkeypatch.setattr(LinkForest, "_new_node", fresh)
+    monkeypatch.setattr(LinkForest, "_l", logged)
+    lf = LinkForest(level, n)
+    for _ in range(n):
+        lf.make_node()
+
+    def sweep():
+        for k in range(1, lf.L + 1):
+            free = set(lf.free.get(k, ()))
+            live = [v for v in range(len(lf.pi[k])) if v not in free]
+            kids = {v: [] for v in live}
+            for v in live:
+                p = lf.pi[k][v]
+                if p != -1:
+                    kids[p].append(v)
+            for v in live:
+                walked = []
+                w = lf.fc[k][v]
+                while w != -1:
+                    walked.append(w)
+                    w = lf.ns[k][w]
+                want = sorted(kids[v], key=lambda y: linked[k, y])
+                assert walked == want, (k, v)
+                assert lf.lc[k][v] == (want[-1] if want else -1), (k, v)
+                if lf.pi[k][v] == -1:
+                    assert lf.ns[k][v] == -1, (k, v)
+
+    members = {v: [v] for v in range(n)}
+    while len(members) > 1:
+        r, y = rng.sample(sorted(members), 2)
+        lf.link(rng.choice(members[r]), y)
+        members[r] += members.pop(y)
+        if len(members) % 200 == 0:
+            sweep()
+    sweep()
+    check_link_invariants(lf)
+    assert reused[level - 1] > 0, reused
+
+
+def _replay_against_oracle(lf, rng, n, queries):
+    """Random links among n fresh nodes of lf, then meets held to the oracle."""
+    f = Forest()
+    for _ in range(n):
+        lf.make_node()
+        f.make_node()
+    _random_links(lf, f, rng, n, False)
+    check_link_invariants(lf)
+    for _ in range(queries):
+        x = rng.randrange(n)
+        y = rng.randrange(n)
+        assert lf.ca(x, y) == oracle_ca(f, x, y), (x, y)
+
+
+@pytest.mark.parametrize("max_n, narrow", [(1 << 31, True), ((1 << 31) + 1, False)])
+def test_shape_columns_in_32_bit_cells_up_to_their_cutoff(max_n, narrow, rng):
+    """Ids below 2^31 take signed 32-bit cells; a larger capacity, lists.
+
+    -1 marks none, so the largest id max_n - 1 must fit a signed cell.
+    Forests at the cutoff and one past it get the two cell kinds on
+    every level, and a replay on each meets the oracle.
+    """
+    assert ((1 << 31) - 1).bit_length() == 31 < (1 << 31).bit_length()
+    for lf in (LinkForest(3, max_n), AdaptiveLinkForest(max_n)):
+        for c in _COLUMNS:
+            for k, col in getattr(lf, c).items():
+                if narrow:
+                    assert col.typecode == "i", (c, k)
+                    assert 8 * col.itemsize > (max_n - 1).bit_length()
+                else:
+                    assert type(col) is list, (c, k)
+        _replay_against_oracle(lf, rng, 300, 1500)
+    wide = LinkForest(1, 1 << 64)
+    assert type(wide.pi[1]) is list
+    _replay_against_oracle(wide, rng, 40, 400)
+
+
+def test_shape_columns_hold_no_per_node_lists(rng):
+    """After a 2^12-node link replay every level's shape is four int arrays.
+
+    Together they take at most 20 B per vertex over all levels: 16 B of
+    cells and the arrays' growth slack.  No container the forest keeps
+    per level holds a list per node.
+    """
+    n = 1 << 12
+    af = AdaptiveLinkForest(n)
+    for _ in range(n):
+        af.make_node()
+    members = {v: [v] for v in range(n)}
+    while len(members) > 1:
+        r, y = rng.sample(sorted(members), 2)
+        af.link(rng.choice(members[r]), y)
+        members[r] += members.pop(y)
+    assert af.L > 1
+    held = 0
+    for c in _COLUMNS:
+        for k, col in getattr(af, c).items():
+            assert type(col) is array and col.typecode == "i", (c, k)
+            held += sys.getsizeof(col)
+    assert held <= 20 * n, held / n
+    for name in ("ts", "sub", "lid", "down", "free"):
+        for k, col in getattr(af, name).items():
+            assert not any(type(v) is list for v in col), (name, k)
