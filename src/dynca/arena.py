@@ -4,33 +4,29 @@ Each microset's id-to-node map is a growing array, and one leveled
 tree packs all of its maps into one backing store.  The accounting
 target: at any instant the backing store holds at most 4 cells per live
 logical entry, even though relocated regions are never reclaimed.
-Every array starts with two granted slots (s=1, capacity 2) and, when a
-push finds n == 2s, relocates to a fresh region of size 4s at the end
-of the store, copying its n cells and doubling s.  Handles are stable
-across relocations.
+Every array starts with two granted slots (capacity 2) and, when a push
+finds it full, relocates to a fresh region of twice its capacity at the
+end of the store, copying its cells.  Handles are stable across
+relocations.
 """
 
 from __future__ import annotations
 
 
 class Arena:
-    __slots__ = ("backing", "off", "cap", "n", "s", "total_live", "cells_copied")
+    __slots__ = ("backing", "off", "cap", "n", "total_live", "cells_copied")
 
     def __init__(self) -> None:
         self.backing: list = []
         self.off: list[int] = []
         self.cap: list[int] = []
         self.n: list[int] = []
-        self.s: list[int] = []
         self.total_live = 0
         self.cells_copied = 0
 
     @property
     def used(self) -> int:
         return len(self.backing)
-
-    def __len__(self) -> int:
-        return len(self.off)
 
     def new_array(self) -> int:
         """Allocate an array with two granted slots; returns its handle."""
@@ -39,7 +35,6 @@ class Arena:
         self.backing.extend((0, 0))
         self.cap.append(2)
         self.n.append(2)
-        self.s.append(1)
         self.total_live += 2
         assert self.used <= 4 * self.total_live
         return h
@@ -57,14 +52,12 @@ class Arena:
 
     def _relocate(self, h: int) -> None:
         n = self.n[h]
-        s = self.s[h]
-        newcap = 4 * s
+        newcap = 2 * self.cap[h]
         old = self.off[h]
         self.off[h] = len(self.backing)
         self.backing.extend(self.backing[old:old + n])
         self.backing.extend([0] * (newcap - n))
         self.cap[h] = newcap
-        self.s[h] = 2 * s
         self.cells_copied += n
 
     def set(self, h: int, idx: int, v) -> None:

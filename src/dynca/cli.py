@@ -9,18 +9,21 @@ from .traces import (PROFILES, ENGINES, extern_answer, format_trace,
                      generate, parse_trace, run)
 
 def _resolve_max_n(flag):
-    if flag is not None:
-        return flag
-    env = os.environ.get("NCA_MAX_N")
-    if env:
+    """The capacity from --max-n, else from NCA_MAX_N; None when neither."""
+    v = flag
+    name = "--max-n"
+    if v is None:
+        env = os.environ.get("NCA_MAX_N")
+        if not env:
+            return None
+        name = "NCA_MAX_N"
         try:
             v = int(env)
         except ValueError:
             raise ConfigError(f"NCA_MAX_N must be an integer, got {env!r}")
-        if v < 1:
-            raise ConfigError("NCA_MAX_N must be positive")
-        return v
-    return None
+    if v < 1:
+        raise ConfigError(f"{name} must be positive")
+    return v
 
 
 def _cmd_run(args):

@@ -146,7 +146,8 @@ def assign_numbers(t, order):
 
     order lists the subtree breadth-first from its top node, each member
     with s = 1 and succ = None.  Subtree sizes go bottom-up into s and
-    heavy children into succ; then one top-down pass settles each node.
+    heavy children into succ; then one top-down pass settles each node,
+    giving it its depth on its heavy path in pos: 0 makes it an apex.
     A stored root takes a fresh interval at 0.  Any other node takes the
     next c*sigma^e cells at its compressed parent d's cursor Qbar[d].
     Breadth-first order packs compressed siblings left to right.
@@ -166,7 +167,6 @@ def assign_numbers(t, order):
     piT = t.piT
     s = t.s
     succ = t.succ
-    apex = t.apex
     pos = t.pos
     piD = t.piD
     sigma = t.sigma
@@ -191,11 +191,9 @@ def assign_numbers(t, order):
     for u in order:
         a = piT[u]
         if a is not None and succ[a] == u:
-            apex[u] = False
             pos[u] = pos[a] + 1
             s[u] = sg = 1
         else:
-            apex[u] = True
             pos[u] = 0
             sg = s[u]
         sigma[u] = sg
@@ -210,7 +208,7 @@ def assign_numbers(t, order):
             row = array(t._tc, (EPS,)) * i_u
             written += i_u
         else:
-            d = a if apex[a] else piD[a]
+            d = piD[a] if pos[a] else a
             piD[u] = d
             lo = Qbar[d]
             hi = lo + cw
@@ -237,8 +235,9 @@ def assign_numbers(t, order):
 class FatQueryMixin:
     """Meet queries against the stored rooting.
 
-    Host classes provide flat arrays indexed by node id: piT, piD, apex,
-    succ, pos, sigma, p, q, tab, iq, plus _flb and stats.  Weights must
+    Host classes provide flat arrays indexed by node id: piT, piD, succ,
+    pos, sigma, p, q, tab, iq, plus _flb and stats.  A node is an apex
+    exactly when its pos, its depth on its heavy path, is 0.  Weights must
     satisfy sigma(piD(v)) >= beta * sigma(v), which makes interval width
     monotone along compressed root paths; everything below leans on that.
 
@@ -267,7 +266,6 @@ class FatQueryMixin:
         p = self.p
         q = self.q
         piD = self.piD
-        apex = self.apex
         px = p[x]
         py = p[y]
         steps = 1
@@ -321,12 +319,12 @@ class FatQueryMixin:
         # child itself or the next node down the path
         piT = self.piT
         pos = self.pos
-        if fx or not apex[cx]:
+        if fx or pos[cx]:
             bx = cx
         else:
             bx = piT[cx]
             steps += 1
-        if fy or not apex[cy]:
+        if fy or pos[cy]:
             by = cy
         else:
             by = piT[cy]
@@ -375,19 +373,18 @@ class StaticCa(FatQueryMixin):
         piT = list(forest.parent)
         self.piT = piT
         self.tree = [0] * n  # the root of each node's tree
-        self.s = [1] * n
-        self.apex = [False] * n
+        # nothing grows, so a node's weight is its subtree size once the
+        # build has run, and one list serves as both
+        self.s = self.sigma = [1] * n
         self.succ = [None] * n
         self.pos = [0] * n
         self.piD = [None] * n
-        self.sigma = [1] * n
         self.p = fat_cells(top, n)
         self.q = fat_cells(top, n)
         self.Qbar = fat_cells(top, n)
         self.tab = [None] * n
         self.iq = [0] * n
-        self._lt = shared_log_table(params.beta, top)
-        self._flb = self._lt.floor_log_beta
+        self._flb = shared_log_table(params.beta, top).floor_log_beta
         for r in range(n):
             if piT[r] is None:
                 self._build_tree(forest.children, r)

@@ -5,6 +5,8 @@ a subtree outgrows its recorded weight by the alpha factor, and then the
 renumbering covers the shallowest such ancestor, so the recorded weights
 keep their geometric growth along compressed root paths.  A new leaf is an
 apex of its own, numbered from its compressed parent's packing cursor.
+No apex flag is stored: a node is an apex exactly when its depth on its
+heavy path, pos, is 0.
 
 A renumbering lists the subtree breadth-first off the child lists and
 hands it to assign_numbers, the one pass that also numbers a frozen
@@ -100,6 +102,8 @@ class IncrementalTree(Spine, FatQueryMixin):
     _stored = FatQueryMixin._ca_stored
 
     def __init__(self, max_n, stats=None):
+        if max_n < 1:
+            raise ValueError(f"capacity {max_n} is below 1")
         params = self.params
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
@@ -110,8 +114,7 @@ class IncrementalTree(Spine, FatQueryMixin):
         self._anum = params.alpha.num
         self._aden = params.alpha.den
         top = c * max(max_n, 2) ** e
-        self._lt = shared_log_table(params.beta, top)
-        self._flb = self._lt.floor_log_beta
+        self._flb = shared_log_table(params.beta, top).floor_log_beta
         # rows hold node ids below max_n and EPS, so 32-bit cells do
         # unless the capacity itself needs more
         self._tc = "i" if max_n < 2 ** 31 else "q"
@@ -120,7 +123,6 @@ class IncrementalTree(Spine, FatQueryMixin):
         self.piT = [None]
         self.s = [1]
         self.sigma = [1]
-        self.apex = [True]
         self.succ = [None]
         self.pos = [0]
         self.piD = [None]
@@ -158,10 +160,9 @@ class IncrementalTree(Spine, FatQueryMixin):
         self.piT.append(x)
         s.append(1)
         sigma.append(1)
-        self.apex.append(True)
         self.succ.append(None)
         self.pos.append(0)
-        piD.append(x if self.apex[x] else piD[x])
+        piD.append(piD[x] if self.pos[x] else x)
         self.p.append(0)
         self.q.append(0)
         self.Qbar.append(0)

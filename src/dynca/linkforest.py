@@ -1,13 +1,13 @@
 """Meet queries under link, with self-tuning inverse-Ackermann overhead.
 
 Trees at the top level hold the real vertices.  Every level keeps its
-tree shape in flat id columns: a parent, a first child, a last child
-and a next sibling per node, -1 marking none, in 32-bit int arrays
-while every id fits one and in lists above that; no node holds a list
-of its own.  A tree of fewer than four nodes is kept as that bare
-shape; anything larger is partitioned into subtrees, and contracting
-every subtree yields the tree one level down, where the same scheme
-repeats.  A subtree is built as one packed tree (PackedTree in
+tree shape in three flat id columns: a parent, a first child and a next
+sibling per node, -1 marking none, in 32-bit int arrays while every id
+fits one and in lists above that.  No node holds a list of its own, and
+a node's children run newest first.  A tree of fewer than four nodes is
+kept as that bare shape; anything larger is partitioned into subtrees,
+and contracting every subtree yields the tree one level down, where the
+same scheme repeats.  A subtree is built as one packed tree (PackedTree in
 microset.py) when it has at most PackedTree.CAP nodes, and as a
 three-level incremental tree of linear total growth (the linear_tree
 shape in multilevel.py) when it is larger; a packed subtree that a
@@ -246,9 +246,10 @@ class LinkForest(Leveled):
     """Forest under make_node / link / ca at a fixed level count.
 
     Vertices live on level L; contractions run down to level 1.
-    A level's shape is four id columns: pi (the parent), fc and lc (the
-    first and last child) and ns (the next sibling), each -1 where there
-    is none, so a node's children run from fc through ns in link order.
+    A level's shape is three id columns: pi (the parent), fc (the first
+    child) and ns (the next sibling), each -1 where there is none.  A
+    link puts the new child first, so a node's children run from fc
+    through ns newest first.
     Tree stages on level k are classified by row k of an Ackermann table
     built for max_n nodes: floors[k] lists 2*A(k, j) for j = 1, 2, ...
     up to the first value past max_n, and a size past the last floor
@@ -258,15 +259,17 @@ class LinkForest(Leveled):
     def __init__(self, level, max_n, stats=None):
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
-        self._stage(level, *(_cells(max_n) for _ in range(4)), [])
+        self._stage(level, *(_cells(max_n) for _ in range(3)), [])
 
-    def _stage(self, level, pi, fc, lc, ns, ts):
-        """Levels 1..level around the vertex level's pi, fc, lc, ns and ts.
+    def _stage(self, level, pi, fc, ns, ts):
+        """Levels 1..level around the vertex level's pi, fc, ns and ts.
 
-        The level is checked before anything is touched.  Everything
-        below the vertex level is built anew, with empty free lists:
-        trees under four nodes stay bare in stage 0, and each larger one
-        becomes a single subtree in the stage read off its size.
+        pi, fc and ns are its three shape columns, children newest
+        first, and ts its tree sizes.  The level is checked before
+        anything is touched.  Everything below the vertex level is built
+        anew, with empty free lists: trees under four nodes stay bare in
+        stage 0, and each larger one becomes a single subtree in the
+        stage read off its size.
         """
         if level < 1:
             raise ValueError("need at least one level")
@@ -282,7 +285,6 @@ class LinkForest(Leveled):
         m = self.max_n
         self.pi = {k: _cells(m) for k in rng}
         self.fc = {k: _cells(m) for k in rng}
-        self.lc = {k: _cells(m) for k in rng}
         self.ns = {k: _cells(m) for k in rng}
         self.ts = {k: [] for k in rng}      # tree size, authoritative at roots
         self.sub = {k: [] for k in rng}     # _Sub, or None in stage 0
@@ -291,7 +293,6 @@ class LinkForest(Leveled):
         self.free = {k: [] for k in range(1, level)}  # retired, reusable
         self.pi[level] = pi
         self.fc[level] = fc
-        self.lc[level] = lc
         self.ns[level] = ns
         self.ts[level] = ts
         self.sub[level] = [None] * n
@@ -310,13 +311,12 @@ class LinkForest(Leveled):
         free = self.free.get(k)
         if free:
             v = free.pop()
-            self.pi[k][v] = self.fc[k][v] = self.lc[k][v] = self.ns[k][v] = -1
+            self.pi[k][v] = self.fc[k][v] = self.ns[k][v] = -1
             self.ts[k][v] = 1
             return v
         v = len(self.pi[k])
         self.pi[k].append(-1)
         self.fc[k].append(-1)
-        self.lc[k].append(-1)
         self.ns[k].append(-1)
         self.ts[k].append(1)
         self.sub[k].append(None)
@@ -402,13 +402,9 @@ class LinkForest(Leveled):
         sy = bisect_right(fl, ty)
         ts[r] = tx + ty
         pi[y] = x
-        lc = self.lc[k]
-        z = lc[x]
-        if z < 0:
-            self.fc[k][x] = y
-        else:
-            self.ns[k][z] = y
-        lc[x] = y
+        fc = self.fc[k]
+        self.ns[k][y] = fc[x]
+        fc[x] = y
         sg = sx if sx >= sy else sy
         st = bisect_right(fl, tx + ty)
         sub = self.sub[k]
@@ -548,8 +544,7 @@ class LinkForest(Leveled):
         raises and leaves the forest as it was.
         """
         k = self.L
-        self._stage(level, self.pi[k], self.fc[k], self.lc[k], self.ns[k],
-                    self.ts[k])
+        self._stage(level, self.pi[k], self.fc[k], self.ns[k], self.ts[k])
 
     def ca(self, x, y):
         """Characteristic ancestors, or None across trees."""
@@ -602,7 +597,7 @@ class LinkForest(Leveled):
     def tree_nodes(self, r, k):
         """Nodes of r's level-k tree, parents before children.
 
-        Breadth first, each node's children in link order, read off the
+        Breadth first, each node's children newest first, read off the
         first-child and next-sibling columns.
         """
         fc = self.fc[k]
@@ -704,5 +699,4 @@ class AdaptiveLinkForest(LinkForest):
         L = self.L
         if lv != L and lv != L - 1:
             self.relevel(lv)
-            self.stats.reorgs += 1
             self.stats.reorg_log.append((m1, L, lv))

@@ -55,6 +55,8 @@ class MultilevelInc(Spine, Leveled):
     def __init__(self, max_n, levels=3, mu=None, stats=None):
         if levels < 2:
             raise ValueError("need at least two levels")
+        if max_n < 1:
+            raise ValueError(f"capacity {max_n} is below 1")
         self.L = levels
         self.max_n = max_n
         if mu is None:

@@ -39,7 +39,6 @@ class LogTable:
             raise ValueError("beta must be a rational greater than 1")
         if max_r < 1:
             raise ValueError("max_r must be at least 1")
-        self.beta = Rational(bn, bd)
         self.max_r = max_r
         self._beta_is_two = bn == 2 * bd
         thresholds = [1]

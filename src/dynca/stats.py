@@ -14,12 +14,13 @@ class Stats:
     recompressions: int = 0
     recompression_nodes: int = 0  # nodes renumbered across all recompressions
     table_entries: int = 0        # ancestor table entries written
-    reorgs: int = 0               # adaptive link-forest restagings, one per reorg_log entry
     root_renumberings: int = 0    # recompressions from the stored root (its interval restarts)
     queries: int = 0
     max_query_steps: int = 0
     work: int = 0
-    reorg_log: list = field(default_factory=list)  # (op_index, old_level, new_level)
+    # adaptive link-forest restagings, one (op_index, old_level, new_level)
+    # entry each: their count is len(reorg_log)
+    reorg_log: list = field(default_factory=list)
 
     def note_query(self, steps):
         self.queries += 1

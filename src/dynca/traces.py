@@ -407,8 +407,9 @@ def _replay_one(e, trace):
     wall = time.perf_counter() - t0
     answers = [_norm(op.kind, r) for op, r in zip(trace, got) if op.kind in QUERIES]
     st = e.stats
-    return EngineReport(e.name, trace.n_nodes, len(answers), st.eta, st.reorgs,
-                        st.root_renumberings, st.recompressions, e.arena_cells,
+    return EngineReport(e.name, trace.n_nodes, len(answers), st.eta,
+                        len(st.reorg_log), st.root_renumberings,
+                        st.recompressions, e.arena_cells,
                         st.max_query_steps, wall * 1000.0, answers)
 
 

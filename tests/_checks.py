@@ -65,7 +65,7 @@ def check_fat_order(obj, nodes, root, params, incremental=False):
         pbar[u], _, _, qbar[u] = guards(obj, u)
     sigma = obj.sigma
     s = obj.s
-    apex = obj.apex
+    pos = obj.pos
     piD = obj.piD
 
     ch = dchildren(obj, nodes)
@@ -88,11 +88,11 @@ def check_fat_order(obj, nodes, root, params, incremental=False):
         hi = bisect_left(ps, qbar[u])
         assert lo == hi, f"number inside high guard of {u}"
         # descendant count: the open interval holds exactly the subtree
-        want = s[u] if apex[u] else 1
+        want = s[u] if pos[u] == 0 else 1
         got = bisect_left(ps, q[u]) - bisect_left(ps, p[u])
         assert got == want, f"node {u}: {got} numbers in interval, subtree {want}"
         # non-apex nodes are compressed leaves of weight one
-        if not apex[u]:
+        if pos[u] != 0:
             assert sigma[u] == 1
             assert not ch[u]
         # growth slack for growing structures
@@ -108,7 +108,7 @@ def check_fat_order(obj, nodes, root, params, incremental=False):
         if t is None:
             assert u == root
             continue
-        assert apex[t], "compressed parent must be an apex"
+        assert pos[t] == 0, "compressed parent must be an apex"
         # Eq-1 geometric growth, exact rational compare
         assert sigma[t] * bd >= bn * sigma[u], \
             f"weight ratio violated at {u} under {t}"
@@ -139,7 +139,7 @@ def check_compression_exact(sca, forest, nodes, root):
             size[forest.parent[u]] += size[u]
     for u in nodes:
         heavy = u != root and 2 * size[u] > size[forest.parent[u]]
-        assert sca.apex[u] == (not heavy), f"apex flag wrong at {u}"
+        assert (sca.pos[u] == 0) == (not heavy), f"apex wrong at {u}"
         if heavy:
             assert sca.succ[forest.parent[u]] == u
     for u in nodes:
@@ -147,10 +147,10 @@ def check_compression_exact(sca, forest, nodes, root):
             assert sca.piD[u] is None
         else:
             a = forest.parent[u]
-            while not sca.apex[a]:
+            while sca.pos[a] != 0:
                 a = forest.parent[a]
             assert sca.piD[u] == a, f"piD({u}) is not the nearest apex ancestor"
-        assert sca.sigma[u] == (size[u] if sca.apex[u] else 1)
+        assert sca.sigma[u] == (size[u] if sca.pos[u] == 0 else 1)
 
 
 def build_random_tree(rng, n, forest=None):
@@ -222,7 +222,7 @@ def shared_rows_ok(obj, nodes, root):
         if u == root or ch[u]:
             assert id(row) not in owned, f"{u} owns another node's row"
             owned.add(id(row))
-            assert u == root or obj.apex[u], f"non-apex {u} has compressed children"
+            assert u == root or obj.pos[u] == 0, f"non-apex {u} has compressed children"
             assert len(row) == width, f"row of {u} is {len(row)} wide, not {width}"
             d = obj.piD[u]
             assert d is None or row is not obj.tab[d], f"{u} shares the row it must own"

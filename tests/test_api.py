@@ -7,7 +7,8 @@ import pytest
 
 import dynca
 from dynca import (AdaptiveLinkForest, CapacityError, Forest, IncrementalTree,
-                   LinkForest, StaticCa, edmonds_tree, linear_tree, oracle_ca)
+                   LinkForest, MultilevelInc, StaticCa, edmonds_tree,
+                   linear_tree, oracle_ca)
 from dynca.traces import GROWN
 
 from _checks import check_link_invariants
@@ -93,6 +94,16 @@ def test_bool_ids_rejected(engine):
         ca(0, False)
     # other int subclasses stay valid ids
     assert ca(Id(1), Id(0)) == ca(1, 0) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("make", [IncrementalTree, MultilevelInc,
+                                  edmonds_tree, linear_tree])
+def test_capacity_below_one_rejected(make):
+    """A grown tree holds node 0 from the start, so its capacity is >= 1."""
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="capacity"):
+            make(bad)
+    assert make(1).n == 1
 
 
 @pytest.mark.parametrize("engine", sorted(GROWN))

@@ -24,7 +24,8 @@ than PackedTree.CAP, so on levels 2 and up, whose stages are wide, it
 grows one record through that promotion; a derandomized run checks that
 both kinds and a promotion come up.  A second derandomized run builds
 every multilevel record with microsets of four nodes, so the records'
-level-1 trees meet the oracle too.
+level-1 trees meet the oracle too.  A third checks that queries and
+renumberings reach the level-1 tree of both mu = 4 grown engines.
 """
 
 import dataclasses
@@ -35,7 +36,8 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, precondition, rule,
                                  run_state_machine_as_test)
 
-from dynca import AdaptiveLinkForest, CaTriple, Forest, LinkForest, oracle_ca
+from dynca import (AdaptiveLinkForest, CaTriple, Forest, IncrementalTree,
+                   LinkForest, oracle_ca)
 from dynca import linkforest
 from dynca.microset import PackedTree
 from dynca.multilevel import MultilevelInc
@@ -347,3 +349,45 @@ def test_small_microset_records_meet_the_oracle(monkeypatch):
         derandomize=True, database=None))
     assert any(t.inc is not None for t in records), len(records)
     assert promotions["outside _fill"], promotions
+
+
+def test_run_reaches_the_level1_tree_of_each_small_microset_engine(monkeypatch):
+    """A fixed run of the machine takes both mu = 4 grown engines down to
+    their level-1 IncrementalTree: queries recurse into it through
+    MultilevelInc._flat, and it renumbers through _recompress.
+
+    The 3-level engine's level 1 holds one node per 16 vertices, so only
+    the DEEP chain gives it more than its seed; the run must draw one.
+    """
+    machines = []
+    init = Differential.__init__
+
+    def tracked(self):
+        init(self)
+        machines.append(self)
+
+    flats = Counter()
+    recompressions = Counter()
+    flat = MultilevelInc._flat
+    recompress = IncrementalTree._recompress
+
+    def engine(pred):
+        return next((k for k, t in machines[-1].grown.items() if pred(t)), None)
+
+    def counted_flat(self, x, y, k):
+        flats[engine(lambda t: t is self)] += 1
+        return flat(self, x, y, k)
+
+    def counted_recompress(self, v):
+        recompressions[engine(lambda t: getattr(t, "inc", None) is self)] += 1
+        return recompress(self, v)
+
+    monkeypatch.setattr(Differential, "__init__", tracked)
+    monkeypatch.setattr(MultilevelInc, "_flat", counted_flat)
+    monkeypatch.setattr(IncrementalTree, "_recompress", counted_recompress)
+    run_state_machine_as_test(Differential, settings=settings(
+        max_examples=8, stateful_step_count=60, deadline=None,
+        derandomize=True, database=None))
+    assert any(m.chained for m in machines), len(machines)
+    for k in ("inc-2-mu4", "inc-3-mu4"):
+        assert flats[k] and recompressions[k], (k, flats, recompressions)

@@ -114,7 +114,7 @@ def test_compression_path():
     """
     f = path_forest(30)
     sca = StaticCa(f)
-    assert sca.apex == [True] + [False] * 28 + [True]
+    assert [v for v in range(30) if sca.pos[v] == 0] == [0, 29]
     assert all(sca.piD[v] == 0 for v in range(1, 30))
     check_compression_exact(sca, f, range(30), 0)
 
@@ -123,7 +123,7 @@ def test_compression_complete_binary():
     """Both children tie at half weight, so every node is an apex."""
     f = complete_binary(4)
     sca = StaticCa(f)
-    assert all(sca.apex)
+    assert all(v == 0 for v in sca.pos)
     assert all(sca.piD[v] == f.parent[v] for v in range(1, len(f.parent)))
 
 
@@ -133,7 +133,7 @@ def test_compression_star():
     for _ in range(3):
         f.add_leaf(0, f.make_node())
     sca = StaticCa(f)
-    assert all(sca.apex)
+    assert all(v == 0 for v in sca.pos)
 
 
 def test_compression_exact_random(rng):

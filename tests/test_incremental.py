@@ -102,7 +102,7 @@ def test_first_child_of_apex_leaf_gets_a_row(rng):
     t = IncrementalTree(400)
     for _ in range(150):
         t.add_leaf(rng.randrange(t.n))
-    leaves = [x for x in range(1, t.n) if t.apex[x] and not children(t, x)]
+    leaves = [x for x in range(1, t.n) if t.pos[x] == 0 and not children(t, x)]
     assert len(leaves) >= 20
     kept = 0
     for x in leaves:
@@ -111,7 +111,7 @@ def test_first_child_of_apex_leaf_gets_a_row(rng):
         y = t.add_leaf(x)
         assert t.stats.recompressions == before + 1
         d = t.piD[y]
-        assert d == (x if t.apex[x] else t.piD[x])
+        assert d == (x if t.pos[x] == 0 else t.piD[x])
         kept += d == x
         shared_rows_ok(t, range(t.n), 0)
         for i in range(len(t.tab[y])):
@@ -136,8 +136,7 @@ def test_root_recompression_matches_static():
             continue
         seen += 1
         sca = StaticCa(f, DYNAMIC_PARAMS)
-        for name in ("p", "q", "Qbar", "apex", "piD", "sigma", "succ", "pos",
-                     "iq"):
+        for name in ("p", "q", "Qbar", "piD", "sigma", "succ", "pos", "iq"):
             assert getattr(t, name) == getattr(sca, name), (t.n, name)
         assert [list(r) for r in t.tab] == [list(r) for r in sca.tab], t.n
     assert seen >= 30

@@ -879,7 +879,7 @@ def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
     v = [af.make_node() for _ in range(64)]
     for i in range(11):
         af.link(v[i], v[i + 1])
-    kept = (af.pi[1], af.fc[1], af.lc[1], af.ns[1], af.ts[1])
+    kept = (af.pi[1], af.fc[1], af.ns[1], af.ts[1])
     made = []
     monkeypatch.setattr(linkforest.LinkForest, "make_node",
                         lambda self: made.append(self))
@@ -889,7 +889,7 @@ def test_adaptive_reorg_keeps_the_vertex_level(monkeypatch):
         i += 2
     assert af.L == af.level == 2
     assert all(a is b for a, b in zip(kept, (
-        af.pi[2], af.fc[2], af.lc[2], af.ns[2], af.ts[2])))
+        af.pi[2], af.fc[2], af.ns[2], af.ts[2])))
     assert made == []
     assert tree_stage(af, 2, v[0]) >= 1 and af.sub[2][v[11]] is af.sub[2][v[0]]
     check_link_invariants(af)
@@ -915,7 +915,7 @@ def test_adaptive_restages_in_place_down_as_well_as_up(monkeypatch):
     for _ in range(n):
         af.make_node()
         f.make_node()
-    kept = (af.pi[1], af.fc[1], af.lc[1], af.ns[1], af.ts[1])
+    kept = (af.pi[1], af.fc[1], af.ns[1], af.ts[1])
     fresh = iter(range(n))
 
     def link(x, y):
@@ -937,8 +937,7 @@ def test_adaptive_restages_in_place_down_as_well_as_up(monkeypatch):
         tree(2, "chain")
         assert af.L == af.level == level
         assert all(a is b for a, b in zip(kept, (
-            af.pi[level], af.fc[level], af.lc[level], af.ns[level],
-            af.ts[level])))
+            af.pi[level], af.fc[level], af.ns[level], af.ts[level])))
         assert set(af.down) == set(af.free) == set(range(1, level))
         check_link_invariants(af)
         for x in range(n):
@@ -954,7 +953,7 @@ def test_adaptive_restages_in_place_down_as_well_as_up(monkeypatch):
     link(tree(5, "star"), b)
     restage(1)
     assert [(lo, hi) for _, lo, hi in af.reorg_log] == [(1, 3), (3, 1)]
-    assert af.stats.reorgs == 2
+    assert len(af.stats.reorg_log) == 2
 
 
 @pytest.mark.parametrize("bad", [0, 7])
@@ -1173,7 +1172,7 @@ def test_adaptive_differential(rng):
             b = rng.randrange(n)
             assert af.ca(a, b) == oracle_ca(f, a, b), (a, b)
     check_link_invariants(af)
-    assert af.stats.reorgs == len(af.reorg_log)
+    assert af.stats.reorg_log is af.reorg_log
 
 
 def test_adaptive_reorgs_count_wrapper_rebuilds_only():
@@ -1190,7 +1189,7 @@ def test_adaptive_reorgs_count_wrapper_rebuilds_only():
     for v in range(n - 1):
         af.link(v, v + 1)
     assert af.stats.root_renumberings > 0
-    assert af.stats.reorgs == len(af.reorg_log) == 1
+    assert len(af.reorg_log) == 1
 
 
 def test_adaptive_capacity_and_id_errors():
@@ -1327,7 +1326,7 @@ def test_forest_holds_only_live_trees(level, rng, monkeypatch):
         assert any(forest().free.values())
 
 
-_COLUMNS = ("pi", "fc", "lc", "ns")
+_COLUMNS = ("pi", "fc", "ns")
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -1336,9 +1335,9 @@ def test_reused_ids_carry_no_stale_links(level, rng, monkeypatch):
 
     Random links retire contracted trees, whose ids the levels below
     the vertex level hand out again.  Each reused id starts with -1 in
-    all four shape columns, and on every level, for every live node,
+    all three shape columns, and on every level, for every live node,
     the children walked from the columns are those whose parent is that
-    node, in the order their links were made.
+    node, newest link first.
     """
     n = 2000
     tick = iter(range(1 << 30))
@@ -1351,7 +1350,7 @@ def test_reused_ids_carry_no_stale_links(level, rng, monkeypatch):
         v = new_node(self, k)
         if was_free:
             reused[k] += 1
-            assert [getattr(self, c)[k][v] for c in _COLUMNS] == [-1] * 4
+            assert [getattr(self, c)[k][v] for c in _COLUMNS] == [-1] * 3
             assert self.ts[k][v] == 1
         return v
 
@@ -1380,9 +1379,8 @@ def test_reused_ids_carry_no_stale_links(level, rng, monkeypatch):
                 while w != -1:
                     walked.append(w)
                     w = lf.ns[k][w]
-                want = sorted(kids[v], key=lambda y: linked[k, y])
+                want = sorted(kids[v], key=lambda y: -linked[k, y])
                 assert walked == want, (k, v)
-                assert lf.lc[k][v] == (want[-1] if want else -1), (k, v)
                 if lf.pi[k][v] == -1:
                     assert lf.ns[k][v] == -1, (k, v)
 
@@ -1436,9 +1434,9 @@ def test_shape_columns_in_32_bit_cells_up_to_their_cutoff(max_n, narrow, rng):
 
 
 def test_shape_columns_hold_no_per_node_lists(rng):
-    """After a 2^12-node link replay every level's shape is four int arrays.
+    """After a 2^12-node link replay every level's shape is three int arrays.
 
-    Together they take at most 20 B per vertex over all levels: 16 B of
+    Together they take at most 15 B per vertex over all levels: 12 B of
     cells and the arrays' growth slack.  No container the forest keeps
     per level holds a list per node.
     """
@@ -1457,7 +1455,7 @@ def test_shape_columns_hold_no_per_node_lists(rng):
         for k, col in getattr(af, c).items():
             assert type(col) is array and col.typecode == "i", (c, k)
             held += sys.getsizeof(col)
-    assert held <= 20 * n, held / n
+    assert held <= 15 * n, held / n
     for name in ("ts", "sub", "lid", "down", "free"):
         for k, col in getattr(af, name).items():
             assert not any(type(v) is list for v in col), (name, k)
