@@ -3,23 +3,25 @@
 Trees at the top level hold the real vertices.  Every level keeps its
 tree shape in three flat id columns: a parent, a first child and a next
 sibling per node, -1 marking none, in 32-bit int arrays while every id
-fits one and in lists above that.  No node holds a list of its own, and
-a node's children run newest first.  A tree of fewer than four nodes is
-kept as that bare shape; anything larger is partitioned into subtrees,
-and contracting every subtree yields the tree one level down, where the
-same scheme repeats.  A subtree is built as one packed tree (PackedTree in
-microset.py) when it has at most PackedTree.CAP nodes, and as a
-three-level incremental tree of linear total growth (the linear_tree
-shape in multilevel.py) when it is larger; a packed subtree that a
-later pour fills is copied once into a three-level tree, and the pour
-goes on there.  Stages classify tree sizes by a row of
-Ackermann's function, one row per level: a level-k tree of size s is in
-stage bisect_right(floors[k], s), floors[k] holding 2*A(k, j) for
-j = 1, 2, ..., so the stage is read off the size and nothing is stored
-per node.  A link between trees of unequal stages only re-adds the
-smaller side, links between equal stages recurse one level down, and a
-tree that outgrows its stage is rebuilt once as a single subtree of the
-next stage.
+fits one and in lists above that.  The tree sizes, the free lists of
+retired ids and each subtree record's inverse id map are int columns of
+the same kind, the sizes in 32-bit cells only while max_n itself fits
+one.  No node holds a list of its own, and a node's children run newest
+first.  A tree of fewer than four nodes is kept as that bare shape;
+anything larger is partitioned into subtrees, and contracting every
+subtree yields the tree one level down, where the same scheme repeats.
+A subtree is built as one packed tree (PackedTree in microset.py) when
+it has at most PackedTree.CAP nodes, and as a three-level incremental
+tree of linear total growth (the linear_tree shape in multilevel.py)
+when it is larger; a packed subtree that a later pour fills is copied
+once into a three-level tree, and the pour goes on there.  Stages
+classify tree sizes by a row of Ackermann's function, one row per level:
+a level-k tree of size s is in stage bisect_right(floors[k], s),
+floors[k] holding 2*A(k, j) for j = 1, 2, ..., so the stage is read off
+the size and nothing is stored per node.  A link between trees of
+unequal stages only re-adds the smaller side, links between equal stages
+recurse one level down, and a tree that outgrows its stage is rebuilt
+once as a single subtree of the next stage.
 The level count is the inverse-Ackermann value of the operation counts:
 the adaptive forest restages itself in place whenever that value
 drifts, keeping the vertex level and building only its staging again.
@@ -63,10 +65,12 @@ _CAP = 1 << 64     # alpha's columns clamp here; larger n are refused
 
 
 def _cells(max_n):
-    """An empty id column for a forest of max_n nodes.
+    """An empty int column for values from -1 up to max_n - 1.
 
     Ids run below max_n on every level, and -1 marks none: a signed
-    32-bit array while that fits, a list above it.
+    32-bit array while that fits, a list above it.  A tree size can
+    reach the node count itself, so the size columns take
+    _cells(max_n + 1) and fall back to a list one capacity sooner.
     """
     return array("i") if max_n <= 1 << 31 else []
 
@@ -215,7 +219,9 @@ class _Sub:
 
     lid is its level's id list, shared by every subtree there: a level
     node belongs to one live subtree, and lid gives its incremental id
-    inside it.  rev inverts that for this subtree, and up is the node
+    inside it.  rev inverts that for this subtree: an id column from
+    _cells, whose values are only read and handed back, so no record
+    keeps the fresh int that an array read makes.  up is the node
     this subtree contracts to one level down (None only for the single
     subtree of a bottom-level tree).  root and ca(x, y) speak level ids,
     as the meet recursion in levels.py expects.
@@ -223,10 +229,10 @@ class _Sub:
 
     __slots__ = ("inc", "lid", "rev", "up")
 
-    def __init__(self, inc, lid):
+    def __init__(self, inc, lid, rev):
         self.inc = inc
         self.lid = lid
-        self.rev = []
+        self.rev = rev
         self.up = None
 
     @property
@@ -249,7 +255,11 @@ class LinkForest(Leveled):
     A level's shape is three id columns: pi (the parent), fc (the first
     child) and ns (the next sibling), each -1 where there is none.  A
     link puts the new child first, so a node's children run from fc
-    through ns newest first.
+    through ns newest first.  Beside them each level keeps ts, its tree
+    sizes, read at roots, and each level below L free, its retired ids;
+    all five are int columns from _cells.  sub and lid, the record and
+    the id inside it of each node, stay lists: a record keeps each lid
+    it reads, and a list hands it an int that exists already.
     Tree stages on level k are classified by row k of an Ackermann table
     built for max_n nodes: floors[k] lists 2*A(k, j) for j = 1, 2, ...
     up to the first value past max_n, and a size past the last floor
@@ -259,13 +269,15 @@ class LinkForest(Leveled):
     def __init__(self, level, max_n, stats=None):
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
-        self._stage(level, *(_cells(max_n) for _ in range(3)), [])
+        self._stage(level, *(_cells(max_n) for _ in range(3)),
+                    _cells(max_n + 1))
 
     def _stage(self, level, pi, fc, ns, ts):
         """Levels 1..level around the vertex level's pi, fc, ns and ts.
 
         pi, fc and ns are its three shape columns, children newest
-        first, and ts its tree sizes.  The level is checked before
+        first, and ts its tree sizes, columns from _cells(max_n) and
+        _cells(max_n + 1).  The level is checked before
         anything is touched.  Everything below the vertex level is built
         anew, with empty free lists: trees under four nodes stay bare in
         stage 0, and each larger one becomes a single subtree in the
@@ -286,11 +298,11 @@ class LinkForest(Leveled):
         self.pi = {k: _cells(m) for k in rng}
         self.fc = {k: _cells(m) for k in rng}
         self.ns = {k: _cells(m) for k in rng}
-        self.ts = {k: [] for k in rng}      # tree size, authoritative at roots
+        self.ts = {k: _cells(m + 1) for k in rng}  # tree size, true at roots
         self.sub = {k: [] for k in rng}     # _Sub, or None in stage 0
         self.lid = {k: [] for k in rng}     # id inside sub[k][v]
         self.down = {k: [] for k in range(1, level)}
-        self.free = {k: [] for k in range(1, level)}  # retired, reusable
+        self.free = {k: _cells(m) for k in range(1, level)}  # retired ids
         self.pi[level] = pi
         self.fc[level] = fc
         self.ns[level] = ns
@@ -451,7 +463,7 @@ class LinkForest(Leveled):
             for v in nodes:
                 sub[v] = None
                 down[v] = None
-            self.free[k] += nodes
+            self.free[k].extend(nodes)
 
     def _rebuild(self, r, k):
         """The whole level-k tree rooted at r becomes one fresh subtree.
@@ -465,7 +477,7 @@ class LinkForest(Leveled):
             inc = PackedTree(self.stats)
         else:
             inc = MultilevelInc(self.max_n, stats=self.stats)
-        S = _Sub(inc, lid)
+        S = _Sub(inc, lid, _cells(self.max_n))
         lid[r] = 0
         S.rev.append(r)
         self.sub[k][r] = S

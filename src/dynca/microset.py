@@ -24,6 +24,8 @@ query about as much, as measured up to 2048 nodes; the cap is set by
 memory instead, the ancestor words holding about n^2/2 bits in all.
 """
 
+from array import array
+
 from .errors import CapacityError, check_id
 from .forest import CaTriple
 from .incremental import Spine
@@ -102,6 +104,8 @@ class PackedTree(Spine):
     highest common bit and the child of the meet toward x is the lowest
     bit that x has and y has not.  An add past CAP raises CapacityError
     and changes nothing, so a host can promote the tree and retry.
+    Every id is below CAP, so the spine meets sm sit in a byte array.
+    piT stays a list: its root entry is None, as in every Spine host.
     """
 
     CAP = 255
@@ -109,7 +113,7 @@ class PackedTree(Spine):
     def __init__(self, stats=None):
         self.stats = stats if stats is not None else Stats()
         self.piT = [None]
-        self.sm = [0]
+        self.sm = array("B", (0,))
         self.anc = [1]
         self.varrho = 0
         self.stats.eta += 1

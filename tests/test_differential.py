@@ -284,8 +284,8 @@ def test_run_reaches_both_record_kinds(monkeypatch):
     kinds = Counter()
     init = linkforest._Sub.__init__
 
-    def record(self, inc, lid):
-        init(self, inc, lid)
+    def record(self, inc, *rest):
+        init(self, inc, *rest)
         kinds[type(inc).__name__] += 1
 
     promote = linkforest.LinkForest._promote

@@ -1252,8 +1252,8 @@ def test_eta_counts_each_subtree_add_once(rng, monkeypatch):
     made = []
     init = linkforest._Sub.__init__
 
-    def record(self, inc, lid):
-        init(self, inc, lid)
+    def record(self, inc, *rest):
+        init(self, inc, *rest)
         made.append(self)
 
     monkeypatch.setattr(linkforest._Sub, "__init__", record)
@@ -1410,24 +1410,50 @@ def _replay_against_oracle(lf, rng, n, queries):
         assert lf.ca(x, y) == oracle_ca(f, x, y), (x, y)
 
 
-@pytest.mark.parametrize("max_n, narrow", [(1 << 31, True), ((1 << 31) + 1, False)])
+def _int_cells(col, narrow, where):
+    """col is a signed 32-bit array when narrow, else a list."""
+    if narrow:
+        assert type(col) is array and col.typecode == "i", where
+    else:
+        assert type(col) is list, where
+
+
+def _live_records(lf):
+    """Every live subtree record of lf, each once."""
+    return list({id(S): S for col in lf.sub.values()
+                 for S in col if S is not None}.values())
+
+
+@pytest.mark.parametrize("max_n, narrow", [
+    ((1 << 31) - 1, True), (1 << 31, True), ((1 << 31) + 1, False)])
 def test_shape_columns_in_32_bit_cells_up_to_their_cutoff(max_n, narrow, rng):
     """Ids below 2^31 take signed 32-bit cells; a larger capacity, lists.
 
     -1 marks none, so the largest id max_n - 1 must fit a signed cell.
-    Forests at the cutoff and one past it get the two cell kinds on
-    every level, and a replay on each meets the oracle.
+    Forests just below the cutoff, at it and one past it get the two
+    cell kinds on every level, and a replay on each meets the oracle.
+    After the replay the id columns that the replay filled, every live
+    record's rev and every free list, hold the same cell kind.  A tree
+    size can reach max_n itself, so the size column ts is an array only
+    while max_n is below 2^31.
     """
     assert ((1 << 31) - 1).bit_length() == 31 < (1 << 31).bit_length()
     for lf in (LinkForest(3, max_n), AdaptiveLinkForest(max_n)):
         for c in _COLUMNS:
             for k, col in getattr(lf, c).items():
+                _int_cells(col, narrow, (c, k))
                 if narrow:
-                    assert col.typecode == "i", (c, k)
                     assert 8 * col.itemsize > (max_n - 1).bit_length()
-                else:
-                    assert type(col) is list, (c, k)
         _replay_against_oracle(lf, rng, 300, 1500)
+        for k, col in lf.ts.items():
+            _int_cells(col, max_n < 1 << 31, ("ts", k))
+        assert any(lf.free.values()) or lf.L == 1
+        for k, col in lf.free.items():
+            _int_cells(col, narrow, ("free", k))
+        records = _live_records(lf)
+        assert records
+        for S in records:
+            _int_cells(S.rev, narrow, "rev")
     wide = LinkForest(1, 1 << 64)
     assert type(wide.pi[1]) is list
     _replay_against_oracle(wide, rng, 40, 400)
@@ -1438,7 +1464,9 @@ def test_shape_columns_hold_no_per_node_lists(rng):
 
     Together they take at most 15 B per vertex over all levels: 12 B of
     cells and the arrays' growth slack.  No container the forest keeps
-    per level holds a list per node.
+    per level holds a list per node.  The tree sizes, the free lists and
+    every live record's rev are int arrays too, at most 12 B per vertex
+    in all, and every packed record keeps its spine meets in bytes.
     """
     n = 1 << 12
     af = AdaptiveLinkForest(n)
@@ -1459,3 +1487,16 @@ def test_shape_columns_hold_no_per_node_lists(rng):
     for name in ("ts", "sub", "lid", "down", "free"):
         for k, col in getattr(af, name).items():
             assert not any(type(v) is list for v in col), (name, k)
+    ids = 0
+    for name in ("ts", "free"):
+        for k, col in getattr(af, name).items():
+            _int_cells(col, True, (name, k))
+            ids += sys.getsizeof(col)
+    records = _live_records(af)
+    assert any(type(S.inc) is PackedTree for S in records)
+    for S in records:
+        _int_cells(S.rev, True, "rev")
+        ids += sys.getsizeof(S.rev)
+        if type(S.inc) is PackedTree:
+            assert type(S.inc.sm) is array and S.inc.sm.typecode == "B"
+    assert ids <= 12 * n, ids / n
