@@ -12,8 +12,7 @@ from .fat_preorder import (DYNAMIC_PARAMS, STATIC_PARAMS, FatParams, StaticCa,
                            assign_numbers)
 from .forest import CaTriple, Forest, combine_rerooted, oracle_ca
 from .incremental import IncrementalTree
-from .linkforest import (AckermannTable, AdaptiveLinkForest, LinkForest,
-                         a_inv, alpha)
+from .linkforest import AdaptiveLinkForest, LinkForest, alpha
 from .microset import Microset
 from .multilevel import MultilevelInc, edmonds_tree, linear_tree
 from .numeric import LogTable, Rational
@@ -27,9 +26,9 @@ __all__ = [
     "Arena", "CapacityError", "ConfigError", "TraceParseError",
     "DYNAMIC_PARAMS", "STATIC_PARAMS", "FatParams", "StaticCa",
     "assign_numbers", "CaTriple", "Forest", "combine_rerooted", "oracle_ca",
-    "IncrementalTree", "AckermannTable", "AdaptiveLinkForest",
-    "LinkForest", "a_inv", "alpha", "Microset", "MultilevelInc",
-    "edmonds_tree", "linear_tree", "LogTable", "Rational", "Stats", "Trace",
-    "TraceOp", "RunReport", "compatible_engines", "format_trace", "generate",
-    "make_engine", "parse_trace", "run", "__version__",
+    "IncrementalTree", "AdaptiveLinkForest", "LinkForest", "alpha",
+    "Microset", "MultilevelInc", "edmonds_tree", "linear_tree", "LogTable",
+    "Rational", "Stats", "Trace", "TraceOp", "RunReport", "compatible_engines",
+    "format_trace", "generate", "make_engine", "parse_trace", "run",
+    "__version__",
 ]

@@ -82,7 +82,9 @@ def _bits(n):
 
 @lru_cache(maxsize=None)
 def _acap(i, j, cap):
-    """Row-i Ackermann value at j, clamped to cap; exact below cap."""
+    """Row-i Ackermann value at j, clamped to cap; exact below cap.
+
+    The stage floors and alpha's columns are both read from it."""
     if j == 1:
         return min(2, cap)
     if i == 1:
@@ -93,16 +95,6 @@ def _acap(i, j, cap):
     if t >= _bits(cap):
         return cap
     return _acap(i - 1, t, cap)
-
-
-def a_inv(i, n):
-    """Least j with the row-i Ackermann value at j reaching n."""
-    if i < 1 or n < 1:
-        raise ValueError("a_inv needs a positive row and target")
-    j = 1
-    while _acap(i, j, n) < n:
-        j += 1
-    return j
 
 
 def _column(j):
@@ -143,72 +135,6 @@ def _reach(c, n):
         return _CAP
     col = _COLUMNS[c]
     return col[bisect_left(col, n)]
-
-
-class AckermannTable:
-    """Ackermann values A(i, j) for i, j in [1..ceil(log2 n)].
-
-    Row 1 doubles, row i at j applies row i-1 to the value one step left.
-    Entries come from _acap clamped at n + 1, so those that would exceed n
-    are stored as None and compare as infinite, which is all the staging
-    logic ever needs from them.
-    """
-
-    __slots__ = ("n", "size", "rows")
-
-    def __init__(self, n):
-        n = int(n)
-        if n < 2:
-            raise ValueError("table needs n >= 2")
-        self.n = n
-        k = _bits(n)
-        self.size = k
-        self.rows = [None] + [
-            [None] + [v if (v := _acap(i, j, n + 1)) <= n else None
-                      for j in range(1, k + 1)]
-            for i in range(1, k + 1)]
-
-    def value(self, i, j):
-        """A(i, j), or None when it exceeds n.
-
-        j past the tabulated range is None for every row; i must be a
-        tabulated row.
-        """
-        if not 1 <= i <= self.size:
-            raise ValueError(f"row {i} outside [1, {self.size}]")
-        if j < 1:
-            raise ValueError(f"column {j} below 1")
-        if j > self.size:
-            return None
-        return self.rows[i][j]
-
-    def check_identities(self):
-        """Sweep the tabulated doubling, level-shift, and shift-robustness laws.
-
-        Raises AssertionError on any violation; None entries stand for
-        values past n and satisfy every lower bound vacuously.
-        """
-        k = self.size
-        for i in range(1, k + 1):
-            for j in range(1, k):
-                a = self.rows[i][j]
-                b = self.rows[i][j + 1]
-                if a is not None and b is not None:
-                    assert b >= 2 * a, (i, j)
-        for i in range(1, k):
-            for j in range(4, k + 1):
-                hi = self.rows[i + 1][j]
-                lo = self.rows[i][2 * j] if 2 * j <= k else None
-                if lo is not None:
-                    assert hi is None or hi >= lo, (i, j)
-        ns = sorted({self.n, max(2, self.n // 2), max(2, self.n // 3)})
-        ms = sorted({1, 2, 3, max(1, self.n // 2), self.n, 2 * self.n})
-        for n in ns:
-            for m in ms:
-                base = alpha(m, n)
-                for m2 in (m, 2 * m):
-                    for n2 in (n, n + 1, 2 * n):
-                        assert alpha(m2, n2) >= base - 1, (m, n, m2, n2)
 
 
 class _Sub:
@@ -260,13 +186,15 @@ class LinkForest(Leveled):
     all five are int columns from _cells.  sub and lid, the record and
     the id inside it of each node, stay lists: a record keeps each lid
     it reads, and a list hands it an int that exists already.
-    Tree stages on level k are classified by row k of an Ackermann table
-    built for max_n nodes: floors[k] lists 2*A(k, j) for j = 1, 2, ...
-    up to the first value past max_n, and a size past the last floor
-    stays in the last stage, since no tree outgrows the table.
+    Tree stages on level k are classified by row k of Ackermann's
+    function, read from _acap: floors[k] lists 2*A(k, j) for j = 1, 2, ...
+    up to the first A(k, j) past max(4, max_n), and a size past the last
+    floor stays in the last stage, since no tree outgrows that row.
     """
 
     def __init__(self, level, max_n, stats=None):
+        if max_n < 1:
+            raise ValueError(f"capacity {max_n} is below 1")
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
         self._stage(level, *(_cells(max_n) for _ in range(3)),
@@ -277,24 +205,28 @@ class LinkForest(Leveled):
 
         pi, fc and ns are its three shape columns, children newest
         first, and ts its tree sizes, columns from _cells(max_n) and
-        _cells(max_n + 1).  The level is checked before
-        anything is touched.  Everything below the vertex level is built
-        anew, with empty free lists: trees under four nodes stay bare in
-        stage 0, and each larger one becomes a single subtree in the
-        stage read off its size.
+        _cells(max_n + 1).  The level is checked before anything is
+        touched.  Everything below the vertex level is built anew, with
+        empty free lists: trees under four nodes stay bare in stage 0,
+        and each larger one becomes a single subtree in the stage read
+        off its size.
         """
         if level < 1:
             raise ValueError("need at least one level")
-        ack = AckermannTable(max(4, self.max_n))
-        if level > ack.size:
+        m = self.max_n
+        top = max(4, m)
+        if level > _bits(top):
             raise ValueError(
-                f"level {level} has no row in a table for {self.max_n} nodes")
+                f"level {level} has no row in a table for {m} nodes")
         n = len(pi)
         rng = range(1, level + 1)
         self.L = level
-        self.floors = {k: tuple(2 * v for v in ack.rows[k][1:] if v is not None)
-                       for k in rng}
-        m = self.max_n
+        self.floors = {}
+        for k in rng:
+            fl = []
+            while (v := _acap(k, len(fl) + 1, top + 1)) <= top:
+                fl.append(2 * v)
+            self.floors[k] = tuple(fl)
         self.pi = {k: _cells(m) for k in rng}
         self.fc = {k: _cells(m) for k in rng}
         self.ns = {k: _cells(m) for k in rng}
@@ -552,8 +484,8 @@ class LinkForest(Leveled):
 
         The vertex level's shape columns and size list stay as they are,
         so no vertex is made again; only the levels below and the
-        subtree records are built anew.  A level with no table row
-        raises and leaves the forest as it was.
+        subtree records are built anew.  A level past
+        ceil(log2 max(4, max_n)) raises and leaves the forest as it was.
         """
         k = self.L
         self._stage(level, self.pi[k], self.fc[k], self.ns[k], self.ts[k])

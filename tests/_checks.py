@@ -5,7 +5,8 @@ IncrementalTree; both expose the same flat arrays) plus the node set of
 one stored tree, and assert the numbering contract: interval shape, guard
 emptiness, subtree containment, geometric weight growth, and laminarity
 of live intervals.  check_link_invariants sweeps a LinkForest's staging
-and contraction, against stages window_stage finds on a table of its own.
+and contraction, against stages window_stage finds on AckermannTable,
+the tests' own reference for linkforest._acap.
 The references the engines are compared against live here too: ancestor
 table entries by a path walk, and meets under a moved root by three
 stored queries or by a physically rerooted copy of the forest.  arena_read and microset_members read a microset's stored ids back.
@@ -13,7 +14,7 @@ stored queries or by a physically rerooted copy of the forest.  arena_read and m
 
 from bisect import bisect_left, bisect_right
 
-from dynca import AckermannTable, Forest, combine_rerooted
+from dynca import Forest, alpha, combine_rerooted
 from dynca.errors import check_id
 from dynca.fat_preorder import EPS
 
@@ -283,6 +284,55 @@ def reroot_physical(f, z):
                 g._uf[w] = u
                 stack.extend((t, d + 1) for t in g.children[w])
     return g
+
+
+class AckermannTable:
+    """A(i, j) for i, j in [1..ceil(log2 n)], None past n, n >= 2, by its
+    own recursion rather than linkforest._acap's, which tests check against
+    it: row 1 doubles, A(i, 1) = 2 and A(i, j) = A(i-1, A(i, j-1)).  An
+    argument past ceil(log2 n) is past n, since A(i, j) >= 2^j."""
+
+    def __init__(self, n):
+        self.n = n
+        k = self.size = max(1, (n - 1).bit_length())
+        row = [None] + [1 << j if 1 << j <= n else None
+                        for j in range(1, k + 1)]
+        self.rows = [None, row]
+        for _ in range(2, k + 1):
+            below, row = row, [None, 2]
+            for _ in range(2, k + 1):
+                t = row[-1]
+                row.append(None if t is None or t > k else below[t])
+            self.rows.append(row)
+
+    def value(self, i, j):
+        """A(i, j) for a tabulated row i and j >= 1, or None past n."""
+        return self.rows[i][j] if j <= self.size else None
+
+    def check_identities(self):
+        """Assert the doubling, level-shift and shift-robustness laws; None
+        entries stand for values past n and meet every lower bound."""
+        k = self.size
+        A = self.value
+        for i in range(1, k + 1):
+            for j in range(1, k):
+                a, b = A(i, j), A(i, j + 1)
+                assert a is None or b is None or b >= 2 * a, (i, j)
+                if i < k and j >= 4 and (lo := A(i, 2 * j)) is not None:
+                    hi = A(i + 1, j)
+                    assert hi is None or hi >= lo, (i, j)
+        for n in sorted({self.n, max(2, self.n // 2), max(2, self.n // 3)}):
+            for m in sorted({1, 2, 3, max(1, self.n // 2), self.n, 2 * self.n}):
+                base = alpha(m, n)
+                for m2 in (m, 2 * m):
+                    for n2 in (n, n + 1, 2 * n):
+                        assert alpha(m2, n2) >= base - 1, (m, n, m2, n2)
+
+
+def a_inv(i, n):
+    """Least j with A(i, j) >= n, for a row i of AckermannTable(max(4, n))."""
+    row = AckermannTable(max(4, n)).rows[i]
+    return next(j for j in range(1, len(row)) if row[j] is None or row[j] >= n)
 
 
 def window_stage(ack, k, size):

@@ -10,15 +10,14 @@ import random
 import time
 from fractions import Fraction
 
-from dynca import (DYNAMIC_PARAMS, STATIC_PARAMS, AckermannTable,
-                   AdaptiveLinkForest, Arena, Forest, IncrementalTree,
-                   LinkForest, Microset, StaticCa, Stats, a_inv, alpha,
-                   linear_tree)
+from dynca import (DYNAMIC_PARAMS, STATIC_PARAMS, AdaptiveLinkForest, Arena,
+                   Forest, IncrementalTree, LinkForest, Microset, StaticCa,
+                   Stats, alpha, linear_tree)
 from dynca.linkforest import _acap
 from dynca.traces import as_links, compatible_engines, generate, run
 
-from _checks import (check_compression_exact, check_fat_order,
-                     check_link_invariants, tree_stage)
+from _checks import (AckermannTable, a_inv, check_compression_exact,
+                     check_fat_order, check_link_invariants, tree_stage)
 
 PROFILES = ("leaf-heavy", "query-heavy", "root-heavy",
             "link-balanced", "link-skewed")

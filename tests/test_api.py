@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 import random
 from pathlib import Path
@@ -96,14 +97,19 @@ def test_bool_ids_rejected(engine):
     assert ca(Id(1), Id(0)) == ca(1, 0) == (0, 1, 0)
 
 
-@pytest.mark.parametrize("make", [IncrementalTree, MultilevelInc,
-                                  edmonds_tree, linear_tree])
+@pytest.mark.parametrize("make", [
+    IncrementalTree, MultilevelInc, edmonds_tree, linear_tree,
+    pytest.param(functools.partial(LinkForest, 1), id="LinkForest"),
+    AdaptiveLinkForest])
 def test_capacity_below_one_rejected(make):
-    """A grown tree holds node 0 from the start, so its capacity is >= 1."""
+    """A grown tree holds node 0 from the start, a link forest makes it."""
     for bad in (0, -1):
         with pytest.raises(ValueError, match="capacity"):
             make(bad)
-    assert make(1).n == 1
+    t = make(1)
+    if isinstance(t, LinkForest):
+        t.make_node()
+    assert t.n == 1
 
 
 @pytest.mark.parametrize("engine", sorted(GROWN))

@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import itertools
 import random
 import sys
 import weakref
@@ -13,10 +14,11 @@ import pytest
 from dynca import linkforest
 from dynca.microset import PackedTree
 from dynca.multilevel import MultilevelInc
-from dynca import (AckermannTable, AdaptiveLinkForest, CapacityError, Forest,
-                   LinkForest, a_inv, alpha, oracle_ca)
+from dynca import (AdaptiveLinkForest, CapacityError, Forest, LinkForest,
+                   alpha, oracle_ca)
 
-from _checks import check_link_invariants, tree_stage, window_stage
+from _checks import (AckermannTable, a_inv, check_link_invariants, tree_stage,
+                     window_stage)
 
 
 def test_table_frozen_values():
@@ -40,20 +42,13 @@ def test_table_none_means_past_n():
     assert t.size == 7
 
 
-def test_table_argument_errors():
-    with pytest.raises(ValueError):
-        AckermannTable(1)
-    t = AckermannTable(64)
-    with pytest.raises(ValueError):
-        t.value(0, 1)
-    with pytest.raises(ValueError):
-        t.value(t.size + 1, 1)
-    with pytest.raises(ValueError):
-        t.value(1, 0)
-    with pytest.raises(ValueError):
-        a_inv(1, 0)
-    with pytest.raises(ValueError):
-        alpha(0, t.n)
+@pytest.mark.parametrize("n", [4, 100, 1 << 16, 1 << 20])
+def test_reference_matches_acap(n):
+    """The tests' reference, by its own recursion, is _acap clamped past n."""
+    t = AckermannTable(n)
+    for i, j in itertools.product(range(1, t.size + 1), repeat=2):
+        v = linkforest._acap(i, j, n + 1)
+        assert t.value(i, j) == (v if v <= n else None), (n, i, j)
 
 
 def test_alpha_frozen():
@@ -109,8 +104,6 @@ def test_a_inv_frozen():
     assert a_inv(1, 17) == 5
     assert a_inv(2, 5) == 3               # 4 < 5 <= 16
     assert a_inv(2, 65536) == 4
-    with pytest.raises(ValueError):
-        a_inv(0, 5)
     assert a_inv(1, 65536) == 16
 
 
@@ -123,7 +116,22 @@ def test_forest_constructor_errors():
     with pytest.raises(ValueError):
         LinkForest(0, 8)
     with pytest.raises(ValueError):
-        LinkForest(AckermannTable(8).size + 1, 8)   # no row for that level
+        LinkForest(4, 8)        # no row for that level: ceil(log2 8) = 3
+
+
+@pytest.mark.parametrize("n, digest", [
+    (4, "d6ca2535738f7bec"), (1 << 10, "24d60854b866b973"),
+    (1 << 20, "800f585f63cd2f81"), (1 << 31, "4a229869577bbecc"),
+    (1 << 64, "6261242cc391ba00")])
+def test_floors_and_level_cap_pinned(n, digest):
+    """The top level is ceil(log2 n); all floors match a digest (sha256 of
+    their repr, 16 hex digits) taken while a 2-D table made them."""
+    top = linkforest._bits(n)
+    lf = LinkForest(top, n)
+    floors = tuple(lf.floors[k] for k in range(1, top + 1))
+    assert hashlib.sha256(repr(floors).encode()).hexdigest()[:16] == digest
+    with pytest.raises(ValueError, match="has no row"):
+        LinkForest(top + 1, n)
 
 
 @pytest.mark.parametrize("n", [8, 100, 1 << 12])
