@@ -29,7 +29,11 @@ That value is set by ceil(m/n) and by where n falls in one column of
 Ackermann values, so the forest reads it again only when the ratio's
 ceiling moves or the node count passes the column entry that held it; a
 meet below the next multiple of the node count costs one compare, and a
-link that counts new nodes a few integer operations.
+link that counts new nodes a few integer operations.  A link checks each
+id once and reads the two tree sizes once; hanging a fresh singleton
+under a staged tree then costs one root walk, two bisections (a size
+of 1 is stage 0 on every level) and one record add that checks no id
+again.
 
 A query whose ends share a vertex-level subtree record costs one query
 of that record, with no walk to either root: trees only merge, so a
@@ -61,7 +65,7 @@ from .multilevel import MultilevelInc
 from .stats import Stats
 
 
-_CAP = 1 << 64     # alpha's columns clamp here; larger n are refused
+_CAP = 1 << 64     # alpha is tabulated up to here; larger n are refused
 
 
 def _cells(max_n):
@@ -81,10 +85,12 @@ def _bits(n):
 
 
 @lru_cache(maxsize=None)
-def _acap(i, j, cap):
+def _acap(i, j, cap=_CAP + 1):
     """Row-i Ackermann value at j, clamped to cap; exact below cap.
 
-    The stage floors and alpha's columns are both read from it."""
+    The stage floors and alpha's columns both read it at the default
+    clamp, exact up to 2^64, so the cache holds one entry per (i, j)
+    they reach, however many capacities the forests built have."""
     if j == 1:
         return min(2, cap)
     if i == 1:
@@ -98,10 +104,10 @@ def _acap(i, j, cap):
 
 
 def _column(j):
-    """A(1, j), A(2, j), ... clamped at _CAP, through the first clamped one."""
-    col = [_acap(1, j, _CAP)]
+    """A(1, j), A(2, j), ... through the first at or past _CAP."""
+    col = [_acap(1, j)]
     while col[-1] < _CAP:
-        col.append(_acap(len(col) + 1, j, _CAP))
+        col.append(_acap(len(col) + 1, j))
     return tuple(col)
 
 
@@ -188,8 +194,9 @@ class LinkForest(Leveled):
     it reads, and a list hands it an int that exists already.
     Tree stages on level k are classified by row k of Ackermann's
     function, read from _acap: floors[k] lists 2*A(k, j) for j = 1, 2, ...
-    up to the first A(k, j) past max(4, max_n), and a size past the last
-    floor stays in the last stage, since no tree outgrows that row.
+    up to the first A(k, j) past max(4, max_n) or past 2^64, and a size
+    past the last floor stays in the last stage, since no tree outgrows
+    that row.
     """
 
     def __init__(self, level, max_n, stats=None):
@@ -222,9 +229,10 @@ class LinkForest(Leveled):
         rng = range(1, level + 1)
         self.L = level
         self.floors = {}
+        lim = min(top, _CAP)    # no tree grows past 2^64 nodes
         for k in rng:
             fl = []
-            while (v := _acap(k, len(fl) + 1, top + 1)) <= top:
+            while (v := _acap(k, len(fl) + 1)) <= lim:
                 fl.append(2 * v)
             self.floors[k] = tuple(fl)
         self.pi = {k: _cells(m) for k in rng}
@@ -308,12 +316,16 @@ class LinkForest(Leveled):
             return t
 
     def link(self, x, y):
-        """Make the root y a child of x, merging y's tree into x's."""
-        self._l(self._link_root(x, y), x, y, self.L)
+        """Make the root y a child of x, merging y's tree into x's.
 
-    def _link_root(self, x, y):
-        """Root of x's tree; raises unless y is a root of another tree."""
-        pi = self.pi[self.L]
+        Each id is checked once, here; a link whose y is no root, or
+        whose x is in y's tree, raises before anything is counted or
+        changed.  The two trees' sizes are read once and handed to _l.
+        _count may restage the forest, which keeps the vertex level's
+        columns and every tree's root, so r and both sizes still hold.
+        """
+        k = self.L
+        pi = self.pi[k]
         n = len(pi)
         check_id(x, n)
         check_id(y, n)
@@ -322,37 +334,40 @@ class LinkForest(Leveled):
         r = self._find_root(x)
         if r == y:
             raise ValueError("link within one tree")
-        return r
-
-    def _l(self, r, x, y, k):
-        """Merge, then re-add as little as the stage gap allows.
-
-        r is the root of x's level-k tree, y the root of the other one.
-        Each stage is read off a tree size, the two roots' before the
-        merge and r's after it.  The first matching case runs: a merged
-        size whose stage exceeds both rebuilds the whole tree in that
-        stage, which by the doubling law is one above the higher of the
-        two; unequal stages pour the lower-stage side into the subtree at
-        the junction; equal stages recurse on the contracted trees, or are
-        trivially done below the staging threshold.  A pour of a fresh
-        singleton, below x or above y's root, is one add to one record.
-        """
-        pi = self.pi[k]
         ts = self.ts[k]
-        fl = self.floors[k]
         tx = ts[r]
         ty = ts[y]
+        self._count((tx == 1) + (ty == 1))
+        self._l(r, x, y, self.L, tx, ty)
+
+    def _count(self, fresh):
+        """Count a link that brings `fresh` singletons in: a fixed-level
+        forest keeps no count."""
+
+    def _l(self, r, x, y, k, tx, ty):
+        """Merge, then re-add as little as the stage gap allows.
+
+        r is the root of x's level-k tree and tx its size, y the root of
+        the other one and ty its size.  Each stage is read off a tree
+        size, the two roots' before the merge and r's after it; a size
+        of 1 is stage 0 on every level.  The first matching case runs: a
+        merged size whose stage exceeds both rebuilds the whole tree in
+        that stage, which by the doubling law is one above the higher of
+        the two; unequal stages pour the lower-stage side into the subtree
+        at the junction; equal stages recurse on the contracted trees, or
+        are trivially done below the staging threshold.  A pour of a fresh
+        singleton, below x or above y's root, is one add to one record.
+        """
+        fl = self.floors[k]
         sx = bisect_right(fl, tx)
-        sy = bisect_right(fl, ty)
-        ts[r] = tx + ty
-        pi[y] = x
+        sy = bisect_right(fl, ty) if ty > 1 else 0
+        self.ts[k][r] = tx + ty
+        self.pi[k][y] = x
         fc = self.fc[k]
         self.ns[k][y] = fc[x]
         fc[x] = y
-        sg = sx if sx >= sy else sy
-        st = bisect_right(fl, tx + ty)
         sub = self.sub[k]
-        if st > sg:
+        if bisect_right(fl, tx + ty) > (sx if sx >= sy else sy):
             self._retire(sub[r], k)
             self._retire(sub[y], k)
             self._rebuild(r, k)
@@ -365,15 +380,19 @@ class LinkForest(Leveled):
         elif sx < sy:
             self._retire(sub[r], k)
             S = sub[y]
+            pi = self.pi[k]
             v = x
             while v >= 0:
                 self._seat(S, v, -1, k)
                 v = pi[v]
             if tx > 1:      # a fresh singleton x is one add_root
                 self._fill(S, r, y, k)
-        elif sg > 0:
+        elif sx > 0:
             assert k > 1, "equal stages above 0 cannot meet at the bottom level"
-            self._l(sub[r].up, sub[x].up, sub[y].up, k - 1)
+            r = sub[r].up
+            y = sub[y].up
+            ts = self.ts[k - 1]
+            self._l(r, sub[x].up, y, k - 1, ts[r], ts[y])
         # else: merged size under 4, the shape columns already say it all
 
     def _retire(self, S, k):
@@ -474,7 +493,7 @@ class LinkForest(Leveled):
             if sm[i] == i:
                 inc.add_root()
             else:
-                inc.add_leaf(piT[i])
+                inc._add_leaf(piT[i])
         st.eta = eta
         S.inc = inc
         return inc
@@ -586,19 +605,6 @@ class AdaptiveLinkForest(LinkForest):
     @property
     def reorg_log(self):
         return self.stats.reorg_log
-
-    def link(self, x, y):
-        """Make the root y a child of x, merging y's tree into x's.
-
-        A rejected link raises before anything is counted or restaged.
-        A node joins the count when its tree is still a singleton.  The
-        root of x's tree found by the check survives a restaging, which
-        keeps every tree under its own root.
-        """
-        r = self._link_root(x, y)
-        ts = self.ts[self.L]
-        self._count((ts[r] == 1) + (ts[y] == 1))
-        self._l(r, x, y, self.L)
 
     def ca(self, x, y):
         """Characteristic ancestors, or None across trees.

@@ -105,10 +105,15 @@ class MultilevelInc(Spine, Leveled):
         self.stats.eta += 1
         return y
 
-    # the link forest's add for a member it owns: splitting the id check
-    # off into a call of its own would cost the grown engines more per
-    # add than the forest saves
-    _add_leaf = add_leaf
+    def _add_leaf(self, x):
+        """add_leaf without its checks, for a link forest record: the
+        forest owns x's id, and a record holds one tree's nodes, never
+        more than max_n.  add_leaf repeats this body rather than call it,
+        which would cost the grown engines a call per add."""
+        y = self._attach(x, self.L)
+        self.sm.append(self.sm[x])
+        self.stats.eta += 1
+        return y
 
     def _attach(self, x, l):
         """Grow level l with a new node under x, contracting filled subtrees."""
@@ -120,13 +125,11 @@ class MultilevelInc(Spine, Leveled):
         y = self._register(l)
         self.pi[l][y] = x
         P = self.sub[l][x]
-        if P.full:
+        if not P.add(x, y):     # P is full, so y starts a subtree of its own
             self.sub[l][y] = self._singleton(y, l)
             return y
-        ok = P.add(x, y)
-        assert ok
         self.sub[l][y] = P
-        if P.full:
+        if P.n == P.mu:     # P.full, without the property call
             r = P.root
             w = self.pi[l][r]
             if w is None:

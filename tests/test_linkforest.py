@@ -2,6 +2,7 @@ import copy
 import gc
 import hashlib
 import itertools
+import pickle
 import random
 import sys
 import weakref
@@ -11,7 +12,8 @@ from collections import Counter
 
 import pytest
 
-from dynca import linkforest
+from dynca import incremental, linkforest, microset, multilevel
+from dynca.errors import check_id
 from dynca.microset import PackedTree
 from dynca.multilevel import MultilevelInc
 from dynca import (AdaptiveLinkForest, CapacityError, Forest, LinkForest,
@@ -413,6 +415,49 @@ def test_link_errors():
         lf.ca(a, 99)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_refused_links_change_nothing(level, rng):
+    """A refused link leaves every level as it was, records and Stats too.
+
+    Random links leave three trees, with nodes on every level and
+    records on the vertex level and the one below it.  A link is
+    refused when its y is no root, when x and y share a tree, and when
+    an id is out of range or a bool; after each, the pi, fc, ns and ts
+    columns, the sub records and Stats are unchanged.
+    """
+    n = 2000
+    lf = LinkForest(level, n)
+    for _ in range(n):
+        lf.make_node()
+    members = {v: [v] for v in range(n)}
+    while len(members) > 3:
+        r, y = rng.sample(sorted(members), 2)
+        lf.link(rng.choice(members[r]), y)
+        members[r] += members.pop(y)
+    assert all(lf.pi[k] for k in range(1, level + 1))
+    for k in range(max(1, level - 1), level + 1):
+        assert any(S is not None for S in lf.sub[k]), k
+    check_link_invariants(lf)
+    roots = sorted(members)
+
+    def state():
+        cols = (lf.pi, lf.fc, lf.ns, lf.ts, lf.sub, lf.lid, lf.down, lf.free)
+        return ([[id(S) for S in lf.sub[k]] for k in lf.sub],
+                pickle.dumps((cols, lf.stats)))
+
+    r, other = max(roots, key=lambda v: lf.ts[level][v]), roots[0]
+    inner = [v for v in lf.tree_nodes(r, level) if v != r]
+    before = state()
+    for x, y in ((other, inner[5]), (inner[0], r), (inner[3], inner[7]),
+                 (other, n), (n, other), (-1, r), (r, -1),
+                 (True, r), (r, False), (1.0, r)):
+        with pytest.raises(ValueError):
+            lf.link(x, y)
+        assert state() == before, (x, y)
+    lf.link(other, r)
+    assert state() != before
+
+
 def test_cross_tree_queries_are_none():
     lf = LinkForest(1, 8)
     a, b, c, d = (lf.make_node() for _ in range(4))
@@ -788,6 +833,58 @@ def test_alpha_caches_stay_small_under_growth():
     sizes = (linkforest._acap.cache_info().currsize,
              len(linkforest._COLUMNS))
     assert sum(sizes) <= 300, sizes
+
+
+def test_stage_floors_leave_the_acap_cache_flat():
+    """Forests at 2,000 capacities add nothing to the _acap cache.
+
+    Every forest reads its floors at the one default clamp, keyed by
+    level and j, so the widest capacity reaches every entry any
+    narrower one needs.
+    """
+    linkforest._acap.cache_clear()
+    for level in (1, 2):
+        LinkForest(level, 1 << 64)
+    size = linkforest._acap.cache_info().currsize
+    rng = random.Random(7)
+    caps = list(range(1, 1001)) + [rng.randrange(1, 1 << 64)
+                                   for _ in range(1000)]
+    for cap in caps:
+        for level in (1, 2):
+            LinkForest(level, cap)
+    assert linkforest._acap.cache_info().currsize == size
+
+
+def test_leaf_growth_checks_each_id_once(monkeypatch):
+    """A seeded 2^12-node leaf growth, replayed as links, makes at most
+    two check_id calls a link: link checks x and y, and neither the
+    record add behind a fresh singleton nor a promotion's copy checks
+    again.  The public add_leaf of both record kinds still refuses a bad
+    id, and changes nothing when it does."""
+    calls = [0]
+
+    def counted(v, n):
+        calls[0] += 1
+        return check_id(v, n)
+
+    for mod in (linkforest, multilevel, microset, incremental):
+        monkeypatch.setattr(mod, "check_id", counted)
+    n = 1 << 12
+    af = AdaptiveLinkForest(n)
+    for _ in range(n):
+        af.make_node()
+    rng = random.Random(5)
+    for v in range(1, n):
+        af.link(rng.randrange(v), v)
+    assert isinstance(af.sub[af.L][0].inc, MultilevelInc)
+    assert 0 < calls[0] <= 2 * (n - 1), calls[0]
+    for t in (MultilevelInc(8), PackedTree()):
+        t.add_leaf(0)
+        size, eta = len(t.piT), t.stats.eta
+        for bad in (-1, size, True, 1.0, None):
+            with pytest.raises(ValueError):
+                t.add_leaf(bad)
+        assert (len(t.piT), t.stats.eta) == (size, eta)
 
 
 def test_leaf_growth_reads_alpha_twice(monkeypatch):
@@ -1362,9 +1459,9 @@ def test_reused_ids_carry_no_stale_links(level, rng, monkeypatch):
             assert self.ts[k][v] == 1
         return v
 
-    def logged(self, r, x, y, k):
+    def logged(self, r, x, y, k, tx, ty):
         linked[k, y] = next(tick)
-        l(self, r, x, y, k)
+        l(self, r, x, y, k, tx, ty)
 
     monkeypatch.setattr(LinkForest, "_new_node", fresh)
     monkeypatch.setattr(LinkForest, "_l", logged)
