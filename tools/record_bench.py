@@ -1,12 +1,13 @@
 """Record the benchmark's end-to-end metrics over repeated runs, or compare two records.
 
     python3 tools/record_bench.py --out BENCH.json
-    python3 tools/record_bench.py --out BENCH.json --checkout parent=../old --checkout change=.
+    python3 tools/record_bench.py --out BENCH.json --runs 10 --checkout parent=../old --checkout change=.
     python3 tools/record_bench.py --compare BENCH.json#parent BENCH.json#change
 
 Recording runs the command that BENCHMARK.json declares, unchanged, in
-each checkout: `python3 bench/run.py --workload W --seed 5 --seconds 30
---trace 0`, --runs times for every workload.  Rounds take the workloads
+each checkout: `python3 bench/run.py --workload W --seed 5 --seconds S
+--trace 0`, --runs times for every workload, where S is the benchmark's
+run_seconds unless --seconds overrides it.  Rounds take the workloads
 in turn and, for each, every checkout, the first checkout going first in
 even rounds and last in odd ones, so a slow spell of the host falls on
 all of them alike.  Each metric keeps its median, its quartiles and the
@@ -16,8 +17,10 @@ checkout's commit and the Python version that ran the benchmark.
 --compare prints, per workload and end-to-end metric, the move from A's
 median to B's, and flags every metric that is worse by more than its
 bound in BENCHMARK.json, or whose runs were not all correct.  It exits 1
-when anything is flagged.  A and B name a record file, followed by
-#LABEL when the file holds more than one checkout.
+when anything is flagged.  When A and B hold as many runs, taken in the
+same rounds, it also counts the rounds in which B's run reads better
+than A's.  A and B name a record file, followed by #LABEL when the file
+holds more than one checkout.
 """
 
 import argparse
@@ -28,6 +31,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SPEC = ROOT / "BENCHMARK.json"
+SEED = 5
 
 
 def summary(values):
@@ -51,9 +56,9 @@ def commit_of(checkout):
     return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
-def run_once(command, checkout, workload, seed, seconds):
+def run_once(command, checkout, workload, seconds):
     """One benchmark run; returns its final JSON line."""
-    cmd = command + ["--workload", workload, "--seed", str(seed),
+    cmd = command + ["--workload", workload, "--seed", str(SEED),
                      "--seconds", f"{seconds:g}", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -63,7 +68,7 @@ def run_once(command, checkout, workload, seed, seconds):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def record(spec, checkouts, runs, seed, seconds):
+def record(spec, checkouts, runs, seconds):
     """Run the benchmark in every checkout and summarize each metric."""
     command = spec["command"]
     workloads = [w["name"] for w in spec["workloads"]]
@@ -74,7 +79,7 @@ def record(spec, checkouts, runs, seed, seconds):
         for w in workloads:
             for label in order:
                 seen[label][w].append(
-                    run_once(command, checkouts[label], w, seed, seconds))
+                    run_once(command, checkouts[label], w, seconds))
     version = subprocess.run(
         [command[0], "-c", "import platform; print(platform.python_version())"],
         capture_output=True, text=True, check=True).stdout.strip()
@@ -94,8 +99,8 @@ def record(spec, checkouts, runs, seed, seconds):
             }
         records[label] = {"commit": commit_of(checkout), "workloads": out}
     return {"command": " ".join(command) + " --workload W --seed "
-                       f"{seed} --seconds {seconds:g} --trace 0",
-            "seed": seed, "seconds": seconds, "runs": runs,
+                       f"{SEED} --seconds {seconds:g} --trace 0",
+            "seed": SEED, "seconds": seconds, "runs": runs,
             "python": version, "records": records}
 
 
@@ -138,9 +143,13 @@ def compare(spec, a, b):
             worse = rel if m["better"] == "lower" else -rel
             flag = worse > m["bound"]
             flagged += flag
+            ra, rb = ma["runs"], mb["runs"]
+            sign = 1 if m["better"] == "lower" else -1
+            wins = (f"  B better in {sum(sign * (u - v) > 0 for u, v in zip(ra, rb))}"
+                    f"/{len(ra)} rounds" if ra and len(ra) == len(rb) else "")
             print(f"  {name:28s} {x:12.4f} -> {y:12.4f} {m['unit']:3s} "
                   f"{rel * 100:+7.1f}%  (bound {m['bound'] * 100:.0f}%)"
-                  + ("  PAST BOUND" if flag else ""))
+                  + wins + ("  PAST BOUND" if flag else ""))
     return flagged
 
 
@@ -151,11 +160,10 @@ def main(argv=None):
     ap.add_argument("--checkout", action="append", metavar="LABEL=DIR",
                     help="a checkout to run; default: this one, as 'checkout'")
     ap.add_argument("--runs", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
+    ap.add_argument("--seconds", type=float,
+                    help="run length; default: the benchmark's run_seconds")
     args = ap.parse_args(argv)
-    spec = json.loads(args.benchmark.read_text())
+    spec = json.loads(SPEC.read_text())
     if args.compare:
         return 1 if compare(spec, *map(load, args.compare)) else 0
     if not args.out:
@@ -168,7 +176,8 @@ def main(argv=None):
         if not sep or not label or label in checkouts:
             ap.error(f"--checkout {item!r}: want a new LABEL=DIR")
         checkouts[label] = Path(path).resolve()
-    out = record(spec, checkouts, args.runs, args.seed, args.seconds)
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    out = record(spec, checkouts, args.runs, seconds)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
