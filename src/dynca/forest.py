@@ -10,8 +10,9 @@ reduction that answers ca under a moved root z from three ordinary ca
 queries in the stored rooting.
 
 Depths stay O(1)-readable through a union-find over trees with a
-per-tree depth offset, so the oracle supports add_root in O(1) and
-link in O(size of the linked tree).
+per-tree depth offset, so the oracle supports add_root in O(1), and a
+link relabels only the smaller of the two trees: O(n log n) over any
+sequence of links, plus a walk from x up to its root per link.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class CaTriple(NamedTuple):
 class Forest:
     """Parent/children forest over dense integer node ids, never freed."""
 
-    __slots__ = ("parent", "children", "_raw", "_uf", "_off")
+    __slots__ = ("parent", "children", "_raw", "_uf", "_off", "_size")
 
     def __init__(self) -> None:
         self.parent: list[Optional[int]] = []
@@ -38,6 +39,7 @@ class Forest:
         self._raw: list[int] = []  # depth(v) = _raw[v] + _off[_find(v)]
         self._uf: list[int] = []
         self._off: list[int] = []
+        self._size: list[int] = []  # tree size, read at representatives
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -49,6 +51,7 @@ class Forest:
         self._raw.append(0)
         self._uf.append(v)
         self._off.append(0)
+        self._size.append(1)
         return v
 
     def _find(self, v: int) -> int:
@@ -85,7 +88,8 @@ class Forest:
         self.parent[y] = x
         self.children[x].append(y)
         self._raw[y] = self._raw[x] + 1
-        self._uf[y] = self._find(x)
+        rep = self._uf[y] = self._find(x)
+        self._size[rep] += 1
 
     def add_root(self, y: int, old_root: int) -> None:
         """Make the fresh singleton y the new root above old_root's tree."""
@@ -99,56 +103,85 @@ class Forest:
         self.parent[old_root] = y
         self.children[y].append(old_root)
         self._off[rep] += 1
+        self._size[rep] += 1
         self._uf[y] = rep
         self._raw[y] = -self._off[rep]
 
     def link(self, x: int, y: int) -> None:
-        """Make the root y a child of x, merging y's tree into x's."""
+        """Make the root y a child of x, merging y's tree into x's.
+
+        The smaller tree is relabeled onto the larger one's
+        representative, ties relabeling y's, so a node is relabeled at
+        most log2 n times. When y's tree is the larger, x's tree is
+        reached by walking from x up to its root, at most its size. A
+        refused link raises before anything changes.
+        """
         check_id(x, len(self.parent))
         check_id(y, len(self.parent))
-        if self.parent[y] is not None:
+        parent = self.parent
+        if parent[y] is not None:
             raise ValueError(f"link target {y} is not a root")
         rx = self._find(x)
-        if rx == self._find(y):
+        ry = self._find(y)
+        if rx == ry:
             raise ValueError("link within one tree")
-        self.parent[y] = x
-        self.children[x].append(y)
-        delta = self._raw[x] + 1 - self._raw[y]
-        raw, uf, children = self._raw, self._uf, self.children
-        stack = [y]
+        raw, uf, off, size, children = (self._raw, self._uf, self._off,
+                                        self._size, self.children)
+        # y's new depths are its raws plus delta, read against rx's
+        # offset: either y's raws move by delta onto rx, or ry's offset
+        # becomes off[rx] + delta and x's raws move by -delta onto ry
+        delta = raw[x] + 1 - raw[y]
+        if size[ry] > size[rx]:
+            off[ry] = off[rx] + delta
+            rep, delta, v = ry, -delta, x
+            while parent[v] is not None:
+                v = parent[v]
+        else:
+            rep, v = rx, y
+        size[rep] = size[rx] + size[ry]
+        stack = [v]
         while stack:
             v = stack.pop()
             raw[v] += delta
-            uf[v] = rx
+            uf[v] = rep
             stack.extend(children[v])
+        parent[y] = x
+        children[x].append(y)
 
 
 def oracle_ca(f: Forest, x: int, y: int) -> Optional[CaTriple]:
     """Characteristic ancestors by walking both root paths.
 
-    Returns None when x and y lie in different trees.
+    Both ends share one representative, so their raw depths differ by
+    their depth difference: the deeper end is lifted to the other's
+    depth, then both climb until their parents meet. Returns None when
+    x and y lie in different trees.
     """
     check_id(x, len(f.parent))
     check_id(y, len(f.parent))
     if x == y:
         return CaTriple(x, x, x)
-    if not f.same_tree(x, y):
+    find = f._find
+    if find(x) != find(y):
         return None
     parent = f.parent
-    dx = f.depth(x)
-    dy = f.depth(y)
-    cx: Optional[int] = None
-    cy: Optional[int] = None
-    while dx > dy:
-        cx, x = x, parent[x]
-        dx -= 1
-    while dy > dx:
-        cy, y = y, parent[y]
-        dy -= 1
-    while x != y:
-        cx, x = x, parent[x]
-        cy, y = y, parent[y]
-    return CaTriple(x, cx if cx is not None else x, cy if cy is not None else y)
+    d = f._raw[x] - f._raw[y]
+    if d > 0:
+        for _ in range(d - 1):
+            x = parent[x]
+        if parent[x] == y:
+            return CaTriple(y, x, y)
+        x = parent[x]
+    elif d < 0:
+        for _ in range(-d - 1):
+            y = parent[y]
+        if parent[y] == x:
+            return CaTriple(x, x, y)
+        y = parent[y]
+    while parent[x] != parent[y]:
+        x = parent[x]
+        y = parent[y]
+    return CaTriple(parent[x], x, y)
 
 
 def combine_rerooted(

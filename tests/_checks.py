@@ -277,11 +277,13 @@ def reroot_physical(f, z):
     for u, p in enumerate(new_parent):
         if p is None:
             g._off[u] = 0
+            g._size[u] = 0
             stack = [(u, 0)]
             while stack:
                 w, d = stack.pop()
                 g._raw[w] = d
                 g._uf[w] = u
+                g._size[u] += 1
                 stack.extend((t, d + 1) for t in g.children[w])
     return g
 

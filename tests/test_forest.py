@@ -133,3 +133,147 @@ def test_catriple_shape():
     t = CaTriple(1, 2, 3)
     assert (t.a, t.ax, t.ay) == (1, 2, 3)
     assert tuple(t) == (1, 2, 3)
+
+
+def walk_depth(f, v):
+    d = 0
+    while f.parent[v] is not None:
+        v = f.parent[v]
+        d += 1
+    return d
+
+
+def check_depth_labels(f):
+    """Depths, union-find classes and representative sizes against walks."""
+    rep_of_root = {}
+    members = {}
+    for v in range(len(f)):
+        assert f.depth(v) == walk_depth(f, v), v
+        r = f.root_of(v)
+        rep = f._find(v)
+        assert rep_of_root.setdefault(r, rep) == rep, v
+        members[rep] = members.get(rep, 0) + 1
+    assert len(set(rep_of_root.values())) == len(rep_of_root)
+    for rep, count in members.items():
+        assert f._size[rep] == count, rep
+
+
+def random_forest_op(rng, f):
+    """One random add_leaf, add_root or link on f; returns its kind."""
+    n = len(f)
+    kind = rng.choice(("leaf", "root", "link", "link"))
+    if kind == "leaf":
+        f.add_leaf(rng.randrange(n), f.make_node())
+    elif kind == "root":
+        f.add_root(f.make_node(), f.root_of(rng.randrange(n)))
+    else:
+        x = rng.randrange(n)
+        roots = [v for v in range(n) if f.parent[v] is None
+                 and f.root_of(x) != v]
+        if not roots:
+            f.make_node()
+            return "make"
+        f.link(x, rng.choice(roots))
+    return kind
+
+
+def test_link_by_size_keeps_depth_labels(rng):
+    """Random growth and links, with either side of a link the larger."""
+    seen = {"x": 0, "y": 0}
+    for _ in range(30):
+        f = Forest()
+        for _ in range(rng.randrange(1, 8)):
+            f.make_node()
+        for _ in range(rng.randrange(10, 60)):
+            if rng.random() < 0.2:
+                f.make_node()
+            x = rng.randrange(len(f))
+            y = f.root_of(rng.randrange(len(f)))
+            if f.root_of(x) != y and rng.random() < 0.5:
+                sx, sy = f._size[f._find(x)], f._size[f._find(y)]
+                seen["y" if sy > sx else "x"] += 1
+                f.link(x, y)
+            else:
+                random_forest_op(rng, f)
+            check_depth_labels(f)
+    assert seen["x"] > 20 and seen["y"] > 20, seen
+
+
+def test_refused_link_changes_nothing(rng):
+    f = Forest()
+    for _ in range(40):
+        f.make_node()
+    for _ in range(120):
+        random_forest_op(rng, f)
+    n = len(f)
+    before = (list(f.parent), [list(c) for c in f.children],
+              [f.depth(v) for v in range(n)])
+    refused = 0
+    for _ in range(200):
+        x, y = rng.randrange(n), rng.randrange(n)
+        if f.parent[y] is None and f.root_of(x) != y:
+            continue
+        with pytest.raises(ValueError):
+            f.link(x, y)
+        refused += 1
+        assert (f.parent, f.children, [f.depth(v) for v in range(n)]) == before
+    assert refused > 100
+    check_depth_labels(f)
+
+
+def test_link_under_fresh_singleton_leaves_big_tree_labels():
+    """The larger tree keeps its raw depths and classes; its offset moves."""
+    f, root = build_random_tree(random.Random(7), 1 << 10)
+    raw, uf = list(f._raw), list(f._uf)
+    s = f.make_node()
+    f.link(s, root)
+    assert f._raw[:1 << 10] == raw and f._uf[:1 << 10] == uf
+    assert f._find(s) == f._find(root) and f._size[f._find(s)] == (1 << 10) + 1
+    check_depth_labels(f)
+
+
+def reference_ca(f, x, y):
+    """ca(x, y) from the two ancestor lists alone: no depths, no offsets."""
+    def ancestors(v):
+        out = [v]
+        while f.parent[v] is not None:
+            v = f.parent[v]
+            out.append(v)
+        return out
+
+    ax, ay = ancestors(x), ancestors(y)
+    if ax[-1] != ay[-1]:
+        return None
+    on_y = set(ay)
+    i = next(i for i, v in enumerate(ax) if v in on_y)
+    a = ax[i]
+    j = ay.index(a)
+    return CaTriple(a, ax[i - 1] if i else a, ay[j - 1] if j else a)
+
+
+def test_oracle_matches_ancestor_lists(rng):
+    """Every pair of every small random forest, built by links and growth."""
+    kinds = {"same": 0, "ancestor": 0, "apart": 0, "cross": 0}
+    for _ in range(60):
+        f = Forest()
+        for _ in range(rng.randrange(1, 6)):
+            f.make_node()
+        size = rng.randrange(2, 31)
+        while len(f) < size:
+            random_forest_op(rng, f)
+        for _ in range(rng.randrange(4)):
+            random_forest_op(rng, f)  # links may follow the last growth
+        n = len(f)
+        for x in range(n):
+            for y in range(n):
+                want = reference_ca(f, x, y)
+                assert oracle_ca(f, x, y) == want, (x, y)
+                if x == y:
+                    kinds["same"] += 1
+                elif want is None:
+                    kinds["cross"] += 1
+                elif want.a in (x, y):
+                    kinds["ancestor"] += 1
+                else:
+                    kinds["apart"] += 1
+    assert min(kinds.values()) > 100, kinds
