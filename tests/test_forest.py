@@ -159,7 +159,8 @@ def check_depth_labels(f):
 
 
 def random_forest_op(rng, f):
-    """One random add_leaf, add_root or link on f; returns its kind."""
+    """One random add_leaf, add_root or link on f; a fresh node when
+    no root lies outside x's tree."""
     n = len(f)
     kind = rng.choice(("leaf", "root", "link", "link"))
     if kind == "leaf":
@@ -170,11 +171,10 @@ def random_forest_op(rng, f):
         x = rng.randrange(n)
         roots = [v for v in range(n) if f.parent[v] is None
                  and f.root_of(x) != v]
-        if not roots:
+        if roots:
+            f.link(x, rng.choice(roots))
+        else:
             f.make_node()
-            return "make"
-        f.link(x, rng.choice(roots))
-    return kind
 
 
 def test_link_by_size_keeps_depth_labels(rng):
