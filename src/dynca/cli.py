@@ -1,29 +1,11 @@
 """Command line front end: replay traces on engines, generate workloads."""
 
 import argparse
-import os
 import sys
 
 from .errors import CapacityError, ConfigError, TraceParseError
 from .traces import (PROFILES, ENGINES, extern_answer, format_trace,
                      generate, parse_trace, run)
-
-def _resolve_max_n(flag):
-    """The capacity from --max-n, else from NCA_MAX_N; None when neither."""
-    v = flag
-    name = "--max-n"
-    if v is None:
-        env = os.environ.get("NCA_MAX_N")
-        if not env:
-            return None
-        name = "NCA_MAX_N"
-        try:
-            v = int(env)
-        except ValueError:
-            raise ConfigError(f"NCA_MAX_N must be an integer, got {env!r}")
-    if v < 1:
-        raise ConfigError(f"{name} must be positive")
-    return v
 
 
 def _cmd_run(args):
@@ -34,8 +16,9 @@ def _cmd_run(args):
         print(f"error: cannot read {args.trace}: {e}", file=sys.stderr)
         return 2
     trace = parse_trace(text)
-    report = run(trace, args.engine, check=args.check,
-                 max_n=_resolve_max_n(args.max_n))
+    if args.max_n is not None and args.max_n < 1:
+        raise ConfigError("--max-n must be positive")
+    report = run(trace, args.engine, check=args.check, max_n=args.max_n)
     if args.stats == "csv":
         sys.stdout.write(report.csv())
     if report.mismatch is not None:
@@ -81,7 +64,7 @@ def build_parser():
     rp.add_argument("--stats", choices=("csv", "none"), default="none",
                     help="emit per-engine counters as CSV on stdout")
     rp.add_argument("--max-n", type=int, default=None,
-                    help="node capacity (default: NCA_MAX_N, else trace size)")
+                    help="node capacity (default: the trace's node count)")
     rp.set_defaults(fn=_cmd_run)
 
     gp = sub.add_parser("gen", help="generate a workload trace")

@@ -9,10 +9,11 @@ engine is differentially tested against. It also carries the rerooting
 reduction that answers ca under a moved root z from three ordinary ca
 queries in the stored rooting.
 
-Depths stay O(1)-readable through a union-find over trees with a
-per-tree depth offset, so the oracle supports add_root in O(1), and a
-link relabels only the smaller of the two trees: O(n log n) over any
-sequence of links, plus a walk from x up to its root per link.
+Depth differences stay O(1)-readable through a union-find over trees:
+within one tree, two nodes' raw labels differ by their depth
+difference. add_root labels the new root one less than the old one, in
+O(1), and a link relabels only the smaller of the two trees: O(n log n)
+over any sequence of links, plus a walk from x up to its root per link.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ class CaTriple(NamedTuple):
 class Forest:
     """Parent/children forest over dense integer node ids, never freed."""
 
-    __slots__ = ("parent", "children", "_raw", "_uf", "_off", "_size")
+    __slots__ = ("parent", "children", "_raw", "_uf", "_size")
 
     def __init__(self) -> None:
         self.parent: list[Optional[int]] = []
         self.children: list[list[int]] = []
-        self._raw: list[int] = []  # depth(v) = _raw[v] + _off[_find(v)]
+        # within one tree, _raw[v] - _raw[u] = depth(v) - depth(u)
+        self._raw: list[int] = []
         self._uf: list[int] = []
-        self._off: list[int] = []
         self._size: list[int] = []  # tree size, read at representatives
 
     def __len__(self) -> int:
@@ -50,7 +51,6 @@ class Forest:
         self.children.append([])
         self._raw.append(0)
         self._uf.append(v)
-        self._off.append(0)
         self._size.append(1)
         return v
 
@@ -62,13 +62,6 @@ class Forest:
         while uf[v] != r:
             uf[v], v = r, uf[v]
         return r
-
-    def same_tree(self, x: int, y: int) -> bool:
-        return self._find(x) == self._find(y)
-
-    def depth(self, v: int) -> int:
-        check_id(v, len(self.parent))
-        return self._raw[v] + self._off[self._find(v)]
 
     def is_singleton(self, v: int) -> bool:
         return self.parent[v] is None and not self.children[v]
@@ -102,10 +95,9 @@ class Forest:
         rep = self._find(old_root)
         self.parent[old_root] = y
         self.children[y].append(old_root)
-        self._off[rep] += 1
         self._size[rep] += 1
         self._uf[y] = rep
-        self._raw[y] = -self._off[rep]
+        self._raw[y] = self._raw[old_root] - 1
 
     def link(self, x: int, y: int) -> None:
         """Make the root y a child of x, merging y's tree into x's.
@@ -125,14 +117,11 @@ class Forest:
         ry = self._find(y)
         if rx == ry:
             raise ValueError("link within one tree")
-        raw, uf, off, size, children = (self._raw, self._uf, self._off,
-                                        self._size, self.children)
-        # y's new depths are its raws plus delta, read against rx's
-        # offset: either y's raws move by delta onto rx, or ry's offset
-        # becomes off[rx] + delta and x's raws move by -delta onto ry
+        raw, uf, size, children = self._raw, self._uf, self._size, self.children
+        # y sits one below x once linked: either y's raws move by delta
+        # onto rx, or x's raws move by -delta onto ry
         delta = raw[x] + 1 - raw[y]
         if size[ry] > size[rx]:
-            off[ry] = off[rx] + delta
             rep, delta, v = ry, -delta, x
             while parent[v] is not None:
                 v = parent[v]

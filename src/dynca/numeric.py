@@ -1,9 +1,10 @@
 """Arithmetic kernel: exact rationals and floor-log tables.
 
-Preorder numbers ("ordinals") are plain Python ints. With the dynamic
-parameter set (c=5, e=4) they reach c*n**4, which clears 64 bits once n
-grows past roughly 39000, so nothing in this package assumes a native
-word width; Python ints give the needed 128-bit range for free.
+Preorder numbers ("ordinals") stay below c * cap**e for a capacity cap.
+The fat-preorder engines keep them in unsigned 64-bit array('Q') cells
+while that bound fits one, and in lists of Python ints above it: with
+the dynamic parameter set (c=5, e=4) the cells hold up to a capacity of
+43,826, about (2**64 / 5) ** (1/4); see fat_preorder.fat_cells.
 
 All base/ratio comparisons are exact: a rational is a (num, den) pair
 of ints with den > 0, and every threshold is an integer ceiling of an

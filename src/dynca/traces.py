@@ -25,8 +25,14 @@ from .linkforest import AdaptiveLinkForest
 from .multilevel import MultilevelInc, edmonds_tree, linear_tree
 from .stats import Stats
 
-STRUCTURAL = ("make_node", "add_leaf", "add_root", "link")
-QUERIES = ("nca", "ca")
+# The trace grammar: each op's operands in order, "+" declaring a fresh id
+# and "=" naming a declared one.  A query may then pin its answer after an
+# "=": none, or its ANSWER_IDS ids (nca's a; ca's a, ax and ay).
+OPERANDS = {"make_node": "+", "add_leaf": "=+", "add_root": "+",
+            "link": "==", "nca": "==", "ca": "=="}
+ANSWER_IDS = {"nca": (1, "one id"), "ca": (3, "three ids")}
+QUERIES = tuple(ANSWER_IDS)
+STRUCTURAL = tuple(k for k in OPERANDS if k not in ANSWER_IDS)
 
 
 class TraceOp(NamedTuple):
@@ -60,25 +66,19 @@ def parse_trace(text):
     ext = []
     ops = []
 
-    def declare(tok, line, col):
-        try:
-            v = int(tok)
-        except ValueError:
-            raise TraceParseError(f"expected an integer id, got {tok!r}", line, col)
-        if v in ext2d:
-            raise TraceParseError(f"duplicate node id {v}", line, col)
-        d = len(ext)
-        ext2d[v] = d
-        ext.append(v)
-        return d
-
-    def lookup(tok, line, col):
+    def ident(tok, line, col, fresh):
+        """The dense id of tok: a fresh declaration, or a declared id."""
         try:
             v = int(tok)
         except ValueError:
             raise TraceParseError(f"expected an integer id, got {tok!r}", line, col)
         d = ext2d.get(v)
-        if d is None:
+        if fresh:
+            if d is not None:
+                raise TraceParseError(f"duplicate node id {v}", line, col)
+            d = ext2d[v] = len(ext)
+            ext.append(v)
+        elif d is None:
             raise TraceParseError(f"undeclared node id {v}", line, col)
         return d
 
@@ -88,60 +88,34 @@ def parse_trace(text):
         if not toks:
             continue
         kind, kcol = toks[0]
-        args = toks[1:]
-
-        def need(k):
-            if len(args) != k:
-                raise TraceParseError(
-                    f"{kind} takes {k} operand{'s' if k != 1 else ''}, got {len(args)}",
-                    ln, args[k][1] if len(args) > k else kcol)
-
-        if kind == "make_node":
-            need(1)
-            v = declare(args[0][0], ln, args[0][1])
-            ops.append(TraceOp(kind, v, None, None, ln))
-        elif kind == "add_leaf":
-            need(2)
-            p = lookup(args[0][0], ln, args[0][1])
-            c = declare(args[1][0], ln, args[1][1])
-            ops.append(TraceOp(kind, p, c, None, ln))
-        elif kind == "add_root":
-            need(1)
-            if not ext:
-                raise TraceParseError("add_root before any node exists", ln, kcol)
-            r = declare(args[0][0], ln, args[0][1])
-            ops.append(TraceOp(kind, r, None, None, ln))
-        elif kind == "link":
-            need(2)
-            x = lookup(args[0][0], ln, args[0][1])
-            y = lookup(args[1][0], ln, args[1][1])
-            ops.append(TraceOp(kind, x, y, None, ln))
-        elif kind in ("nca", "ca"):
-            if len(args) < 2:
-                raise TraceParseError(f"{kind} takes 2 operands", ln, kcol)
-            x = lookup(args[0][0], ln, args[0][1])
-            y = lookup(args[1][0], ln, args[1][1])
-            expected = None
-            rest = args[2:]
-            if rest:
-                if rest[0][0] != "=":
-                    raise TraceParseError("expected '=' before the answer", ln, rest[0][1])
-                vals = rest[1:]
-                if kind == "nca":
-                    if len(vals) != 1:
-                        raise TraceParseError("nca answer is one id or none", ln, rest[0][1])
-                    tok, tcol = vals[0]
-                    expected = "none" if tok == "none" else lookup(tok, ln, tcol)
-                else:
-                    if len(vals) == 1 and vals[0][0] == "none":
-                        expected = "none"
-                    elif len(vals) == 3:
-                        expected = tuple(lookup(t, ln, c) for t, c in vals)
-                    else:
-                        raise TraceParseError("ca answer is three ids or none", ln, rest[0][1])
-            ops.append(TraceOp(kind, x, y, expected, ln))
-        else:
+        spec = OPERANDS.get(kind)
+        if spec is None:
             raise TraceParseError(f"unknown op {kind!r}", ln, kcol)
+        k = len(spec)
+        args, rest = toks[1:k + 1], toks[k + 1:]
+        if len(args) < k or (rest and kind not in ANSWER_IDS):
+            raise TraceParseError(
+                f"{kind} takes {k} operand{'s' if k != 1 else ''}, got {len(toks) - 1}",
+                ln, rest[0][1] if rest else kcol)
+        if kind == "add_root" and not ext:
+            raise TraceParseError("add_root before any node exists", ln, kcol)
+        ids = [ident(tok, ln, col, c == "+") for (tok, col), c in zip(args, spec)]
+        ids += [None] * (2 - k)
+        expected = None
+        if rest:
+            eq, ecol = rest[0]
+            if eq != "=":
+                raise TraceParseError("expected '=' before the answer", ln, ecol)
+            vals = rest[1:]
+            width, words = ANSWER_IDS[kind]
+            if len(vals) == 1 and vals[0][0] == "none":
+                expected = "none"
+            elif len(vals) == width:
+                ans = [ident(tok, ln, col, False) for tok, col in vals]
+                expected = ans[0] if width == 1 else tuple(ans)
+            else:
+                raise TraceParseError(f"{kind} answer is {words} or none", ln, ecol)
+        ops.append(TraceOp(kind, *ids, expected, ln))
     return Trace(ops, ext)
 
 
@@ -159,23 +133,11 @@ def format_trace(trace):
     ext = trace.ext
     out = []
     for op in trace:
-        if op.kind == "make_node":
-            out.append(f"make_node {ext[op.a]}")
-        elif op.kind == "add_leaf":
-            out.append(f"add_leaf {ext[op.a]} {ext[op.b]}")
-        elif op.kind == "add_root":
-            out.append(f"add_root {ext[op.a]}")
-        elif op.kind == "link":
-            out.append(f"link {ext[op.a]} {ext[op.b]}")
-        else:
-            s = f"{op.kind} {ext[op.a]} {ext[op.b]}"
-            if op.expected == "none":
-                s += " = none"
-            elif isinstance(op.expected, int):
-                s += f" = {ext[op.expected]}"
-            elif isinstance(op.expected, tuple):
-                s += " = " + " ".join(str(ext[v]) for v in op.expected)
-            out.append(s)
+        words = [op.kind] + [ext[v] for v in (op.a, op.b)[:len(OPERANDS[op.kind])]]
+        ans = extern_answer(trace, op.expected)
+        if ans is not None:
+            words += ["=", *(ans if isinstance(ans, tuple) else (ans,))]
+        out.append(" ".join(map(str, words)))
     return "\n".join(out) + ("\n" if out else "")
 
 

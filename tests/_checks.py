@@ -248,7 +248,7 @@ def rerooted_ca(f, x, y, z, ca_fn):
     """ca(x, y) in f's tree rerooted at z, using exactly three ca_fn calls."""
     for v in (x, y, z):
         check_id(v, len(f.parent))
-    if not (f.same_tree(x, y) and f.same_tree(x, z)):
+    if not (f._find(x) == f._find(y) == f._find(z)):
         raise ValueError("rerooted_ca requires x, y, z in one tree")
     cxy = ca_fn(x, y)
     cxz = ca_fn(x, z)
@@ -276,7 +276,6 @@ def reroot_physical(f, z):
             g.children[p].append(u)
     for u, p in enumerate(new_parent):
         if p is None:
-            g._off[u] = 0
             g._size[u] = 0
             stack = [(u, 0)]
             while stack:

@@ -144,12 +144,13 @@ def walk_depth(f, v):
 
 
 def check_depth_labels(f):
-    """Depths, union-find classes and representative sizes against walks."""
+    """Raw depth labels, union-find classes and representative sizes
+    against walks."""
     rep_of_root = {}
     members = {}
     for v in range(len(f)):
-        assert f.depth(v) == walk_depth(f, v), v
         r = f.root_of(v)
+        assert f._raw[v] - f._raw[r] == walk_depth(f, v), v
         rep = f._find(v)
         assert rep_of_root.setdefault(r, rep) == rep, v
         members[rep] = members.get(rep, 0) + 1
@@ -206,8 +207,7 @@ def test_refused_link_changes_nothing(rng):
     for _ in range(120):
         random_forest_op(rng, f)
     n = len(f)
-    before = (list(f.parent), [list(c) for c in f.children],
-              [f.depth(v) for v in range(n)])
+    before = (list(f.parent), [list(c) for c in f.children], list(f._raw))
     refused = 0
     for _ in range(200):
         x, y = rng.randrange(n), rng.randrange(n)
@@ -216,13 +216,13 @@ def test_refused_link_changes_nothing(rng):
         with pytest.raises(ValueError):
             f.link(x, y)
         refused += 1
-        assert (f.parent, f.children, [f.depth(v) for v in range(n)]) == before
+        assert (f.parent, f.children, f._raw) == before
     assert refused > 100
     check_depth_labels(f)
 
 
 def test_link_under_fresh_singleton_leaves_big_tree_labels():
-    """The larger tree keeps its raw depths and classes; its offset moves."""
+    """The larger tree keeps its raw depths and classes."""
     f, root = build_random_tree(random.Random(7), 1 << 10)
     raw, uf = list(f._raw), list(f._uf)
     s = f.make_node()

@@ -26,21 +26,31 @@ add_leaf 10 30
 nca 20 30 = 10
 ca 20 30 = 10 20 30
 nca 20 20
+make_node 40
+nca 20 40 = none
+ca 40 10 = none
 """
 
 
 def test_parse_round_trip():
     tr = parse_trace(GOOD)
-    assert tr.n_nodes == 3
+    assert tr.n_nodes == 4
     assert [op.kind for op in tr] == ["make_node", "add_leaf", "add_leaf",
-                                      "nca", "ca", "nca"]
+                                      "nca", "ca", "nca", "make_node",
+                                      "nca", "ca"]
     # answers are stored densely renumbered, like the ids themselves
     assert tr[3].expected == 0 and tr[3].line == 5
     assert tr[4].expected == (0, 1, 2)
     assert tr[5].expected is None
+    assert tr[7].expected == "none" and tr[8].expected == "none"
     back = parse_trace(format_trace(tr))
     assert [op[:4] for op in back] == [op[:4] for op in tr]
     assert back.ext == tr.ext
+    assert format_trace(tr).splitlines()[-2:] == ["nca 20 40 = none",
+                                                  "ca 40 10 = none"]
+    for profile in PROFILES:
+        text = format_trace(generate(1, profile, 200, 400))
+        assert format_trace(parse_trace(text)) == text, profile
 
 
 def test_parse_expected_none():
@@ -57,6 +67,14 @@ def test_parse_expected_none():
     ("make_node 1\nnca 1 1 = 7\n", 2, 11),      # undeclared answer id
     ("add_root 5\n", 1, 1),                     # add_root before any node
     ("make_node 1\nca 1 1 = 1\n", 2, 8),        # ca wants three answer ids
+    ("make_node 1 2\n", 1, 13),                 # make_node: extra operand
+    ("make_node 1\nadd_leaf 1 2 3\n", 2, 14),   # add_leaf: extra operand
+    ("make_node 1\nmake_node 2\nlink 1 2 3 4\n", 3, 10),  # link: extra
+    ("make_node 1\nnca 1 1 1\n", 2, 9),         # an answer with no '='
+    ("make_node 1\nnca 1 1 = 1 1\n", 2, 9),     # nca wants one answer id
+    ("make_node 1\nadd_leaf 1 1\n", 2, 12),     # duplicate add_leaf child
+    ("make_node 1\nadd_root 1\n", 2, 10),       # duplicate add_root id
+    ("make_node 1\nlink 1 2\n", 2, 8),          # undeclared link operand
 ])
 def test_parse_errors_carry_position(text, line, col):
     with pytest.raises(TraceParseError) as ei:
@@ -131,7 +149,7 @@ def test_generator_profiles_shape():
             elif op.kind == "link":
                 f.link(op.a, op.b)
             else:
-                inside += op.a != op.b and f.same_tree(op.a, op.b)
+                inside += op.a != op.b and f._find(op.a) == f._find(op.b)
         assert inside >= 0.4 * 4000, (profile, inside)
 
 
@@ -370,34 +388,25 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_max_n_flag_beats_env(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "t.trace"
-    main(["gen", "--profile", "leaf-heavy", "--n", "30", "--m", "5",
-          "--seed", "1", "-o", str(path)])
-    capsys.readouterr()
-    monkeypatch.setenv("NCA_MAX_N", "10")
-    assert main(["run", "--engine", "oracle", "--trace", str(path)]) == 2
-    assert main(["run", "--engine", "oracle", "--trace", str(path),
-                 "--max-n", "64"]) == 0
-    monkeypatch.setenv("NCA_MAX_N", "bogus")
-    assert main(["run", "--engine", "oracle", "--trace", str(path)]) == 2
-    assert "NCA_MAX_N" in capsys.readouterr().err
-
-
-def test_cli_max_n_below_one_refused(tmp_path, capsys, monkeypatch):
-    """--max-n takes NCA_MAX_N's check: a capacity below 1 exits 2."""
+def test_cli_max_n_below_one_refused(tmp_path, capsys):
+    """A capacity below 1 exits 2; one too small for the trace exits 2 too."""
     path = tmp_path / "empty.trace"
     path.write_text("")
-    monkeypatch.delenv("NCA_MAX_N", raising=False)
     for bad in ("0", "-1"):
         assert main(["run", "--engine", "inc", "--trace", str(path),
                      "--max-n", bad]) == 2
         assert "--max-n must be positive" in capsys.readouterr().err
-    monkeypatch.setenv("NCA_MAX_N", "0")
-    assert main(["run", "--engine", "inc", "--trace", str(path)]) == 2
-    assert "NCA_MAX_N must be positive" in capsys.readouterr().err
     assert main(["run", "--engine", "inc", "--trace", str(path),
                  "--max-n", "1"]) == 0
+    path = tmp_path / "t.trace"
+    main(["gen", "--profile", "leaf-heavy", "--n", "30", "--m", "5",
+          "--seed", "1", "-o", str(path)])
+    capsys.readouterr()
+    assert main(["run", "--engine", "oracle", "--trace", str(path),
+                 "--max-n", "10"]) == 2
+    assert "capacity is 10" in capsys.readouterr().err
+    assert main(["run", "--engine", "oracle", "--trace", str(path),
+                 "--max-n", "64"]) == 0
 
 
 def test_cli_unset_max_n_sizes_by_trace(tmp_path, capsys, monkeypatch):
@@ -411,10 +420,8 @@ def test_cli_unset_max_n_sizes_by_trace(tmp_path, capsys, monkeypatch):
         return traces.run(trace, engines, check=check, max_n=max_n)
 
     monkeypatch.setattr(dynca.cli, "run", spy)
-    monkeypatch.delenv("NCA_MAX_N", raising=False)
     assert main(["run", "--engine", "oracle", "--engine", "inc",
                  "--trace", str(path), "--check"]) == 0
-    monkeypatch.setenv("NCA_MAX_N", "")
     assert main(["run", "--engine", "oracle", "--trace", str(path)]) == 0
     assert seen == [None, None]
 
