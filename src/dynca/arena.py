@@ -4,9 +4,10 @@ Each microset's id-to-node map is a growing array, and one leveled
 tree packs all of its maps into one backing store.  The accounting
 target: at any instant the backing store holds at most 4 cells per live
 logical entry, even though relocated regions are never reclaimed.
-Every array starts with two granted slots (capacity 2) and, when a push
-finds it full, relocates to a fresh region of twice its capacity at the
-end of the store, copying its cells.  Handles are stable across
+Every array starts with capacity 2 and its first value in the first
+cell; when a push finds it full, it relocates to a fresh region of twice
+its capacity at the end of the store, copying its cells.  Only cells
+that hold a value count as live.  Handles are stable across
 relocations.
 """
 
@@ -28,15 +29,15 @@ class Arena:
     def used(self) -> int:
         return len(self.backing)
 
-    def new_array(self) -> int:
-        """Allocate an array with two granted slots; returns its handle."""
+    def new_array(self, v) -> int:
+        """Allocate an array of capacity 2 holding v; returns its handle."""
         h = len(self.off)
         self.off.append(len(self.backing))
-        self.backing.extend((0, 0))
+        self.backing.extend((v, 0))
         self.cap.append(2)
-        self.n.append(2)
-        self.total_live += 2
-        assert self.used <= 4 * self.total_live
+        self.n.append(1)
+        self.total_live += 1
+        assert len(self.backing) <= 4 * self.total_live
         return h
 
     def push(self, h: int, v) -> int:
@@ -47,7 +48,8 @@ class Arena:
         self.backing[self.off[h] + n] = v
         self.n[h] = n + 1
         self.total_live += 1
-        assert self.used <= 4 * self.total_live
+        # len(), not the used property: this runs on every microset add
+        assert len(self.backing) <= 4 * self.total_live
         return n
 
     def _relocate(self, h: int) -> None:
@@ -59,22 +61,3 @@ class Arena:
         self.backing.extend([0] * (newcap - n))
         self.cap[h] = newcap
         self.cells_copied += n
-
-    def set(self, h: int, idx: int, v) -> None:
-        if not 0 <= idx < self.n[h]:
-            raise IndexError(f"index {idx} out of range for array {h}")
-        self.backing[self.off[h] + idx] = v
-
-    def append_at(self, h: int, idx: int, v) -> None:
-        """Write v at idx, pushing if idx is one past the stored length.
-
-        Storage length never shrinks and may exceed the caller's own
-        element count (two slots are granted at creation), so callers
-        track their logical lengths themselves.
-        """
-        if idx < self.n[h]:
-            self.backing[self.off[h] + idx] = v
-        elif idx == self.n[h]:
-            self.push(h, v)
-        else:
-            raise IndexError(f"index {idx} skips past stored length {self.n[h]}")

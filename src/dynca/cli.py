@@ -4,8 +4,8 @@ import argparse
 import sys
 
 from .errors import CapacityError, ConfigError, TraceParseError
-from .traces import (PROFILES, ENGINES, extern_answer, format_trace,
-                     generate, parse_trace, run)
+from .traces import (PROFILES, ENGINES, format_trace, generate, parse_trace,
+                     pin_text, run)
 
 
 def _cmd_run(args):
@@ -24,10 +24,9 @@ def _cmd_run(args):
     if report.mismatch is not None:
         idx, engine, got, want = report.mismatch
         op = trace[idx]
-        got = extern_answer(trace, got)
-        want = extern_answer(trace, want)
         print(f"mismatch at op {idx} (line {op.line}): engine {engine} "
-              f"answered {got!r}, expected {want!r}", file=sys.stderr)
+              f"answered = {pin_text(trace, got)}, "
+              f"expected = {pin_text(trace, want)}", file=sys.stderr)
         print(f"reproduction, the trace through that query "
               f"({len(report.repro)} ops):", file=sys.stderr)
         sys.stderr.write(format_trace(report.repro))

@@ -27,8 +27,9 @@ grow toward the current root, and every node records its spine meet sm:
 the deepest spine node on its stored root path.  Nodes with one spine
 meet keep their stored meet under any root; otherwise the deeper spine
 meet is the meet itself, so a rerooted query costs at most one stored
-query.  Spine holds that root handle and query dispatch once, for this
-tree and for the leveled MultilevelInc.
+query.  Spine holds the checked add_leaf, that root handle and query
+dispatch once, for this tree, the leveled MultilevelInc and the link
+forest's PackedTree.
 """
 
 from .errors import CapacityError, check_id
@@ -43,8 +44,11 @@ class Spine:
     """A root handle above a stored tree, and the queries under it.
 
     A host provides piT, the stored parents of its vertices; sm, their
-    spine meets, and varrho, the current root; stats and add_leaf; and
-    _stored(x, y), the meet of distinct vertices in the stored rooting.
+    spine meets, and varrho, the current root; stats; _add_leaf(x), which
+    adds a child of a valid x, refuses one past capacity and counts it in
+    eta; and _stored(x, y), the meet of distinct vertices in the stored
+    rooting.  add_leaf checks x once, and add_root adds through _add_leaf
+    with no check, since the root is always a valid id.
     """
 
     @property
@@ -55,9 +59,14 @@ class Spine:
     def root(self):
         return self.varrho
 
+    def add_leaf(self, x):
+        """Attach and return a new child of x."""
+        check_id(x, len(self.piT))
+        return self._add_leaf(x)
+
     def add_root(self):
         """Attach and return a new root above the current one."""
-        y = self.add_leaf(self.varrho)
+        y = self._add_leaf(self.varrho)
         self.sm[y] = y
         self.varrho = y
         return y
@@ -97,6 +106,7 @@ class IncrementalTree(Spine, FatQueryMixin):
 
     params = DYNAMIC_PARAMS
     # bound in the class body, where bench/tracing.py wraps them
+    add_leaf = Spine.add_leaf
     add_root = Spine.add_root
     ca = Spine.ca
     _stored = FatQueryMixin._ca_stored
@@ -138,15 +148,14 @@ class IncrementalTree(Spine, FatQueryMixin):
         assign_numbers(self, (0,))
         self.stats.eta += 1
 
-    def add_leaf(self, x):
-        """Attach and return a new child of x."""
-        check_id(x, len(self.piT))
+    def _add_leaf(self, x):
+        """Spine.add_leaf without the id check, for a host that owns x's id."""
         y = self._add(x)
         self.stats.eta += 1
         return y
 
     def _add(self, x):
-        """add_leaf without the id check or the vertex count in eta.
+        """_add_leaf without the vertex count in eta.
 
         A leveled host grows its level-1 tree through here: those nodes
         stand for contracted subtrees, not for vertices.

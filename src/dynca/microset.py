@@ -6,7 +6,8 @@ word, so a node's ancestor set is one int.  The meet of x and y is the
 highest bit of anc(x) & anc(y): ancestor ids grow along any root path, so
 the deepest common ancestor carries the largest id.  The id-to-node map
 is one growing array, one slot per id, in the arena of the MultilevelInc
-that hosts the microset.
+that hosts the microset: the root's slot is written when the array is
+made, and each add pushes one more.
 
 The host owns the anc array, indexed by its node ids, so one flat array
 serves every microset on a level; a member's own id is the top bit of
@@ -17,16 +18,17 @@ node ids.
 PackedTree is the same word trick hosting itself: a whole tree of at
 most CAP = 255 nodes, its ids dense from 0 and node i owning bit i, so
 the meet reads off the word with no id map.  The link forest keeps every
-subtree of at most CAP nodes in one; add_root and the queries under a
-moved root come from Spine.  Its words outgrow a machine word, yet in
-CPython an add still costs a fraction of a three-level tree's and a
-query about as much, as measured up to 2048 nodes; the cap is set by
-memory instead, the ancestor words holding about n^2/2 bits in all.
+subtree of at most CAP nodes in one; the checked add_leaf, add_root and
+the queries under a moved root come from Spine.  Its words outgrow a
+machine word, yet in CPython an add still costs a fraction of a
+three-level tree's and a query about as much, as measured up to 2048
+nodes; the cap is set by memory instead, the ancestor words holding
+about n^2/2 bits in all.
 """
 
 from array import array
 
-from .errors import CapacityError, check_id
+from .errors import CapacityError
 from .forest import CaTriple
 from .incremental import Spine
 from .stats import Stats
@@ -47,22 +49,16 @@ class Microset:
         self.anc = anc
         self.arena = arena
         self.stats = stats
-        self.vh = arena.new_array()
-        arena.set(self.vh, 0, root)
+        self.vh = arena.new_array(root)
         anc[root] = 2
-
-    @property
-    def full(self):
-        return self.n == self.mu
 
     def add(self, x, y):
         """Attach y below member x.  False when the set is already full."""
         if self.n == self.mu:
             return False
         self.n += 1
-        j = self.n
-        self.anc[y] = self.anc[x] | (1 << j)
-        self.arena.append_at(self.vh, j - 1, y)
+        self.anc[y] = self.anc[x] | (1 << self.n)
+        self.arena.push(self.vh, y)
         self.stats.work += 1
         return True
 
@@ -118,13 +114,8 @@ class PackedTree(Spine):
         self.varrho = 0
         self.stats.eta += 1
 
-    def add_leaf(self, x):
-        """Attach and return a new child of x."""
-        check_id(x, len(self.piT))
-        return self._add_leaf(x)
-
     def _add_leaf(self, x):
-        """add_leaf without the id check, for a host that owns x's id."""
+        """Spine.add_leaf without the id check, for a host that owns x's id."""
         y = len(self.piT)
         if y >= self.CAP:
             raise CapacityError(f"packed tree is at its capacity {self.CAP}")

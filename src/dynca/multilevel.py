@@ -13,10 +13,11 @@ be the meet itself, the answer component is patched back to the subtree
 root it stands for.  That recursion is Leveled._c in levels.py, shared
 with the link forest; here each microset is its own subtree record
 (root, up, ca), sub[1] holds None for every level-1 node, and _flat asks
-the level-1 tree.  The root handle and the queries under a moved root
-come from Spine in incremental.py, shared with IncrementalTree: the
-vertex level's spine meets cost at most one stored query, which here is
-one run of that recursion from level L.
+the level-1 tree.  The checked add_leaf, the root handle and the
+queries under a moved root come from Spine in incremental.py, shared
+with IncrementalTree and PackedTree: the vertex level's spine meets
+cost at most one stored query, which here is one run of that recursion
+from level L.
 
 Two presets, both at the one default microset size
 mu = min(63, 3 ceil(log2 cap)): two levels (edmonds_tree) give O(log n)
@@ -36,7 +37,7 @@ flat 63 7.96 -> 12.98 (drift 1.63).
 from math import ceil, log2
 
 from .arena import Arena
-from .errors import CapacityError, check_id
+from .errors import CapacityError
 # combine_rerooted stays in this namespace: bench/tracing.py wraps it here
 from .forest import combine_rerooted  # noqa: F401
 from .incremental import IncrementalTree, Spine
@@ -49,6 +50,7 @@ class MultilevelInc(Spine, Leveled):
     """Incremental tree with vertex ids 0..n-1, vertex 0 the first root."""
 
     # bound in the class body, where bench/tracing.py wraps them
+    add_leaf = Spine.add_leaf
     add_root = Spine.add_root
     ca = Spine.ca
 
@@ -95,21 +97,10 @@ class MultilevelInc(Spine, Leveled):
     def _singleton(self, y, l):
         return Microset(y, self.mu, self.anc[l], self.arena, self.stats)
 
-    def add_leaf(self, x):
-        """Attach and return a new child vertex of x."""
-        check_id(x, len(self.piT))
+    def _add_leaf(self, x):
+        """Spine.add_leaf without the id check, for a host that owns x's id."""
         if len(self.piT) >= self.max_n:
             raise CapacityError(f"tree is at its declared capacity {self.max_n}")
-        y = self._attach(x, self.L)
-        self.sm.append(self.sm[x])
-        self.stats.eta += 1
-        return y
-
-    def _add_leaf(self, x):
-        """add_leaf without its checks, for a link forest record: the
-        forest owns x's id, and a record holds one tree's nodes, never
-        more than max_n.  add_leaf repeats this body rather than call it,
-        which would cost the grown engines a call per add."""
         y = self._attach(x, self.L)
         self.sm.append(self.sm[x])
         self.stats.eta += 1
@@ -129,7 +120,7 @@ class MultilevelInc(Spine, Leveled):
             self.sub[l][y] = self._singleton(y, l)
             return y
         self.sub[l][y] = P
-        if P.n == P.mu:     # P.full, without the property call
+        if P.n == P.mu:     # P is now full
             r = P.root
             w = self.pi[l][r]
             if w is None:

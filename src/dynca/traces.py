@@ -67,11 +67,11 @@ def parse_trace(text):
     ops = []
 
     def ident(tok, line, col, fresh):
-        """The dense id of tok: a fresh declaration, or a declared id."""
-        try:
-            v = int(tok)
-        except ValueError:
+        """The dense id of tok, ASCII digits after an optional "-": a fresh
+        declaration, or a declared id."""
+        if not re.fullmatch(r"-?[0-9]+", tok):
             raise TraceParseError(f"expected an integer id, got {tok!r}", line, col)
+        v = int(tok)
         d = ext2d.get(v)
         if fresh:
             if d is not None:
@@ -128,15 +128,22 @@ def extern_answer(trace, ans):
     return ans
 
 
+def pin_text(trace, ans):
+    """A query answer as a trace pins it after "=": none, or its external ids."""
+    ans = extern_answer(trace, ans)
+    if ans is None or ans == "none":
+        return "none"
+    return " ".join(map(str, ans if isinstance(ans, tuple) else (ans,)))
+
+
 def format_trace(trace):
     """Serialize a Trace back to text, external ids restored."""
     ext = trace.ext
     out = []
     for op in trace:
         words = [op.kind] + [ext[v] for v in (op.a, op.b)[:len(OPERANDS[op.kind])]]
-        ans = extern_answer(trace, op.expected)
-        if ans is not None:
-            words += ["=", *(ans if isinstance(ans, tuple) else (ans,))]
+        if op.expected is not None:
+            words += ["=", pin_text(trace, op.expected)]
         out.append(" ".join(map(str, words)))
     return "\n".join(out) + ("\n" if out else "")
 

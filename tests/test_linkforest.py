@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from dynca import incremental, linkforest, microset, multilevel
+from dynca import linkforest
 from dynca.errors import check_id
 from dynca.microset import PackedTree
 from dynca.multilevel import MultilevelInc
@@ -282,8 +282,8 @@ def _count_record_adds(monkeypatch):
     """Count record adds and the forest walks a singleton link must skip.
 
     A record add is counted once, by the entry it came in through:
-    add_root adds through add_leaf, and the forest adds through
-    _add_leaf, so the calls nested in an add are not counted again.
+    add_leaf and add_root add through _add_leaf, and so does the forest
+    itself, so the calls nested in an add are not counted again.
     """
     calls = Counter()
     depth = [0]
@@ -856,28 +856,41 @@ def test_stage_floors_leave_the_acap_cache_flat():
 
 
 def test_leaf_growth_checks_each_id_once(monkeypatch):
-    """A seeded 2^12-node leaf growth, replayed as links, makes at most
-    two check_id calls a link: link checks x and y, and neither the
-    record add behind a fresh singleton nor a promotion's copy checks
-    again.  The public add_leaf of both record kinds still refuses a bad
-    id, and changes nothing when it does."""
+    """A seeded 2^12-node growth, replayed as links, makes exactly two
+    check_id calls a link: link checks x and y, and neither the record
+    add behind a fresh singleton nor a promotion's copy checks again.
+    That holds for a leaf growth, and for a root-heavy one in which one
+    op in four is an add_root, replayed as link(v, root): the record's
+    add_root does not check its own root again.  The public add_leaf of
+    both record kinds still refuses a bad id, and changes nothing when
+    it does."""
     calls = [0]
 
     def counted(v, n):
         calls[0] += 1
         return check_id(v, n)
 
-    for mod in (linkforest, multilevel, microset, incremental):
-        monkeypatch.setattr(mod, "check_id", counted)
+    # every module that imports check_id, so that no check goes uncounted
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("dynca.") and hasattr(mod, "check_id"):
+            monkeypatch.setattr(mod, "check_id", counted)
     n = 1 << 12
-    af = AdaptiveLinkForest(n)
-    for _ in range(n):
-        af.make_node()
-    rng = random.Random(5)
-    for v in range(1, n):
-        af.link(rng.randrange(v), v)
-    assert isinstance(af.sub[af.L][0].inc, MultilevelInc)
-    assert 0 < calls[0] <= 2 * (n - 1), calls[0]
+    for roots in (0, 0.25):
+        af = AdaptiveLinkForest(n)
+        for _ in range(n):
+            af.make_node()
+        calls[0] = 0
+        rng = random.Random(5)
+        root = 0
+        for v in range(1, n):
+            if rng.random() < roots:
+                af.link(v, root)
+                root = v
+            else:
+                af.link(rng.randrange(v), v)
+        assert calls[0] == 2 * (n - 1), (roots, calls[0])
+        assert isinstance(af.sub[af.L][0].inc, MultilevelInc)
+        assert af.find_root(0) == root
     for t in (MultilevelInc(8), PackedTree()):
         t.add_leaf(0)
         size, eta = len(t.piT), t.stats.eta

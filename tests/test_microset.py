@@ -24,7 +24,7 @@ def test_frozen_root_encoding():
     assert anc[7].bit_length() - 1 == 1
     assert anc[7] == 0b10
     assert microset_members(m) == [7]
-    assert not m.full
+    assert m.n != m.mu
 
 
 def test_frozen_add_encoding():
@@ -58,7 +58,7 @@ def test_add_refuses_when_full():
     m, anc = fresh(mu=3)
     assert m.add(7, 1)
     assert m.add(7, 2)
-    assert m.full
+    assert m.n == m.mu
     assert not m.add(7, 3)
     assert m.n == 3
 
@@ -103,7 +103,7 @@ def test_differential_against_oracle(rng):
         root = f.make_node()
         m = Microset(root, mu, anc, arena, Stats())
         members = [root]
-        while not m.full:
+        while m.n != m.mu:
             x = rng.choice(members)
             y = f.make_node()
             f.add_leaf(x, y)
@@ -131,7 +131,7 @@ def test_microset_property(seed, mu):
         f.add_leaf(x, y)
         m.add(x, y)
         members.append(y)
-    assert m.full and not m.add(members[0], 79)
+    assert m.n == m.mu and not m.add(members[0], 79)
     for _ in range(40):
         x = r.choice(members)
         y = r.choice(members)

@@ -32,7 +32,7 @@ def check_levels(t):
                     # parents inside a packed set stay inside it
                     assert t.sub[l][t.pi[l][v]] is P
             # contraction node exists exactly when the set is full
-            assert (P.up is not None) == P.full
+            assert (P.up is not None) == (P.n == P.mu)
             if P.up is not None:
                 assert t.down[l - 1][P.up] is P
             w = t.pi[l][P.root]
@@ -40,14 +40,14 @@ def check_levels(t):
                 W = t.sub[l][w]
                 assert W is not P
                 # frontier: only full sets carry child sets
-                assert W.full and W.up is not None
+                assert W.n == W.mu and W.up is not None
                 if P.up is not None:
                     par = (t.inc.piT[P.up] if l - 1 == 1
                            else t.pi[l - 1][P.up])
                     assert par == W.up
         assert seen == set(range(n_l))
         # each full mu-set contracted to exactly one node one level down
-        full = sum(1 for P in subs if P.full)
+        full = sum(1 for P in subs if P.n == P.mu)
         below = len(t.pi[l - 1]) if l - 1 >= 2 else (t.inc.n if t.inc else 0)
         assert below == full
         assert below <= n_l // t.mu

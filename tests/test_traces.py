@@ -75,6 +75,9 @@ def test_parse_expected_none():
     ("make_node 1\nadd_leaf 1 1\n", 2, 12),     # duplicate add_leaf child
     ("make_node 1\nadd_root 1\n", 2, 10),       # duplicate add_root id
     ("make_node 1\nlink 1 2\n", 2, 8),          # undeclared link operand
+    ("make_node 1_0\n", 1, 11),                 # int() reads "1_0" as 10
+    ("make_node 1\nadd_leaf 1 +3\n", 2, 12),    # int() reads a "+" sign
+    ("make_node 1\nmake_node 2\nca 1 2 = 1 2 \u0661\n", 3, 14),  # Arabic-Indic 1
 ])
 def test_parse_errors_carry_position(text, line, col):
     with pytest.raises(TraceParseError) as ei:
@@ -372,6 +375,7 @@ def test_cli_check_flag_catches_bad_answer(tmp_path, capsys):
                  "--check"]) == 1
     err = capsys.readouterr().err
     assert "mismatch at op 2" in err
+    assert "answered = 1, expected = 2" in err
 
 
 def test_cli_parse_error_is_exit_2(tmp_path, capsys):
