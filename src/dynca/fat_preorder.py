@@ -11,7 +11,8 @@ children left to right between guard zones of width s^e at either end.
 
 Both halves are one pass, assign_numbers, over a subtree listed
 breadth-first.  StaticCa runs it once per tree; IncrementalTree runs it on
-every subtree it renumbers and on every leaf it adds without drift.
+every subtree it renumbers and on every leaf it adds without drift.  Both
+set up the columns it fills through number_columns.
 
 A query compares the two fat numbers, takes one floor log of the gap, and
 reads a per-node ancestor table to land on the deepest ancestor whose
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConfigError, check_id
-from .forest import CaTriple
+from .errors import ConfigError
+from .forest import CaTriple, Meets
 from .numeric import LogTable, Rational
 from .stats import Stats
 
@@ -139,6 +140,27 @@ def fat_cells(bound, n):
     Unsigned: array('Q') stores skip the format parsing of array('q') ones.
     """
     return array("Q", (0,)) * n if bound <= 2 ** 64 else [0] * n
+
+
+def number_columns(t, params, cap, n):
+    """Give host t the constants and n blank columns assign_numbers uses.
+
+    Fat numbers stay below c * cap^e; rows hold ids below cap and EPS.
+    """
+    t._c = c = params.c
+    t._e = e = params.e
+    top = c * cap ** e
+    t._flb = shared_log_table(params.beta, top).floor_log_beta
+    t._tc = "i" if cap < 2 ** 31 else "q"
+    t._rungs = {}
+    t.succ = [None] * n
+    t.pos = [0] * n
+    t.piD = [None] * n
+    t.p = fat_cells(top, n)
+    t.q = fat_cells(top, n)
+    t.Qbar = fat_cells(top, n)
+    t.tab = [None] * n
+    t.iq = [0] * n
 
 
 def assign_numbers(t, order):
@@ -347,14 +369,15 @@ class FatQueryMixin:
         return tuple.__new__(CaTriple, (at, ax, ay))
 
 
-class StaticCa(FatQueryMixin):
+class StaticCa(FatQueryMixin, Meets):
     """Frozen forest with O(1) characteristic-ancestor queries.
 
     Builds the compression, the numbering, and the ancestor tables for
     every tree of the forest in one pass.  Queries across trees return
-    None.  Mutating the forest afterwards does not affect this structure.
-    p, q and Qbar take 64-bit cells while c * n^e fits one (n up to 2^31
-    for STATIC_PARAMS), else lists.
+    None; the checked ca and nca are forest.Meets'.  Mutating the forest
+    afterwards does not affect this structure.  p, q and Qbar take 64-bit
+    cells while c * n^e fits one (n up to 2^31 for STATIC_PARAMS), else
+    lists.
     """
 
     def __init__(self, forest, params=STATIC_PARAMS, stats=None):
@@ -364,27 +387,13 @@ class StaticCa(FatQueryMixin):
         n = len(forest.parent)
         if n == 0:
             raise ConfigError("empty forest")
-        self._c = c = params.c
-        self._e = e = params.e
-        # rows hold node ids below n and EPS
-        self._tc = "i" if n < 2 ** 31 else "q"
-        top = c * n ** e
-        self._rungs = {}
+        number_columns(self, params, n, n)
         piT = list(forest.parent)
         self.piT = piT
         self.tree = [0] * n  # the root of each node's tree
         # nothing grows, so a node's weight is its subtree size once the
         # build has run, and one list serves as both
         self.s = self.sigma = [1] * n
-        self.succ = [None] * n
-        self.pos = [0] * n
-        self.piD = [None] * n
-        self.p = fat_cells(top, n)
-        self.q = fat_cells(top, n)
-        self.Qbar = fat_cells(top, n)
-        self.tab = [None] * n
-        self.iq = [0] * n
-        self._flb = shared_log_table(params.beta, top).floor_log_beta
         for r in range(n):
             if piT[r] is None:
                 self._build_tree(forest.children, r)
@@ -399,18 +408,11 @@ class StaticCa(FatQueryMixin):
         self.stats.table_entries += assign_numbers(self, order)
         self.stats.work += len(order)
 
-    def ca(self, x, y):
+    def _ca(self, x, y):
         """Meet and its two approach children, or None across trees."""
-        n = len(self.piT)
-        check_id(x, n)
-        check_id(y, n)
         if x == y:
             self.stats.note_query(0)
             return CaTriple(x, x, x)
         if self.tree[x] != self.tree[y]:
             return None
         return self._ca_stored(x, y)
-
-    def nca(self, x, y):
-        t = self.ca(x, y)
-        return None if t is None else t.a

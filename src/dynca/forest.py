@@ -5,7 +5,9 @@ nearest common ancestor of x and y, a_x is a itself exactly when a = x
 and otherwise the ancestor of x whose parent is a, and symmetrically
 for a_y. This module pins that contract down with a plain
 parent-pointer forest plus a brute-force oracle, which every fast
-engine is differentially tested against. It also carries the rerooting
+engine is differentially tested against. Meets holds the checked ca,
+nca and n that every fast engine answers through, so an engine keeps
+only its unchecked _ca. The module also carries the rerooting
 reduction that answers ca under a moved root z from three ordinary ca
 queries in the stored rooting.
 
@@ -27,6 +29,30 @@ class CaTriple(NamedTuple):
     a: int
     ax: int
     ay: int
+
+
+class Meets:
+    """The checked ca, nca and n of every fast engine.
+
+    A host provides piT, one entry per node id, and _ca(x, y), the meet
+    of two valid ids, None when they lie in different trees.
+    """
+
+    @property
+    def n(self):
+        return len(self.piT)
+
+    def ca(self, x, y):
+        """Characteristic ancestors of x and y, or None across trees."""
+        n = len(self.piT)
+        check_id(x, n)
+        check_id(y, n)
+        return self._ca(x, y)
+
+    def nca(self, x, y):
+        """Nearest common ancestor of x and y, or None across trees."""
+        t = self.ca(x, y)
+        return None if t is None else t.a
 
 
 class Forest:

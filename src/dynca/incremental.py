@@ -27,20 +27,20 @@ grow toward the current root, and every node records its spine meet sm:
 the deepest spine node on its stored root path.  Nodes with one spine
 meet keep their stored meet under any root; otherwise the deeper spine
 meet is the meet itself, so a rerooted query costs at most one stored
-query.  Spine holds the checked add_leaf, that root handle and query
-dispatch once, for this tree, the leveled MultilevelInc and the link
-forest's PackedTree.
+query.  Spine holds the checked add_leaf, that root handle and the
+rerooted meet _ca once, for this tree, the leveled MultilevelInc and the
+link forest's PackedTree; the checked ca is forest.Meets'.
 """
 
 from .errors import CapacityError, check_id
 from .fat_preorder import (DYNAMIC_PARAMS, FatQueryMixin, assign_numbers,
-                           fat_cells, shared_log_table)
+                           number_columns)
 # combine_rerooted stays in this namespace: bench/tracing.py wraps it here
-from .forest import CaTriple, combine_rerooted  # noqa: F401
+from .forest import CaTriple, Meets, combine_rerooted  # noqa: F401
 from .stats import Stats
 
 
-class Spine:
+class Spine(Meets):
     """A root handle above a stored tree, and the queries under it.
 
     A host provides piT, the stored parents of its vertices; sm, their
@@ -48,12 +48,9 @@ class Spine:
     adds a child of a valid x, refuses one past capacity and counts it in
     eta; and _stored(x, y), the meet of distinct vertices in the stored
     rooting.  add_leaf checks x once, and add_root adds through _add_leaf
-    with no check, since the root is always a valid id.
+    with no check, since the root is always a valid id.  The checked ca,
+    nca and n come from Meets, which calls _ca here.
     """
-
-    @property
-    def n(self):
-        return len(self.piT)
 
     @property
     def root(self):
@@ -70,13 +67,6 @@ class Spine:
         self.sm[y] = y
         self.varrho = y
         return y
-
-    def ca(self, x, y):
-        """Characteristic ancestors of x and y under the current root."""
-        n = len(self.piT)
-        check_id(x, n)
-        check_id(y, n)
-        return self._ca(x, y)
 
     def _ca(self, x, y):
         """ca without the id checks: the spine meets pick the case."""
@@ -97,9 +87,6 @@ class Spine:
         return tuple.__new__(CaTriple, (
             sx, x if x == sx else self._stored(sx, x)[2], self.piT[sx]))
 
-    def nca(self, x, y):
-        return self.ca(x, y).a
-
 
 class IncrementalTree(Spine, FatQueryMixin):
     """Single tree over dense ids 0..n-1, id 0 created by the constructor."""
@@ -117,32 +104,15 @@ class IncrementalTree(Spine, FatQueryMixin):
         params = self.params
         self.max_n = max_n
         self.stats = stats if stats is not None else Stats()
-        c = params.c
-        e = params.e
-        self._c = c
-        self._e = e
         self._anum = params.alpha.num
         self._aden = params.alpha.den
-        top = c * max(max_n, 2) ** e
-        self._flb = shared_log_table(params.beta, top).floor_log_beta
-        # rows hold node ids below max_n and EPS, so 32-bit cells do
-        # unless the capacity itself needs more
-        self._tc = "i" if max_n < 2 ** 31 else "q"
-        self._rungs = {}
         # node 0, the stored root; assign_numbers gives it its interval
+        number_columns(self, params, max(max_n, 2), 1)
         self.piT = [None]
         self.s = [1]
         self.sigma = [1]
-        self.succ = [None]
-        self.pos = [0]
-        self.piD = [None]
-        self.p = fat_cells(top, 1)
-        self.q = fat_cells(top, 1)
-        self.Qbar = fat_cells(top, 1)
         self.renum = [0]
         self.ch = [None]  # a node's child list, None until its first child
-        self.iq = [0]
-        self.tab = [None]
         self.sm = [0]
         self.varrho = 0
         assign_numbers(self, (0,))

@@ -58,7 +58,7 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .errors import CapacityError, check_id
-from .forest import CaTriple
+from .forest import CaTriple, Meets
 from .levels import Leveled
 from .microset import PackedTree
 from .multilevel import MultilevelInc
@@ -180,16 +180,17 @@ class _Sub:
         return tuple.__new__(CaTriple, (rev[a], rev[ax], rev[ay]))
 
 
-class LinkForest(Leveled):
+class LinkForest(Leveled, Meets):
     """Forest under make_node / link / ca at a fixed level count.
 
     Vertices live on level L; contractions run down to level 1.
     A level's shape is three id columns: pi (the parent), fc (the first
-    child) and ns (the next sibling), each -1 where there is none.  A
-    link puts the new child first, so a node's children run from fc
-    through ns newest first.  Beside them each level keeps ts, its tree
-    sizes, read at roots, and each level below L free, its retired ids;
-    all five are int columns from _cells.  sub and lid, the record and
+    child) and ns (the next sibling), each -1 where there is none; piT
+    is the vertex level's pi, which the checked ca, nca and n of
+    forest.Meets read.  A link puts the new child first, so a node's
+    children run from fc through ns newest first.  Beside them each
+    level keeps ts, its tree sizes, read at roots, and each level below
+    L free, its retired ids; all five are int columns from _cells.  sub and lid, the record and
     the id inside it of each node, stay lists: a record keeps each lid
     it reads, and a list hands it an int that exists already.
     Tree stages on level k are classified by row k of Ackermann's
@@ -243,7 +244,7 @@ class LinkForest(Leveled):
         self.lid = {k: [] for k in rng}     # id inside sub[k][v]
         self.down = {k: [] for k in range(1, level)}
         self.free = {k: _cells(m) for k in range(1, level)}  # retired ids
-        self.pi[level] = pi
+        self.pi[level] = self.piT = pi
         self.fc[level] = fc
         self.ns[level] = ns
         self.ts[level] = ts
@@ -277,19 +278,15 @@ class LinkForest(Leveled):
             self.down[k].append(None)
         return v
 
-    @property
-    def n(self):
-        return len(self.pi[self.L])
-
     def make_node(self):
         """Create and return a fresh singleton vertex."""
-        if len(self.pi[self.L]) >= self.max_n:
+        if len(self.piT) >= self.max_n:
             raise CapacityError(f"forest is at its declared capacity {self.max_n}")
         return self._new_node(self.L)
 
     def find_root(self, x):
         """Root of x's tree: one subtree hop per level, then back up."""
-        check_id(x, len(self.pi[self.L]))
+        check_id(x, len(self.piT))
         return self._find_root(x)
 
     def _find_root(self, x):
@@ -324,8 +321,7 @@ class LinkForest(Leveled):
         _count may restage the forest, which keeps the vertex level's
         columns and every tree's root, so r and both sizes still hold.
         """
-        k = self.L
-        pi = self.pi[k]
+        pi = self.piT
         n = len(pi)
         check_id(x, n)
         check_id(y, n)
@@ -334,7 +330,7 @@ class LinkForest(Leveled):
         r = self._find_root(x)
         if r == y:
             raise ValueError("link within one tree")
-        ts = self.ts[k]
+        ts = self.ts[self.L]
         tx = ts[r]
         ty = ts[y]
         self._count((tx == 1) + (ty == 1))
@@ -444,19 +440,10 @@ class LinkForest(Leveled):
         The subtree under skip is left out entirely.
         """
         pi = self.pi[k]
-        fc = self.fc[k]
-        ns = self.ns[k]
         sub = self.sub[k]
-        queue = [top]
-        # the loop also walks the children it appends
-        for v in queue:
+        for v in self.tree_nodes(top, k, skip):
             if sub[v] is not S:
                 self._seat(S, v, pi[v], k)
-            w = fc[v]
-            while w >= 0:
-                if w != skip:
-                    queue.append(w)
-                w = ns[w]
 
     def _seat(self, S, v, u, k):
         """Add level-k node v to subtree S, below member u or, when u is
@@ -509,15 +496,8 @@ class LinkForest(Leveled):
         k = self.L
         self._stage(level, self.pi[k], self.fc[k], self.ns[k], self.ts[k])
 
-    def ca(self, x, y):
-        """Characteristic ancestors, or None across trees."""
-        n = len(self.pi[self.L])
-        check_id(x, n)
-        check_id(y, n)
-        return self._ca(x, y)
-
     def _ca(self, x, y):
-        """ca without the id checks.
+        """ca without the id checks, or None across trees.
 
         Ends that share a vertex-level subtree record cost one query of
         that record: trees only merge, so a record never spans two trees,
@@ -534,10 +514,6 @@ class LinkForest(Leveled):
         if self._find_root(x) != self._find_root(y):
             return None
         return self._c(x, y, self.L)
-
-    def nca(self, x, y):
-        t = self.ca(x, y)
-        return None if t is None else t.a
 
     def _flat(self, x, y, k):
         """Meet inside a stage-0 tree: walk the bare parent column."""
@@ -557,11 +533,12 @@ class LinkForest(Leveled):
         return tuple.__new__(CaTriple, (
             v, px[i - 1] if i else v, cy if cy is not None else v))
 
-    def tree_nodes(self, r, k):
-        """Nodes of r's level-k tree, parents before children.
+    def tree_nodes(self, r, k, skip=None):
+        """Nodes of the level-k subtree at r, parents before children.
 
         Breadth first, each node's children newest first, read off the
-        first-child and next-sibling columns.
+        first-child and next-sibling columns.  The subtree under skip,
+        when given, is left out entirely.
         """
         fc = self.fc[k]
         ns = self.ns[k]
@@ -570,7 +547,8 @@ class LinkForest(Leveled):
         for v in order:
             w = fc[v]
             while w >= 0:
-                order.append(w)
+                if w != skip:
+                    order.append(w)
                 w = ns[w]
         return order
 
@@ -606,23 +584,20 @@ class AdaptiveLinkForest(LinkForest):
     def reorg_log(self):
         return self.stats.reorg_log
 
-    def ca(self, x, y):
-        """Characteristic ancestors, or None across trees.
+    def _ca(self, x, y):
+        """Count one meet, then answer it as LinkForest._ca does.
 
         A meet below the mark is counted by one compare and an add; past
-        it, _count reads alpha again and may restage the forest.  The ids
-        are checked before anything is counted.  Ends in one vertex-level
-        record cost one record query, any other pair two root walks and
-        the level recursion (LinkForest._ca).
+        it, _count reads alpha again and may restage the forest.  The
+        shared ca has checked the ids before anything is counted.  Ends
+        in one vertex-level record cost one record query, any other pair
+        two root walks and the level recursion.
         """
-        n = len(self.pi[self.L])
-        check_id(x, n)
-        check_id(y, n)
         if self.m1 < self.mark:
             self.m1 += 1
         elif self.n1:       # meets count only once linking has started
             self._count(0)
-        return self._ca(x, y)
+        return LinkForest._ca(self, x, y)
 
     def _count(self, fresh):
         """Count one operation that brings `fresh` nodes into the count.

@@ -465,7 +465,8 @@ def as_links(trace):
 
 # ------------------------------------------------------------- generators
 
-PROFILES = ("leaf-heavy", "root-heavy", "link-balanced", "link-skewed", "query-heavy")
+PROFILES = ("leaf-heavy", "leaf-deep", "root-heavy", "link-balanced", "link-skewed",
+            "query-heavy")
 
 
 def generate(seed, profile, n, m):
@@ -498,6 +499,8 @@ def generate(seed, profile, n, m):
         for v in range(1, n):
             if profile == "root-heavy" and rng.random() < 0.25:
                 ops.append(TraceOp("add_root", v, None, None, 0))
+            elif profile == "leaf-deep":    # each parent among the 8 newest
+                ops.append(TraceOp("add_leaf", rng.randrange(max(0, v - 8), v), v, None, 0))
             else:
                 ops.append(TraceOp("add_leaf", rng.randrange(v), v, None, 0))
             if profile == "root-heavy":

@@ -3,6 +3,7 @@ import functools
 import importlib.util
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,25 +56,30 @@ def _forest():
 
 def _oracle():
     f = _forest()
-    return lambda x, y: oracle_ca(f, x, y)
+
+    def ca(x, y):
+        return oracle_ca(f, x, y)
+    return SimpleNamespace(ca=ca, nca=lambda x, y: ca(x, y).a)
 
 
 def _grown(make):
     t = make(8)
     t.add_leaf(0)
-    return t.ca
+    return t
 
 
-def _linked(t):
+def _linked(t, singletons=0):
     t.make_node()
     t.make_node()
     t.link(0, 1)
-    return t.ca
+    for _ in range(singletons):
+        t.make_node()
+    return t
 
 
 ENGINES = {
     "oracle": _oracle,
-    "static": lambda: StaticCa(_forest()).ca,
+    "static": lambda: StaticCa(_forest()),
     "inc": lambda: _grown(IncrementalTree),
     "inc-log2": lambda: _grown(edmonds_tree),
     "inc-linear": lambda: _grown(linear_tree),
@@ -88,13 +94,49 @@ class Id(int):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_bool_ids_rejected(engine):
-    ca = ENGINES[engine]()
-    with pytest.raises(ValueError):
-        ca(True, 1)
-    with pytest.raises(ValueError):
-        ca(0, False)
+    t = ENGINES[engine]()
+    for query in (t.ca, t.nca):
+        with pytest.raises(ValueError):
+            query(True, 1)
+        with pytest.raises(ValueError):
+            query(0, False)
     # other int subclasses stay valid ids
-    assert ca(Id(1), Id(0)) == ca(1, 0) == (0, 1, 0)
+    assert t.ca(Id(1), Id(0)) == t.ca(1, 0) == (0, 1, 0)
+    assert t.nca(Id(1), Id(0)) == t.nca(1, 0) == t.ca(1, 0).a == 0
+
+
+def test_one_checked_entry():
+    """Every fast engine answers through the same ca, nca and n."""
+    hosts = (IncrementalTree, MultilevelInc, StaticCa, LinkForest,
+             AdaptiveLinkForest)
+    for name in ("ca", "nca", "n"):
+        assert len({getattr(h, name) for h in hosts}) == 1, name
+
+
+def _two_trees():
+    """Forest of two trees, 0-1 and the singleton 2."""
+    f = _forest()
+    f.make_node()
+    return f
+
+
+ACROSS = {
+    "static": lambda: StaticCa(_two_trees()),
+    "link-fixed": lambda: _linked(LinkForest(1, 8), singletons=1),
+    "link": lambda: _linked(AdaptiveLinkForest(8), singletons=1),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ACROSS))
+def test_nca_none_across_trees(engine):
+    """nca is ca's meet within a tree and None across trees."""
+    t = ACROSS[engine]()
+    for x, y in ((1, 0), (0, 1), (1, 1)):
+        assert t.nca(x, y) == t.ca(x, y).a
+    for x, y in ((1, 2), (2, 0)):
+        assert t.ca(x, y) is None
+        assert t.nca(x, y) is None
+    assert t.nca(2, 2) == 2
 
 
 @pytest.mark.parametrize("make", [
@@ -138,6 +180,30 @@ def test_rejected_call_changes_nothing(engine):
     rejects(CapacityError, t.add_leaf, 0)
     rejects(CapacityError, t.add_root)
     assert t.ca(0, t.root).a == t.root
+
+
+def test_rejected_static_call_changes_nothing():
+    """A raising ca or nca on a frozen forest leaves its stats as they were."""
+    rng = random.Random(3)
+    f = Forest()
+    for v in range(30):
+        f.make_node()
+        if v % 10:
+            f.add_leaf(rng.randrange(v - v % 10, v), v)
+    t = StaticCa(f)
+    assert t.n == 30
+    for x, y in ((3, 7), (12, 18), (25, 25), (4, 14)):
+        t.nca(x, y)
+    assert t.stats.queries == 3
+
+    for bad in (-1, t.n, True, None):
+        for call, args in ((t.ca, (bad, 0)), (t.ca, (0, bad)),
+                           (t.nca, (bad, 0)), (t.nca, (0, bad))):
+            before = dataclasses.replace(t.stats)
+            with pytest.raises(ValueError):
+                call(*args)
+            assert t.stats == before
+    assert t.ca(3, 7) == oracle_ca(f, 3, 7)
 
 
 LINKED = {

@@ -1060,7 +1060,8 @@ def test_adaptive_restages_in_place_down_as_well_as_up(monkeypatch):
         check_link_invariants(af)
         for x in range(n):
             for y in range(n):
-                assert LinkForest.ca(af, x, y) == oracle_ca(f, x, y), (x, y)
+                # LinkForest._ca answers without counting the meet
+                assert LinkForest._ca(af, x, y) == oracle_ca(f, x, y), (x, y)
 
     a = tree(12, "chain")
     b = tree(6, "star")

@@ -107,6 +107,13 @@ def test_generator_profiles_shape():
     assert all(k == "add_leaf" for k in kinds[1:50])
     assert all(k in ("nca", "ca") for k in kinds[50:])
 
+    # leaf-deep grows the same way, each parent among the 8 newest nodes
+    t = generate(3, "leaf-deep", 200, 30)
+    grown = [op for op in t if op.kind == "add_leaf"]
+    assert [op.b for op in grown] == list(range(1, 200))
+    assert all(op.b - 8 <= op.a < op.b for op in grown)
+    assert max(op.b - op.a for op in grown) == 8
+
     t = generate(3, "root-heavy", 50, 30)
     assert any(op.kind == "add_root" for op in t)
     mut_seen = 0
