@@ -7,21 +7,18 @@ logical entry, even though relocated regions are never reclaimed.
 Every array starts with capacity 2 and its first value in the first
 cell; when a push finds it full, it relocates to a fresh region of twice
 its capacity at the end of the store, copying its cells.  Only cells
-that hold a value count as live.  Handles are stable across
-relocations.
+that hold a value count as live.  An array is named by its offset, which
+its owner keeps with its length.
 """
 
 from __future__ import annotations
 
 
 class Arena:
-    __slots__ = ("backing", "off", "cap", "n", "total_live", "cells_copied")
+    __slots__ = ("backing", "total_live", "cells_copied")
 
     def __init__(self) -> None:
         self.backing: list = []
-        self.off: list[int] = []
-        self.cap: list[int] = []
-        self.n: list[int] = []
         self.total_live = 0
         self.cells_copied = 0
 
@@ -30,34 +27,26 @@ class Arena:
         return len(self.backing)
 
     def new_array(self, v) -> int:
-        """Allocate an array of capacity 2 holding v; returns its handle."""
-        h = len(self.off)
-        self.off.append(len(self.backing))
+        """Allocate an array of capacity 2 holding v; returns its offset."""
+        off = len(self.backing)
         self.backing.extend((v, 0))
-        self.cap.append(2)
-        self.n.append(1)
         self.total_live += 1
         assert len(self.backing) <= 4 * self.total_live
-        return h
+        return off
 
-    def push(self, h: int, v) -> int:
-        """Append v; returns the index it landed at."""
-        n = self.n[h]
-        if n == self.cap[h]:
-            self._relocate(h)
-        self.backing[self.off[h] + n] = v
-        self.n[h] = n + 1
+    def push(self, off: int, n: int, v) -> int:
+        """Append v to the n-value array at off; returns the array's offset.
+
+        Capacities are powers of two, so the array is full, and moves,
+        exactly when n is a power of two of at least 2.
+        """
+        backing = self.backing
+        if n > 1 and not n & (n - 1):
+            backing += backing[off:off + n] + [0] * n
+            off = len(backing) - 2 * n
+            self.cells_copied += n
+        backing[off + n] = v
         self.total_live += 1
         # len(), not the used property: this runs on every microset add
-        assert len(self.backing) <= 4 * self.total_live
-        return n
-
-    def _relocate(self, h: int) -> None:
-        n = self.n[h]
-        newcap = 2 * self.cap[h]
-        old = self.off[h]
-        self.off[h] = len(self.backing)
-        self.backing.extend(self.backing[old:old + n])
-        self.backing.extend([0] * (newcap - n))
-        self.cap[h] = newcap
-        self.cells_copied += n
+        assert len(backing) <= 4 * self.total_live
+        return off

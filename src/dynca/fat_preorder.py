@@ -39,7 +39,7 @@ from .stats import Stats
 
 EPS = -1  # empty ancestor-table entry
 
-_TABLES: dict = {}
+_log_table = lru_cache(maxsize=None)(LogTable)
 
 
 def shared_log_table(beta, bound):
@@ -48,15 +48,7 @@ def shared_log_table(beta, bound):
     The bound is rounded up to a power of two so structures of similar
     capacity share one table.
     """
-    if bound < 2:
-        bound = 2
-    bound = 1 << (bound - 1).bit_length()
-    key = (beta.num, beta.den, bound)
-    t = _TABLES.get(key)
-    if t is None:
-        t = LogTable(beta, bound)
-        _TABLES[key] = t
-    return t
+    return _log_table(beta, 1 << (max(bound, 2) - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -72,6 +64,7 @@ class FatParams:
     c: int
     e: int
 
+    @lru_cache(maxsize=None)
     def validate(self):
         """Check feasibility of the parameters and return the exact values.
 
@@ -95,39 +88,34 @@ class FatParams:
         Returns a dict of exact Fractions so callers can reproduce the
         margins; raises ConfigError when a constraint fails.
         """
-        return _validate(self)
-
-
-@lru_cache(maxsize=None)
-def _validate(params):
-    beta = Fraction(params.beta.num, params.beta.den)
-    if beta <= 1:
-        raise ConfigError("beta must exceed 1")
-    if params.e < 2 or params.c < 3:
-        raise ConfigError("need e >= 2 and c >= 3")
-    cm2 = Fraction(params.c - 2)
-    lo = Fraction(2) / (beta ** (params.e - 1) - 1)
-    hi = beta ** params.e
-    if not lo <= cm2 <= hi:
-        raise ConfigError(f"packing bound violated: {lo} <= {cm2} <= {hi}")
-    out = {"eq_pack_lo": lo, "c_minus_2": cm2, "eq_pack_hi": hi, "eq_growth_lhs": None}
-    ratio = Fraction(2)
-    if params.alpha is not None:
-        alpha = Fraction(params.alpha.num, params.alpha.den)
-        if alpha <= 1:
-            raise ConfigError("alpha must exceed 1")
-        half = Fraction(1, 2)
-        lhs = params.c * ((alpha - half) ** params.e + half ** params.e)
-        lhs /= 1 - alpha ** -params.e
-        if lhs > cm2:
-            raise ConfigError(f"growth bound violated: {lhs} > {cm2}")
-        out["eq_growth_lhs"] = lhs
-        ratio = 1 / (alpha - half)
-    if beta > ratio:
-        raise ConfigError(f"weight ratio {ratio} below beta {beta}")
-    if beta * cm2 > 1 + hi:
-        raise ConfigError(f"meet reach violated: {beta * cm2} > {1 + hi}")
-    return out
+        beta = Fraction(self.beta.num, self.beta.den)
+        if beta <= 1:
+            raise ConfigError("beta must exceed 1")
+        if self.e < 2 or self.c < 3:
+            raise ConfigError("need e >= 2 and c >= 3")
+        cm2 = Fraction(self.c - 2)
+        lo = Fraction(2) / (beta ** (self.e - 1) - 1)
+        hi = beta ** self.e
+        if not lo <= cm2 <= hi:
+            raise ConfigError(f"packing bound violated: {lo} <= {cm2} <= {hi}")
+        out = {"eq_pack_lo": lo, "c_minus_2": cm2, "eq_pack_hi": hi, "eq_growth_lhs": None}
+        ratio = Fraction(2)
+        if self.alpha is not None:
+            alpha = Fraction(self.alpha.num, self.alpha.den)
+            if alpha <= 1:
+                raise ConfigError("alpha must exceed 1")
+            half = Fraction(1, 2)
+            lhs = self.c * ((alpha - half) ** self.e + half ** self.e)
+            lhs /= 1 - alpha ** -self.e
+            if lhs > cm2:
+                raise ConfigError(f"growth bound violated: {lhs} > {cm2}")
+            out["eq_growth_lhs"] = lhs
+            ratio = 1 / (alpha - half)
+        if beta > ratio:
+            raise ConfigError(f"weight ratio {ratio} below beta {beta}")
+        if beta * cm2 > 1 + hi:
+            raise ConfigError(f"meet reach violated: {beta * cm2} > {1 + hi}")
+        return out
 
 
 STATIC_PARAMS = FatParams(alpha=None, beta=Rational(2, 1), c=4, e=2)

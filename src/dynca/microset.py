@@ -7,7 +7,8 @@ highest bit of anc(x) & anc(y): ancestor ids grow along any root path, so
 the deepest common ancestor carries the largest id.  The id-to-node map
 is one growing array, one slot per id, in the arena of the MultilevelInc
 that hosts the microset: the root's slot is written when the array is
-made, and each add pushes one more.
+made, and each add pushes one more.  The microset keeps the array's
+offset off, which a push may move, and ids, the arena's backing list.
 
 The host owns the anc array, indexed by its node ids, so one flat array
 serves every microset on a level; a member's own id is the top bit of
@@ -17,11 +18,11 @@ node ids.
 
 PackedTree is the same word trick hosting itself: a whole tree of at
 most CAP = 255 nodes, its ids dense from 0 and node i owning bit i, so
-the meet reads off the word with no id map.  The link forest keeps every
-subtree of at most CAP nodes in one; the checked add_leaf, add_root and
-the queries under a moved root come from Spine.  Its words outgrow a
-machine word, yet in CPython an add still costs a fraction of a
-three-level tree's and a query about as much, as measured up to 2048
+its stored meet is Microset.ca over identity ids.  The link forest keeps
+every subtree of at most CAP nodes in one; the checked add_leaf,
+add_root and the queries under a moved root come from Spine.  Its words
+outgrow a machine word, yet in CPython an add still costs a fraction of
+a three-level tree's and a query about as much, as measured up to 2048
 nodes; the cap is set by memory instead, the ancestor words holding
 about n^2/2 bits in all.
 """
@@ -35,9 +36,11 @@ from .stats import Stats
 
 
 class Microset:
-    """One packed subtree.  Capacity mu must be in [2, 63]."""
+    """One packed subtree of capacity mu in [2, 63]: its n ids sit at
+    offset off of ids, its arena's backing list."""
 
-    __slots__ = ("mu", "n", "root", "up", "vh", "anc", "arena", "stats")
+    __slots__ = ("mu", "n", "root", "up", "off", "ids", "anc", "arena",
+                 "stats")
 
     def __init__(self, root, mu, anc, arena, stats):
         if not 2 <= mu <= 63:
@@ -49,16 +52,18 @@ class Microset:
         self.anc = anc
         self.arena = arena
         self.stats = stats
-        self.vh = arena.new_array(root)
+        self.ids = arena.backing
+        self.off = arena.new_array(root)
         anc[root] = 2
 
     def add(self, x, y):
         """Attach y below member x.  False when the set is already full."""
-        if self.n == self.mu:
+        n = self.n
+        if n == self.mu:
             return False
-        self.n += 1
-        self.anc[y] = self.anc[x] | (1 << self.n)
-        self.arena.push(self.vh, y)
+        self.anc[y] = self.anc[x] | (2 << n)
+        self.off = self.arena.push(self.off, n, y)
+        self.n = n + 1
         self.stats.work += 1
         return True
 
@@ -68,10 +73,9 @@ class Microset:
             self.stats.note_query(0)
             return tuple.__new__(CaTriple, (x, x, x))
         anc = self.anc
-        arena = self.arena
-        vals = arena.backing
+        vals = self.ids
         # bit j has bit_length j + 1, and id j sits in slot j - 1
-        o = arena.off[self.vh] - 2
+        o = self.off - 2
         ax = anc[x]
         ay = anc[y]
         steps = 5
@@ -102,9 +106,15 @@ class PackedTree(Spine):
     and changes nothing, so a host can promote the tree and retry.
     Every id is below CAP, so the spine meets sm sit in a byte array.
     piT stays a list: its root entry is None, as in every Spine host.
+    The stored meet of distinct x, y is Microset.ca over identity ids.
     """
 
     CAP = 255
+    # Microset.ca reads bit j's node at ids[off + j - 1], here j itself;
+    # a tuple, since indexing a range costs several times as much
+    ids = tuple(range(CAP))
+    off = 1
+    _stored = Microset.ca
 
     def __init__(self, stats=None):
         self.stats = stats if stats is not None else Stats()
@@ -126,25 +136,3 @@ class PackedTree(Spine):
         st.eta += 1
         st.work += 1
         return y
-
-    def _stored(self, x, y):
-        """Characteristic ancestors of distinct x, y in the stored rooting."""
-        anc = self.anc
-        ax = anc[x]
-        ay = anc[y]
-        steps = 5
-        a = (ax & ay).bit_length() - 1
-        if a == x:
-            cx = x
-        else:
-            d = ax & ~ay
-            cx = (d & -d).bit_length() - 1
-            steps += 3
-        if a == y:
-            cy = y
-        else:
-            d = ay & ~ax
-            cy = (d & -d).bit_length() - 1
-            steps += 3
-        self.stats.note_query(steps)
-        return tuple.__new__(CaTriple, (a, cx, cy))

@@ -231,17 +231,16 @@ def shared_rows_ok(obj, nodes, root):
             assert row is obj.tab[obj.piD[u]], f"{u} does not share its parent's row"
 
 
-def arena_read(arena, h, start, stop):
-    """Cells start..stop-1 of arena array h; IndexError past its stored length."""
-    if not 0 <= start <= stop <= arena.n[h]:
-        raise IndexError(f"range [{start}:{stop}] out of bounds for array {h}")
-    o = arena.off[h]
-    return arena.backing[o + start:o + stop]
+def arena_read(arena, off, n, start, stop):
+    """Cells start..stop-1 of the n-value arena array at off; IndexError past n."""
+    if not 0 <= start <= stop <= n:
+        raise IndexError(f"range [{start}:{stop}] out of bounds for array at {off}")
+    return arena.backing[off + start:off + stop]
 
 
 def microset_members(m):
     """A microset's members in insertion order."""
-    return arena_read(m.arena, m.vh, 0, m.n)
+    return arena_read(m.arena, m.off, m.n, 0, m.n)
 
 
 def rerooted_ca(f, x, y, z, ca_fn):

@@ -8,17 +8,18 @@ from _checks import arena_read
 
 def test_new_array_grants_two_cells():
     ar = Arena()
-    h = ar.new_array(7)
+    off = ar.new_array(7)
+    assert off == 0
     assert ar.used == 2
     assert ar.total_live == 1
     assert ar.used <= 4 * ar.total_live
-    assert arena_read(ar, h, 0, 1) == [7]
+    assert arena_read(ar, off, 1, 0, 1) == [7]
 
 
 def test_two_arrays_usage_four():
     ar = Arena()
-    ar.new_array(0)
-    ar.new_array(1)
+    assert ar.new_array(0) == 0
+    assert ar.new_array(1) == 2
     assert ar.used == 4
 
 
@@ -32,36 +33,36 @@ def test_thousand_arrays_usage():
 
 def test_push_relocates_preserving_contents():
     ar = Arena()
-    h = ar.new_array("a")
+    off = ar.new_array("a")
     before = ar.used
-    idx = ar.push(h, "b")  # the second granted cell: no relocation
-    assert idx == 1
+    off = ar.push(off, 1, "b")  # the second granted cell: no relocation
+    assert off == 0
     assert ar.used == before
     assert ar.cells_copied == 0
-    assert arena_read(ar, h, 0, 2) == ["a", "b"]
-    idx = ar.push(h, "c")  # full at capacity 2: relocate to 4
-    assert idx == 2
-    assert arena_read(ar, h, 0, 3) == ["a", "b", "c"]
+    assert arena_read(ar, off, 2, 0, 2) == ["a", "b"]
+    off = ar.push(off, 2, "c")  # full at capacity 2: relocate to 4
+    assert off == before
+    assert arena_read(ar, off, 3, 0, 3) == ["a", "b", "c"]
     assert ar.used == before + 4
     assert ar.cells_copied == 2
-    idx = ar.push(h, "d")  # room left: no relocation
-    assert idx == 3
+    off = ar.push(off, 3, "d")  # room left: no relocation
+    assert off == before
     assert ar.used == before + 4
-    assert arena_read(ar, h, 0, 4) == ["a", "b", "c", "d"]
-    idx = ar.push(h, "e")  # full at capacity 4: relocate to 8
-    assert idx == 4
+    assert arena_read(ar, off, 4, 0, 4) == ["a", "b", "c", "d"]
+    off = ar.push(off, 4, "e")  # full at capacity 4: relocate to 8
+    assert off == before + 4
     assert ar.used == before + 4 + 8
     assert ar.cells_copied == 2 + 4
-    assert arena_read(ar, h, 0, 5) == ["a", "b", "c", "d", "e"]
+    assert arena_read(ar, off, 5, 0, 5) == ["a", "b", "c", "d", "e"]
 
 
 def test_hundred_thousand_pushes_bounds():
     ar = Arena()
-    h = ar.new_array(-1)
+    off = ar.new_array(-1)
     k = 10 ** 5
     for i in range(k):
-        ar.push(h, i)
-    assert arena_read(ar, h, 0, k + 1) == [-1] + list(range(k))
+        off = ar.push(off, i + 1, i)
+    assert arena_read(ar, off, k + 1, 0, k + 1) == [-1] + list(range(k))
     assert ar.cells_copied <= 2 * k
     assert ar.used <= 4 * ar.total_live
     assert ar.used <= 4 * (k + 1)
@@ -73,22 +74,29 @@ def test_arena_invariants_under_interleaving(script):
     """Random interleaving of creates and pushes keeps every account exact."""
     ar = Arena()
     shadow = []
+    offs = []
     pushes = 0
     for cmd in script:
         if cmd == 0 or not shadow:
             h = len(shadow)
-            assert ar.new_array((h, 0)) == h
+            end = ar.used
+            offs.append(ar.new_array((h, 0)))
+            assert offs[h] == end  # a new array starts at the end of the store
             shadow.append([(h, 0)])
         else:
             h = cmd % len(shadow)
-            idx = ar.push(h, (h, len(shadow[h])))
-            assert idx == len(shadow[h])
-            shadow[h].append((h, idx))
+            n = len(shadow[h])
+            end = ar.used
+            off = ar.push(offs[h], n, (h, n))
+            # a full array, n a power of two >= 2, moves to the end
+            assert off == (end if n > 1 and n & (n - 1) == 0 else offs[h])
+            offs[h] = off
+            shadow[h].append((h, n))
             pushes += 1
         assert ar.total_live == sum(map(len, shadow))
         assert ar.used <= 4 * ar.total_live
         assert ar.cells_copied <= 2 * pushes + 2 * len(shadow)
     for h, vals in enumerate(shadow):
-        assert arena_read(ar, h, 0, len(vals)) == vals
+        assert arena_read(ar, offs[h], len(vals), 0, len(vals)) == vals
         with pytest.raises(IndexError):  # nothing stored past the live cells
-            arena_read(ar, h, 0, len(vals) + 1)
+            arena_read(ar, offs[h], len(vals), 0, len(vals) + 1)

@@ -252,6 +252,18 @@ def test_static_multi_tree_forest(rng):
         assert sca.ca(x, y) == oracle_ca(f, x, y)
 
 
+def test_static_build_work_counts_every_node(rng):
+    """A build's work is n: each tree adds its own node count, and nothing else does."""
+    for trees, n in ((1, 1), (1, 2), (4, 4), (3, 60), (5, 400)):
+        f = Forest()
+        for _ in range(trees):
+            f.make_node()
+        for _ in range(n - trees):
+            f.add_leaf(rng.randrange(len(f.parent)), f.make_node())
+        st = StaticCa(f).stats
+        assert st.work == n and st.queries == 0, (trees, n)
+
+
 def test_query_step_budget(rng):
     f, _ = build_random_tree(rng, 512)
     sca = StaticCa(f)

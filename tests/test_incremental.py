@@ -280,6 +280,38 @@ def test_per_node_reorganization_bound(rng):
     assert t.stats.recompression_nodes == sum(t.renum)
 
 
+def test_add_leaf_work_recounted(rng):
+    """Each add_leaf adds to work the compressed walk, plus a recompression's writes.
+
+    The walk reads the new leaf and then each compressed ancestor, which
+    before the add are x when x is an apex and piD[x] otherwise, and
+    their own piD chain.  A recompression adds the rows and nodes it
+    wrote, the deltas of table_entries and recompression_nodes.
+    """
+    for shape in ("uniform", "deep", "star"):
+        n = 600
+        t = IncrementalTree(n)
+        st = t.stats
+        recompressed = 0
+        for v in range(1, n):
+            x = {"uniform": rng.randrange(v), "deep": max(0, v - rng.randint(1, 4)),
+                 "star": 0}[shape]
+            chain = []
+            u = x if t.pos[x] == 0 else t.piD[x]
+            while u is not None:
+                chain.append(u)
+                u = t.piD[u]
+            work, rec = st.work, st.recompressions
+            entries, renumbered = st.table_entries, st.recompression_nodes
+            t.add_leaf(x)
+            want = 1 + len(chain)
+            if st.recompressions != rec:
+                want += st.table_entries - entries + st.recompression_nodes - renumbered
+                recompressed += 1
+            assert st.work - work == want, (shape, v, x)
+        assert 0 < recompressed < n - 1, shape
+
+
 def test_capacity_error():
     t = IncrementalTree(4)
     for _ in range(3):

@@ -197,3 +197,69 @@ def test_packed_tree_full_at_cap_changes_nothing(rng):
         with pytest.raises(ValueError):
             t.add_leaf(bad)
         assert state() == before
+
+
+def test_microset_work_counts_each_accepted_add(rng):
+    """work is the number of accepted adds; a refused add leaves Stats as it was."""
+    for mu in (2, 3, 17, 63):
+        m, anc = fresh(mu=mu)
+        members = [7]
+        for k in range(1, mu):
+            assert m.add(rng.choice(members), 100 + k)
+            members.append(100 + k)
+            assert m.stats.work == k and m.stats.queries == 0
+        before = dataclasses.asdict(m.stats)
+        assert not m.add(7, 99)
+        assert dataclasses.asdict(m.stats) == before
+
+
+def packed_steps(f, x, y):
+    """Steps of one ancestor-word meet of distinct x, y, from the oracle.
+
+    Five to read both words and the meet, and three more on each side
+    whose end is not the meet itself, to find the child below it.
+    """
+    a = oracle_ca(f, x, y).a
+    return 5 + 3 * (a != x) + 3 * (a != y)
+
+
+def assert_meet_steps(t, f, nodes):
+    """Each ca on t notes one query of packed_steps; an x == y meet notes 0."""
+    st = t.stats
+    for x in nodes:
+        for y in nodes:
+            work, queries = st.work, st.queries
+            t.ca(x, y)
+            want = 0 if x == y else packed_steps(f, x, y)
+            assert (st.work - work, st.queries - queries) == (want, 1), (x, y)
+
+
+def test_microset_meet_steps_recounted(rng):
+    for mu in (2, 5, 20):
+        arena = Arena()
+        anc = [0] * 64
+        f = Forest()
+        root = f.make_node()
+        m = Microset(root, mu, anc, arena, Stats())
+        members = [root]
+        while m.n != m.mu:
+            x = rng.choice(members)
+            y = f.make_node()
+            f.add_leaf(x, y)
+            m.add(x, y)
+            members.append(y)
+        assert_meet_steps(m, f, members)
+
+
+def test_packed_tree_meet_steps_recounted(rng):
+    """With add_leaf only, every spine meet is the root, so each ca is one _stored."""
+    for n in (2, 9, 60):
+        f = Forest()
+        f.make_node()
+        t = PackedTree()
+        for v in range(1, n):
+            x = rng.randrange(v)
+            f.make_node()
+            f.add_leaf(x, v)
+            assert t.add_leaf(x) == v
+        assert_meet_steps(t, f, range(n))
