@@ -353,7 +353,7 @@ class FatQueryMixin:
         else:
             ay = self.succ[at]
             steps += 1
-        self.stats.note_query(steps)
+        self.stats.note_steps(steps)
         return tuple.__new__(CaTriple, (at, ax, ay))
 
 
@@ -399,7 +399,6 @@ class StaticCa(FatQueryMixin, Meets):
     def _ca(self, x, y):
         """Meet and its two approach children, or None across trees."""
         if x == y:
-            self.stats.note_query(0)
             return CaTriple(x, x, x)
         if self.tree[x] != self.tree[y]:
             return None

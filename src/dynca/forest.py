@@ -34,8 +34,9 @@ class CaTriple(NamedTuple):
 class Meets:
     """The checked ca, nca and n of every fast engine.
 
-    A host provides piT, one entry per node id, and _ca(x, y), the meet
-    of two valid ids, None when they lie in different trees.
+    A host provides piT, one entry per node id, stats, and _ca(x, y), the
+    meet of two valid ids, None across trees.  ca counts each answered
+    query once in the stats' queries, so a meet notes only its steps.
     """
 
     @property
@@ -47,7 +48,9 @@ class Meets:
         n = len(self.piT)
         check_id(x, n)
         check_id(y, n)
-        return self._ca(x, y)
+        if (t := self._ca(x, y)) is not None:
+            self.stats.queries += 1
+        return t
 
     def nca(self, x, y):
         """Nearest common ancestor of x and y, or None across trees."""

@@ -505,7 +505,6 @@ class LinkForest(Leveled, Meets):
         to their roots, then recurses through the levels.
         """
         if x == y:
-            self.stats.note_query(0)
             return tuple.__new__(CaTriple, (x, x, x))
         sub = self.sub[self.L]
         S = sub[x]
@@ -529,7 +528,7 @@ class LinkForest(Leveled, Meets):
             cy = v
             v = pi[v]
         i = px.index(v)
-        self.stats.note_query(len(px) + 2)
+        self.stats.note_steps(len(px) + 2)
         return tuple.__new__(CaTriple, (
             v, px[i - 1] if i else v, cy if cy is not None else v))
 
@@ -585,13 +584,11 @@ class AdaptiveLinkForest(LinkForest):
         return self.stats.reorg_log
 
     def _ca(self, x, y):
-        """Count one meet, then answer it as LinkForest._ca does.
+        """Count one meet in m1, then answer it as LinkForest._ca does.
 
         A meet below the mark is counted by one compare and an add; past
         it, _count reads alpha again and may restage the forest.  The
-        shared ca has checked the ids before anything is counted.  Ends
-        in one vertex-level record cost one record query, any other pair
-        two root walks and the level recursion.
+        shared ca has checked the ids before anything is counted.
         """
         if self.m1 < self.mark:
             self.m1 += 1

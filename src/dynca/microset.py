@@ -70,7 +70,6 @@ class Microset:
     def ca(self, x, y):
         """Characteristic ancestors of members x and y."""
         if x == y:
-            self.stats.note_query(0)
             return tuple.__new__(CaTriple, (x, x, x))
         anc = self.anc
         vals = self.ids
@@ -92,7 +91,7 @@ class Microset:
             d = ay & ~ax
             cy = vals[o + (d & -d).bit_length()]
             steps += 3
-        self.stats.note_query(steps)
+        self.stats.note_steps(steps)
         return tuple.__new__(CaTriple, (a, cx, cy))
 
 

@@ -11,6 +11,7 @@ import dynca
 from dynca import (AdaptiveLinkForest, CapacityError, Forest, IncrementalTree,
                    LinkForest, MultilevelInc, StaticCa, edmonds_tree,
                    linear_tree, oracle_ca)
+from dynca.microset import PackedTree
 from dynca.traces import GROWN
 
 from _checks import check_link_invariants
@@ -262,3 +263,62 @@ def test_rejected_link_call_changes_nothing(engine):
     assert t.find_root(child) == a
     t.link(child, b)
     check_link_invariants(t)
+
+
+def _three_trees(rng, n):
+    f = Forest()
+    for v in range(n):
+        f.make_node()
+        if v % (n // 3):
+            f.add_leaf(rng.randrange(v - v % (n // 3), v), v)
+    return StaticCa(f)
+
+
+def _grown_with_roots(t, rng, n):
+    """Grow t to n nodes, one op in four an add_root."""
+    for v in range(1, n):
+        if rng.randrange(4):
+            t.add_leaf(rng.randrange(v))
+        else:
+            t.add_root()
+    return t
+
+
+def _random_links(t, rng, n):
+    """Link n fresh nodes by random root-under-vertex links into 8 trees."""
+    for _ in range(n):
+        t.make_node()
+    members = {v: [v] for v in range(n)}
+    while len(members) > 8:
+        r, y = rng.sample(sorted(members), 2)
+        t.link(rng.choice(members[r]), y)
+        members[r] += members.pop(y)
+    return t
+
+
+COUNTED = {
+    "static": lambda rng: _three_trees(rng, 600),
+    "inc": lambda rng: _grown_with_roots(IncrementalTree(600), rng, 600),
+    "inc-log2": lambda rng: _grown_with_roots(edmonds_tree(600), rng, 600),
+    "inc-linear": lambda rng: _grown_with_roots(linear_tree(600), rng, 600),
+    "link-fixed": lambda rng: _random_links(LinkForest(2, 600), rng, 600),
+    "link": lambda rng: _random_links(AdaptiveLinkForest(600), rng, 600),
+    "packed": lambda rng: _grown_with_roots(PackedTree(), rng, PackedTree.CAP),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(COUNTED))
+def test_one_query_per_answered_query(engine):
+    """stats.queries counts each ca or nca that answers, x == y included,
+    once; a query across trees counts nothing, whatever meets ran."""
+    rng = random.Random(11)
+    t = COUNTED[engine](rng)
+    assert t.stats.queries == 0
+    answered = 0
+    for i in range(2000):
+        x = rng.randrange(t.n)
+        y = x if i % 8 == 0 else rng.randrange(t.n)
+        answered += (t.ca if i % 2 else t.nca)(x, y) is not None
+    assert t.stats.queries == answered
+    # the forests of several trees see pairs across them
+    assert (answered < 2000) == (engine in ("static", "link-fixed", "link"))

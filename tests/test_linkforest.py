@@ -480,8 +480,8 @@ def test_same_record_query_skips_root_walks(kind, monkeypatch):
     while B's first half grows.  For every distinct pair, a same-record
     pair walks to no root and any other pair walks both ends.  A deep
     copy answers the same pairs by root walks and then _c, counting each
-    adaptive meet first, and agrees answer for answer and counter for
-    counter.
+    adaptive meet first and each answered query after, as the checked ca
+    does, and agrees answer for answer and counter for counter.
     """
     walks = [0]
     find_root = LinkForest._find_root
@@ -533,6 +533,7 @@ def test_same_record_query_skips_root_walks(kind, monkeypatch):
                 fr._count(0)
         if fr._find_root(x) != fr._find_root(y):
             return None
+        fr.stats.queries += 1
         return fr._c(x, y, fr.L)
 
     twin = copy.deepcopy(fr)
@@ -1197,14 +1198,13 @@ def test_adaptive_frozen_run():
 
     The reorganization comes at op 11,649, when trees of up to 20 nodes
     sit in stage 2, so the restaging re-seats many staged trees.  The
-    digest covers every answer; the counters pin the work done.  Subtrees
-    of at most PackedTree.CAP nodes are packed trees, which note one query
-    per meet.
+    digest covers every answer; the counters pin the work done, and
+    queries is the number of same-tree answers.
     """
     af = AdaptiveLinkForest(5000)
     digest = _merge_and_ask(af, 5000, random.Random(12))
     s = af.stats
-    assert (s.eta, s.work, s.queries, s.max_query_steps) == (16386, 42099, 7654, 11)
+    assert (s.eta, s.work, s.queries, s.max_query_steps) == (16386, 42099, 7667, 11)
     assert af.reorg_log == [(11649, 1, 2)]
     assert (af.n1, af.m1) == (5000, 19996)
     assert digest == "adb43d93df84d8338097f45331faab95bf1ede034e90da32c640255d1e17de59"
@@ -1619,3 +1619,58 @@ def test_shape_columns_hold_no_per_node_lists(rng):
         if type(S.inc) is PackedTree:
             assert type(S.inc.sm) is array and S.inc.sm.typecode == "B"
     assert ids <= 12 * n, ids / n
+
+
+def _binomial_links(lf, n, rng):
+    """Adjacent equal-size blocks merge, the right block's root (its first
+    node) linked under a random vertex of the left, sizes 1, 2, 4, ..."""
+    s = 1
+    while s < n:
+        for b in range(0, n, 2 * s):
+            lf.link(rng.randrange(b, b + s), b + s)
+        s *= 2
+
+
+def _vertex_links(lf, n, rng):
+    """Random roots linked under random vertices of other trees, to one tree."""
+    uf = list(range(n))
+
+    def find(v):
+        while uf[v] != v:
+            uf[v] = v = uf[uf[v]]
+        return v
+
+    roots = list(range(n))
+    while len(roots) > 1:
+        i = rng.randrange(len(roots))
+        y = roots[i]
+        roots[i] = roots[-1]
+        roots.pop()
+        x = rng.randrange(n)
+        while find(x) == y:
+            x = rng.randrange(n)
+        lf.link(x, y)
+        uf[y] = find(x)
+
+
+@pytest.mark.parametrize("pattern", ["binomial", "random"])
+def test_link_work_per_node_flat_on_deep_links(pattern):
+    """(eta + work) per node stays flat as n doubles from 2^10 to 2^15.
+
+    Binomial links tie equal stages at every size, so links recurse a
+    level down; the forest restages to two levels, and level 1 holds
+    staged records.  r rises by at most 10% per doubling and stays
+    below 7 (5.83 to 6.14 binomial, 4.53 to 4.70 random).
+    """
+    links = _binomial_links if pattern == "binomial" else _vertex_links
+    rs = []
+    for e in range(10, 16):
+        n = 1 << e
+        lf = AdaptiveLinkForest(n)
+        for _ in range(n):
+            lf.make_node()
+        links(lf, n, random.Random(e))
+        assert lf.L == 2 and any(S is not None for S in lf.sub[1]), n
+        rs.append((lf.stats.eta + lf.stats.work) / n)
+    assert max(rs) < 7, rs
+    assert all(b <= 1.1 * a for a, b in zip(rs, rs[1:])), rs
