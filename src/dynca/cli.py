@@ -39,9 +39,13 @@ def _cmd_gen(args):
     text = format_trace(trace)
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

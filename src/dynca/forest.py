@@ -11,11 +11,12 @@ only its unchecked _ca. The module also carries the rerooting
 reduction that answers ca under a moved root z from three ordinary ca
 queries in the stored rooting.
 
-Depth differences stay O(1)-readable through a union-find over trees:
-within one tree, two nodes' raw labels differ by their depth
-difference. add_root labels the new root one less than the old one, in
-O(1), and a link relabels only the smaller of the two trees: O(n log n)
-over any sequence of links, plus a walk from x up to its root per link.
+Depth differences stay O(1)-readable through a quick-find over trees:
+every node names its tree's representative directly, and within one
+tree two nodes' raw labels differ by their depth difference. add_root
+labels the new root one less than the old one, in O(1), and a link
+relabels only the smaller of the two trees: O(n log n) over any
+sequence of links, plus a walk from x up to its root per link.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Forest:
         self.children: list[list[int]] = []
         # within one tree, _raw[v] - _raw[u] = depth(v) - depth(u)
         self._raw: list[int] = []
-        self._uf: list[int] = []
+        self._uf: list[int] = []    # each node's tree representative
         self._size: list[int] = []  # tree size, read at representatives
 
     def __len__(self) -> int:
@@ -82,15 +83,6 @@ class Forest:
         self._uf.append(v)
         self._size.append(1)
         return v
-
-    def _find(self, v: int) -> int:
-        uf = self._uf
-        r = v
-        while uf[r] != r:
-            r = uf[r]
-        while uf[v] != r:
-            uf[v], v = r, uf[v]
-        return r
 
     def is_singleton(self, v: int) -> bool:
         return self.parent[v] is None and not self.children[v]
@@ -110,7 +102,7 @@ class Forest:
         self.parent[y] = x
         self.children[x].append(y)
         self._raw[y] = self._raw[x] + 1
-        rep = self._uf[y] = self._find(x)
+        rep = self._uf[y] = self._uf[x]
         self._size[rep] += 1
 
     def add_root(self, y: int, old_root: int) -> None:
@@ -121,7 +113,7 @@ class Forest:
             raise ValueError(f"add_root target {y} is not a fresh node")
         if self.parent[old_root] is not None:
             raise ValueError(f"{old_root} is not a root")
-        rep = self._find(old_root)
+        rep = self._uf[old_root]
         self.parent[old_root] = y
         self.children[y].append(old_root)
         self._size[rep] += 1
@@ -142,11 +134,11 @@ class Forest:
         parent = self.parent
         if parent[y] is not None:
             raise ValueError(f"link target {y} is not a root")
-        rx = self._find(x)
-        ry = self._find(y)
+        raw, uf, size, children = self._raw, self._uf, self._size, self.children
+        rx = uf[x]
+        ry = uf[y]
         if rx == ry:
             raise ValueError("link within one tree")
-        raw, uf, size, children = self._raw, self._uf, self._size, self.children
         # y sits one below x once linked: either y's raws move by delta
         # onto rx, or x's raws move by -delta onto ry
         delta = raw[x] + 1 - raw[y]
@@ -179,8 +171,7 @@ def oracle_ca(f: Forest, x: int, y: int) -> Optional[CaTriple]:
     check_id(y, len(f.parent))
     if x == y:
         return CaTriple(x, x, x)
-    find = f._find
-    if find(x) != find(y):
+    if f._uf[x] != f._uf[y]:
         return None
     parent = f.parent
     d = f._raw[x] - f._raw[y]

@@ -4,7 +4,11 @@ Levels run L down to 1.  Level L holds the real vertices, partitioned
 into subtrees of at most mu nodes each.  A subtree that reaches mu nodes
 contracts to a node one level down, and the frontier invariant (nonfull
 subtrees have no child subtrees) keeps every contracted level a single
-tree.  Level 1 is one IncrementalTree that never fills.
+tree.  Level 1 is one IncrementalTree that never fills.  Every node
+joins its level through one attach; a level's first node, vertex 0 or
+the contraction of the level above's first full subtree, is an ordinary
+attach under no parent, which starts a fresh microset (on level 1, the
+IncrementalTree).
 
 A query recurses: the level below names the subtree holding the meet,
 the two entry nodes into that subtree stand in for x and y, and a packed
@@ -80,22 +84,8 @@ class MultilevelInc(Spine, Leveled):
         self.piT = self.pi[levels]  # the vertex level, as Spine reads it
         self.sm = [0]
         self.varrho = 0
-        self._register(levels)
-        self.sub[levels][0] = self._singleton(0, levels)
+        self._attach(None, levels)
         self.stats.eta += 1
-
-    def _register(self, l):
-        """Allocate the next node id on level l, parentless and unplaced."""
-        y = len(self.pi[l])
-        self.pi[l].append(None)
-        self.sub[l].append(None)
-        self.anc[l].append(0)
-        if l < self.L:
-            self.down[l].append(None)
-        return y
-
-    def _singleton(self, y, l):
-        return Microset(y, self.mu, self.anc[l], self.arena, self.stats)
 
     def _add_leaf(self, x):
         """Spine.add_leaf without the id check, for a host that owns x's id."""
@@ -107,41 +97,40 @@ class MultilevelInc(Spine, Leveled):
         return y
 
     def _attach(self, x, l):
-        """Grow level l with a new node under x, contracting filled subtrees."""
+        """Grow level l with a new node under x, or with its first node when
+        x is None, contracting filled subtrees."""
         if l == 1:
-            y = self.inc._add(x)
+            if x is None:
+                # built on a sink of its own, so its seed, a contracted
+                # subtree rather than a vertex, stays out of eta
+                self.inc = IncrementalTree(self._inc_cap)
+                self.inc.stats = self.stats
+                y = 0
+            else:
+                y = self.inc._add(x)
             self.down[1].append(None)
             self.sub[1].append(None)
             return y
-        y = self._register(l)
-        self.pi[l][y] = x
-        P = self.sub[l][x]
-        if not P.add(x, y):     # P is full, so y starts a subtree of its own
-            self.sub[l][y] = self._singleton(y, l)
+        pi = self.pi[l]
+        y = len(pi)
+        pi.append(x)
+        self.anc[l].append(0)
+        if l < self.L:
+            self.down[l].append(None)
+        P = None if x is None else self.sub[l][x]
+        if P is None or not P.add(x, y):    # y starts a subtree of its own
+            self.sub[l].append(Microset(y, self.mu, self.anc[l], self.arena, self.stats))
             return y
-        self.sub[l][y] = P
+        self.sub[l].append(P)
         if P.n == P.mu:     # P is now full
-            r = P.root
-            w = self.pi[l][r]
-            if w is None:
-                # the whole level was this one subtree; seed the next level
-                if l - 1 == 1:
-                    # built on a sink of its own, so its seed, a contracted
-                    # subtree rather than a vertex, stays out of eta
-                    self.inc = IncrementalTree(self._inc_cap)
-                    self.inc.stats = self.stats
-                    z = 0
-                    self.down[1].append(None)
-                    self.sub[1].append(None)
-                else:
-                    z = self._register(l - 1)
-                    self.sub[l - 1][z] = self._singleton(z, l - 1)
-            else:
-                W = self.sub[l][w]
-                assert W.up is not None, "parent subtree at the frontier must be full"
-                z = self._attach(W.up, l - 1)
-            P.up = z
-            self.down[l - 1][z] = P
+            w = pi[P.root]
+            if w is not None:
+                w = self.sub[l][w].up
+                assert w is not None, "parent subtree at the frontier must be full"
+            # w is None when P is the whole level: P contracts to the
+            # next level's first node
+            P.up = self._attach(w, l - 1)
+            self.down[l - 1][P.up] = P
         return y
 
     def _flat(self, x, y, k):

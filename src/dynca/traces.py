@@ -8,8 +8,8 @@ trace on each engine in turn, then holds every engine's answers to a
 baseline's: the oracle's, or else the first engine's (and, when asked,
 the baseline to the answers pinned in the trace).  A failing run's
 reproduction is the trace through the first wrong answer.  Generators
-produce the five workload shapes the test suite leans on,
-deterministically per seed.
+produce the six workload shapes of PROFILES that the test suite leans
+on, deterministically per seed.
 """
 
 import re
@@ -477,6 +477,8 @@ def generate(seed, profile, n, m):
         raise ConfigError(f"unknown profile {profile!r} (have {', '.join(PROFILES)})")
     if n < 1:
         raise ConfigError("need n >= 1")
+    if m < 0:
+        raise ConfigError("need m >= 0")
     rng = random.Random(f"{profile}:{seed}:{n}:{m}")
     ops = []
     emitted = 0
@@ -536,9 +538,6 @@ def generate(seed, profile, n, m):
         for _ in range(links):
             if profile == "link-skewed":
                 y = roots.pop()
-                if not roots:
-                    roots.append(y)
-                    break
                 host = roots[0]
                 x = rng.choice(members[host])
             else:

@@ -247,7 +247,7 @@ def rerooted_ca(f, x, y, z, ca_fn):
     """ca(x, y) in f's tree rerooted at z, using exactly three ca_fn calls."""
     for v in (x, y, z):
         check_id(v, len(f.parent))
-    if not (f._find(x) == f._find(y) == f._find(z)):
+    if not (f._uf[x] == f._uf[y] == f._uf[z]):
         raise ValueError("rerooted_ca requires x, y, z in one tree")
     cxy = ca_fn(x, y)
     cxz = ca_fn(x, z)

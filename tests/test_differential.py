@@ -98,17 +98,6 @@ def snapshot(obj, memo=None):
         (k, snapshot(getattr(obj, k, None), memo)) for k in names)
 
 
-def state(t):
-    """The oracle's shape, or an engine's whole state.
-
-    The oracle's union-find compresses paths on lookups, rejected ones
-    too; that is a cache, not part of the forest.
-    """
-    if isinstance(t, Forest):
-        return snapshot((t.parent, t.children))
-    return snapshot(t)
-
-
 class Differential(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -154,14 +143,14 @@ class Differential(RuleBasedStateMachine):
     def rejects(self, calls):
         """Each (structure, call, args) raises and changes nothing."""
         for t, call, args in calls:
-            before = state(t)
+            before = snapshot(t)
             try:
                 call(*args)
             except ValueError:
                 pass
             else:
                 raise AssertionError(f"{call.__qualname__}{args!r} did not raise")
-            assert state(t) == before, f"{call.__qualname__}{args!r} changed state"
+            assert snapshot(t) == before, f"{call.__qualname__}{args!r} changed state"
 
     # -------------------------------------------------------------- rules
 

@@ -61,6 +61,12 @@ def test_bad_params_rejected():
     # levels above the deepest wide ancestor
     with pytest.raises(ConfigError, match="meet reach"):
         FatParams(alpha=None, beta=Rational(2, 1), c=6, e=2).validate()
+    for c, e in ((4, 1), (2, 2)):
+        with pytest.raises(ConfigError, match="need e >= 2 and c >= 3"):
+            FatParams(alpha=None, beta=Rational(2, 1), c=c, e=e).validate()
+    # the dynamic preset with no growth slack
+    with pytest.raises(ConfigError, match="alpha must exceed 1"):
+        FatParams(alpha=Rational(1, 1), beta=Rational(10, 7), c=5, e=4).validate()
 
 
 def path_forest(n):

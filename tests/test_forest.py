@@ -115,6 +115,29 @@ def test_link_and_cross_tree():
         f.link(1, f.root_of(1))  # same tree
 
 
+def test_refused_growth_changes_nothing():
+    """add_leaf and add_root refuse a target that is not a fresh node, and
+    add_root an old root that is not a root, before anything changes."""
+    f = Forest()
+    for _ in range(4):
+        f.make_node()
+    f.add_leaf(0, 1)
+    f.add_root(2, 0)  # 2 -> 0 -> 1; 3 is still fresh
+    before = (list(f.parent), [list(c) for c in f.children], list(f._raw),
+              list(f._uf), list(f._size))
+    for call, args, msg in [
+            (f.add_leaf, (0, 1), "not a fresh node"),   # 1 has a parent
+            (f.add_leaf, (3, 2), "not a fresh node"),   # 2 has a child
+            (f.add_leaf, (3, 3), "not a fresh node"),   # x == y
+            (f.add_root, (1, 2), "not a fresh node"),   # 1 has a parent
+            (f.add_root, (3, 3), "not a fresh node"),   # y == old_root
+            (f.add_root, (3, 0), "0 is not a root")]:
+        with pytest.raises(ValueError, match=msg):
+            call(*args)
+        assert (f.parent, f.children, f._raw, f._uf, f._size) == before, args
+    check_depth_labels(f)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_rerooted_ca_property(data):
@@ -144,14 +167,15 @@ def walk_depth(f, v):
 
 
 def check_depth_labels(f):
-    """Raw depth labels, union-find classes and representative sizes
-    against walks."""
+    """Raw depth labels, quick-find classes and representative sizes
+    against walks: every node names its representative directly."""
     rep_of_root = {}
     members = {}
     for v in range(len(f)):
         r = f.root_of(v)
         assert f._raw[v] - f._raw[r] == walk_depth(f, v), v
-        rep = f._find(v)
+        rep = f._uf[v]
+        assert f._uf[rep] == rep, v
         assert rep_of_root.setdefault(r, rep) == rep, v
         members[rep] = members.get(rep, 0) + 1
     assert len(set(rep_of_root.values())) == len(rep_of_root)
@@ -191,7 +215,7 @@ def test_link_by_size_keeps_depth_labels(rng):
             x = rng.randrange(len(f))
             y = f.root_of(rng.randrange(len(f)))
             if f.root_of(x) != y and rng.random() < 0.5:
-                sx, sy = f._size[f._find(x)], f._size[f._find(y)]
+                sx, sy = f._size[f._uf[x]], f._size[f._uf[y]]
                 seen["y" if sy > sx else "x"] += 1
                 f.link(x, y)
             else:
@@ -228,7 +252,7 @@ def test_link_under_fresh_singleton_leaves_big_tree_labels():
     s = f.make_node()
     f.link(s, root)
     assert f._raw[:1 << 10] == raw and f._uf[:1 << 10] == uf
-    assert f._find(s) == f._find(root) and f._size[f._find(s)] == (1 << 10) + 1
+    assert f._uf[s] == f._uf[root] and f._size[f._uf[s]] == (1 << 10) + 1
     check_depth_labels(f)
 
 

@@ -15,6 +15,13 @@ def test_floor_log_frozen():
         t.floor_log_beta(0)
     with pytest.raises(ValueError):
         LogTable(Rational(1, 1), 10)
+    with pytest.raises(ValueError, match="max_r must be at least 1"):
+        LogTable(Rational(2, 1), 0)
+    # r past max_r, on the bit-length and the table path
+    for tab in (t2, t):
+        assert tab.floor_log_beta(tab.max_r) >= 0
+        with pytest.raises(ValueError, match="exceeds the table range"):
+            tab.floor_log_beta(tab.max_r + 1)
 
 
 @pytest.mark.parametrize("beta", [Rational(2, 1), Rational(10, 7), Rational(3, 2)])

@@ -159,7 +159,7 @@ def test_generator_profiles_shape():
             elif op.kind == "link":
                 f.link(op.a, op.b)
             else:
-                inside += op.a != op.b and f._find(op.a) == f._find(op.b)
+                inside += op.a != op.b and f._uf[op.a] == f._uf[op.b]
         assert inside >= 0.4 * 4000, (profile, inside)
 
 
@@ -273,6 +273,31 @@ def test_run_without_check_ignores_expected():
     assert run(tr, ["oracle"], check=False).ok
 
 
+def test_partly_pinned_trace_reads_ok():
+    """Every pin holds; the unpinned query's answer is held to nothing."""
+    tr = parse_trace("make_node 1\nadd_leaf 1 2\nnca 1 2 = 1\nnca 2 2\n")
+    rep = run(tr, ["inc"], check=True)
+    assert rep.ok and rep.reports[0].answers == [0, 1]
+
+
+def test_run_and_generate_refusals():
+    tr = generate(1, "leaf-heavy", 10, 5)
+    with pytest.raises(ConfigError, match="unknown engine 'nope'"):
+        make_engine("nope", 10)
+    with pytest.raises(ConfigError, match="engine set is empty"):
+        run(tr, [])
+    with pytest.raises(ConfigError, match="check needs the oracle"):
+        run(tr, ["inc", "static"], check=True)   # the trace pins nothing
+    with pytest.raises(ConfigError, match="unknown profile 'nope'"):
+        generate(1, "nope", 10, 5)
+    for profile in PROFILES:
+        with pytest.raises(ConfigError, match="need n >= 1"):
+            generate(1, profile, 0, 5)
+        with pytest.raises(ConfigError, match="need m >= 0"):
+            generate(1, profile, 5, -3)
+        assert len(generate(1, profile, 5, 0)) == (9 if profile.startswith("link") else 5)
+
+
 def test_minimize_finds_short_repro():
     # expected answers poisoned at the tail: the shortest failing prefix
     # must end exactly at the first bad query
@@ -383,6 +408,25 @@ def test_cli_check_flag_catches_bad_answer(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mismatch at op 2" in err
     assert "answered = 1, expected = 2" in err
+
+
+def test_cli_unreadable_trace_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing.trace"
+    assert main(["run", "--engine", "oracle", "--trace", str(path)]) == 2
+    assert f"error: cannot read {path}" in capsys.readouterr().err
+
+
+def test_cli_gen_errors_are_exit_2(tmp_path, capsys):
+    """A negative query count and an unwritable output exit 2, no traceback."""
+    assert main(["gen", "--profile", "leaf-heavy", "--n", "5", "--m", "-3",
+                 "--seed", "1", "-o", "-"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "error: need m >= 0" in cap.err
+    path = tmp_path / "no_dir" / "t.trace"
+    assert main(["gen", "--profile", "leaf-heavy", "--n", "5", "--m", "3",
+                 "--seed", "1", "-o", str(path)]) == 2
+    assert f"error: cannot write {path}" in capsys.readouterr().err
+    assert not path.parent.exists()
 
 
 def test_cli_parse_error_is_exit_2(tmp_path, capsys):
