@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigError
-from .forest import CaTriple, Meets
+from .forest import CaTriple, Meets, subtree
 from .numeric import LogTable, Rational
 from .stats import Stats
 
@@ -378,23 +378,18 @@ class StaticCa(FatQueryMixin, Meets):
         number_columns(self, params, n, n)
         piT = list(forest.parent)
         self.piT = piT
-        self.tree = [0] * n  # the root of each node's tree
+        tree = self.tree = [0] * n  # the root of each node's tree
         # nothing grows, so a node's weight is its subtree size once the
         # build has run, and one list serves as both
         self.s = self.sigma = [1] * n
+        st = self.stats
         for r in range(n):
             if piT[r] is None:
-                self._build_tree(forest.children, r)
-
-    def _build_tree(self, children, r):
-        tree = self.tree
-        order = [r]
-        # the loop also walks the children it appends
-        for u in order:
-            tree[u] = r
-            order += children[u]
-        self.stats.table_entries += assign_numbers(self, order)
-        self.stats.work += len(order)
+                order = subtree(forest.fc, forest.ns, r)
+                for u in order:
+                    tree[u] = r
+                st.table_entries += assign_numbers(self, order)
+                st.work += len(order)
 
     def _ca(self, x, y):
         """Meet and its two approach children, or None across trees."""

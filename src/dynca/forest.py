@@ -17,6 +17,9 @@ tree two nodes' raw labels differ by their depth difference. add_root
 labels the new root one less than the old one, in O(1), and a link
 relabels only the smaller of the two trees: O(n log n) over any
 sequence of links, plus a walk from x up to its root per link.
+
+subtree, the package's one subtree walk, lists a subtree parents first
+over first-child and next-sibling columns.
 """
 
 from __future__ import annotations
@@ -59,14 +62,36 @@ class Meets:
         return None if t is None else t.a
 
 
-class Forest:
-    """Parent/children forest over dense integer node ids, never freed."""
+def subtree(fc, ns, r, skip=None):
+    """Nodes of the subtree at r, parents before children.
 
-    __slots__ = ("parent", "children", "_raw", "_uf", "_size")
+    Breadth first, each node's children newest first, read off the
+    first-child column fc and the next-sibling column ns, -1 marking
+    none.  The subtree under skip, when given, is left out entirely.
+    """
+    order = [r]
+    # the loop also walks the children it appends
+    for v in order:
+        w = fc[v]
+        while w >= 0:
+            if w != skip:
+                order.append(w)
+            w = ns[w]
+    return order
+
+
+class Forest:
+    """Parent-pointer forest over dense integer node ids, never freed.
+
+    A node's children run newest first from fc through ns, -1 for none.
+    """
+
+    __slots__ = ("parent", "fc", "ns", "_raw", "_uf", "_size")
 
     def __init__(self) -> None:
         self.parent: list[Optional[int]] = []
-        self.children: list[list[int]] = []
+        self.fc: list[int] = []
+        self.ns: list[int] = []
         # within one tree, _raw[v] - _raw[u] = depth(v) - depth(u)
         self._raw: list[int] = []
         self._uf: list[int] = []    # each node's tree representative
@@ -78,14 +103,15 @@ class Forest:
     def make_node(self) -> int:
         v = len(self.parent)
         self.parent.append(None)
-        self.children.append([])
+        self.fc.append(-1)
+        self.ns.append(-1)
         self._raw.append(0)
         self._uf.append(v)
         self._size.append(1)
         return v
 
     def is_singleton(self, v: int) -> bool:
-        return self.parent[v] is None and not self.children[v]
+        return self.parent[v] is None and self.fc[v] < 0
 
     def root_of(self, v: int) -> int:
         check_id(v, len(self.parent))
@@ -100,7 +126,8 @@ class Forest:
         if x == y or not self.is_singleton(y):
             raise ValueError(f"add_leaf target {y} is not a fresh node")
         self.parent[y] = x
-        self.children[x].append(y)
+        self.ns[y] = self.fc[x]
+        self.fc[x] = y
         self._raw[y] = self._raw[x] + 1
         rep = self._uf[y] = self._uf[x]
         self._size[rep] += 1
@@ -115,7 +142,7 @@ class Forest:
             raise ValueError(f"{old_root} is not a root")
         rep = self._uf[old_root]
         self.parent[old_root] = y
-        self.children[y].append(old_root)
+        self.fc[y] = old_root
         self._size[rep] += 1
         self._uf[y] = rep
         self._raw[y] = self._raw[old_root] - 1
@@ -134,7 +161,7 @@ class Forest:
         parent = self.parent
         if parent[y] is not None:
             raise ValueError(f"link target {y} is not a root")
-        raw, uf, size, children = self._raw, self._uf, self._size, self.children
+        raw, uf, size, fc, ns = self._raw, self._uf, self._size, self.fc, self.ns
         rx = uf[x]
         ry = uf[y]
         if rx == ry:
@@ -149,14 +176,12 @@ class Forest:
         else:
             rep, v = rx, y
         size[rep] = size[rx] + size[ry]
-        stack = [v]
-        while stack:
-            v = stack.pop()
+        for v in subtree(fc, ns, v):
             raw[v] += delta
             uf[v] = rep
-            stack.extend(children[v])
         parent[y] = x
-        children[x].append(y)
+        ns[y] = fc[x]
+        fc[x] = y
 
 
 def oracle_ca(f: Forest, x: int, y: int) -> Optional[CaTriple]:

@@ -8,17 +8,18 @@ apex of its own, numbered from its compressed parent's packing cursor.
 No apex flag is stored: a node is an apex exactly when its depth on its
 heavy path, pos, is 0.
 
-A renumbering lists the subtree breadth-first off the child lists and
-hands it to assign_numbers, the one pass that also numbers a frozen
-forest; a leaf added without drift goes through the same pass.  Rows are
+A renumbering lists the subtree breadth first over the first-child and
+next-sibling columns fc and ns, with forest.subtree, and hands it to
+assign_numbers, the one pass that also numbers a frozen forest; a leaf
+added without drift goes through the same pass.  Rows are
 machine-int arrays, 32-bit unless the capacity needs 64, and only the
 stored root and apexes with children own one: every other node shares
 its compressed parent's row.  A renumbering writes rows only for the
 apexes with children among the nodes it covers, and a leaf added without
 drift writes none.  The fat numbers p, q and Qbar stay below c * max_n^e,
 so they take unsigned 64-bit cells up to max_n = 43,826 and lists above;
-the other per-node fields are lists.  A leaf's ch is None until its first
-child.
+the other per-node fields are lists, fc and ns among them, with -1 for
+no child or sibling and each new child put first.
 
 add_root does not touch the numbering at all.  The new node is stored as
 a physical leaf under the previous logical root and only a root handle
@@ -36,7 +37,7 @@ from .errors import CapacityError, check_id
 from .fat_preorder import (DYNAMIC_PARAMS, FatQueryMixin, assign_numbers,
                            number_columns)
 # combine_rerooted stays in this namespace: bench/tracing.py wraps it here
-from .forest import CaTriple, Meets, combine_rerooted  # noqa: F401
+from .forest import CaTriple, Meets, combine_rerooted, subtree  # noqa: F401
 from .stats import Stats
 
 
@@ -111,7 +112,8 @@ class IncrementalTree(Spine, FatQueryMixin):
         self.s = [1]
         self.sigma = [1]
         self.renum = [0]
-        self.ch = [None]  # a node's child list, None until its first child
+        self.fc = [-1]  # first child, newest first through ns; -1 for none
+        self.ns = [-1]  # next sibling
         self.sm = [0]
         self.varrho = 0
         assign_numbers(self, (0,))
@@ -145,13 +147,12 @@ class IncrementalTree(Spine, FatQueryMixin):
         self.q.append(0)
         self.Qbar.append(0)
         self.renum.append(0)
-        self.ch.append(None)
+        self.ns.append(self.fc[x])
+        self.fc.append(-1)
+        self.fc[x] = y
         self.iq.append(0)
         self.tab.append(None)
         self.sm.append(self.sm[x])
-        if self.ch[x] is None:
-            self.ch[x] = []
-        self.ch[x].append(y)
 
         # count the new descendant along the apex chain and find the
         # shallowest ancestor that outgrew its recorded weight
@@ -183,23 +184,19 @@ class IncrementalTree(Spine, FatQueryMixin):
         """Rebuild the compression and numbering of the physical subtree at v.
 
         Everything under v gets fresh weights, heavy paths, fat numbers and
-        ancestor rows.  A breadth-first walk read straight off the child
-        lists hands the subtree to assign_numbers.  v's new interval is
-        carved from its compressed parent's packing zone, or restarts at
-        zero when v is the stored root (the only event that changes the
-        row width).
+        ancestor rows.  forest.subtree lists the subtree breadth first for
+        assign_numbers.  v's new interval is carved from its compressed
+        parent's packing zone, or restarts at zero when v is the stored
+        root (the only event that changes the row width).
         """
-        ch = self.ch
         s = self.s
         succ = self.succ
         renum = self.renum
-        order = [v]
-        # the loop also walks the children it appends
+        order = subtree(self.fc, self.ns, v)
         for u in order:
             s[u] = 1
             succ[u] = None
             renum[u] += 1
-            order += ch[u] or ()
         st = self.stats
         if v == 0:
             st.root_renumberings += 1

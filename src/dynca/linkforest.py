@@ -58,7 +58,7 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .errors import CapacityError, check_id
-from .forest import CaTriple, Meets
+from .forest import CaTriple, Meets, subtree
 from .levels import Leveled
 from .microset import PackedTree
 from .multilevel import MultilevelInc
@@ -406,7 +406,7 @@ class LinkForest(Leveled, Meets):
             sub = self.sub[k]
             down = self.down[k]
             S = sub[z]
-            nodes = self.tree_nodes(z, k)
+            nodes = subtree(self.fc[k], self.ns[k], z)
             for v in nodes:
                 sub[v] = None
                 down[v] = None
@@ -441,7 +441,7 @@ class LinkForest(Leveled, Meets):
         """
         pi = self.pi[k]
         sub = self.sub[k]
-        for v in self.tree_nodes(top, k, skip):
+        for v in subtree(self.fc[k], self.ns[k], top, skip):
             if sub[v] is not S:
                 self._seat(S, v, pi[v], k)
 
@@ -531,25 +531,6 @@ class LinkForest(Leveled, Meets):
         self.stats.note_steps(len(px) + 2)
         return tuple.__new__(CaTriple, (
             v, px[i - 1] if i else v, cy if cy is not None else v))
-
-    def tree_nodes(self, r, k, skip=None):
-        """Nodes of the level-k subtree at r, parents before children.
-
-        Breadth first, each node's children newest first, read off the
-        first-child and next-sibling columns.  The subtree under skip,
-        when given, is left out entirely.
-        """
-        fc = self.fc[k]
-        ns = self.ns[k]
-        order = [r]
-        # the loop also walks the children it appends
-        for v in order:
-            w = fc[v]
-            while w >= 0:
-                if w != skip:
-                    order.append(w)
-                w = ns[w]
-        return order
 
 
 class AdaptiveLinkForest(LinkForest):

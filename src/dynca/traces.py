@@ -14,7 +14,7 @@ on, deterministically per seed.
 
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError, TraceParseError
@@ -320,9 +320,11 @@ def compatible_engines(trace):
 
 # ----------------------------------------------------------------- runner
 
-CSV_FIELDS = ("engine", "n", "m", "eta", "reorgs", "root_renumberings",
-              "recompressions", "arena_cells", "max_query_steps", "wall_ms")
-CSV_HEADER = ",".join(CSV_FIELDS)
+# one counter column per Stats field, reorg_log printed as its length
+# under the name reorgs
+CSV_HEADER = ",".join(("engine", "n", "m", *(
+    "reorgs" if f.name == "reorg_log" else f.name for f in fields(Stats)),
+    "arena_cells", "wall_ms"))
 
 
 @dataclass
@@ -330,18 +332,17 @@ class EngineReport:
     engine: str
     n: int
     m: int
-    eta: int
-    reorgs: int
-    root_renumberings: int
-    recompressions: int
+    stats: Stats
     arena_cells: int
-    max_query_steps: int
     wall_ms: float  # the engine's whole replay
     answers: list
 
     def csv_row(self):
-        row = [getattr(self, k) for k in CSV_FIELDS]
-        row[-1] = f"{self.wall_ms:.3f}"
+        st = self.stats
+        row = [self.engine, self.n, self.m,
+               *(len(st.reorg_log) if f.name == "reorg_log" else getattr(st, f.name)
+                 for f in fields(Stats)),
+               self.arena_cells, f"{self.wall_ms:.3f}"]
         return ",".join(map(str, row))
 
 
@@ -375,11 +376,8 @@ def _replay_one(e, trace):
     got = [apply(op) for op in trace]
     wall = time.perf_counter() - t0
     answers = [_norm(op.kind, r) for op, r in zip(trace, got) if op.kind in QUERIES]
-    st = e.stats
-    return EngineReport(e.name, trace.n_nodes, len(answers), st.eta,
-                        len(st.reorg_log), st.root_renumberings,
-                        st.recompressions, e.arena_cells,
-                        st.max_query_steps, wall * 1000.0, answers)
+    return EngineReport(e.name, trace.n_nodes, len(answers), e.stats,
+                        e.arena_cells, wall * 1000.0, answers)
 
 
 def _first_diff(got, want):

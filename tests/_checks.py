@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from dynca import Forest, alpha, combine_rerooted
 from dynca.errors import check_id
 from dynca.fat_preorder import EPS
+from dynca.forest import subtree
 
 
 def guards(obj, u):
@@ -31,9 +32,15 @@ def guards(obj, u):
 def children(t, u):
     """Stored children of u in an IncrementalTree, in attachment order.
 
-    A node holds no child list until its first child arrives.
+    The columns list them newest first, from fc[u] through ns, so the
+    walk is read back reversed.
     """
-    return list(t.ch[u] or ())
+    kids = []
+    w = t.fc[u]
+    while w >= 0:
+        kids.append(w)
+        w = t.ns[w]
+    return kids[::-1]
 
 
 def dchildren(obj, nodes):
@@ -129,12 +136,7 @@ def check_fat_order(obj, nodes, root, params, incremental=False):
 def check_compression_exact(sca, forest, nodes, root):
     """Static builds must realize the strict heavy-child rule exactly."""
     size = {u: 1 for u in nodes}
-    order = [root]
-    k = 0
-    while k < len(order):
-        u = order[k]
-        k += 1
-        order.extend(forest.children[u])
+    order = subtree(forest.fc, forest.ns, root)
     for u in reversed(order):
         if u != root:
             size[forest.parent[u]] += size[u]
@@ -272,17 +274,15 @@ def reroot_physical(f, z):
     g.parent = new_parent
     for u, p in enumerate(new_parent):
         if p is not None:
-            g.children[p].append(u)
+            g.ns[u] = g.fc[p]
+            g.fc[p] = u
     for u, p in enumerate(new_parent):
         if p is None:
             g._size[u] = 0
-            stack = [(u, 0)]
-            while stack:
-                w, d = stack.pop()
-                g._raw[w] = d
+            for w in subtree(g.fc, g.ns, u):
+                g._raw[w] = 0 if w == u else g._raw[new_parent[w]] + 1
                 g._uf[w] = u
                 g._size[u] += 1
-                stack.extend((t, d + 1) for t in g.children[w])
     return g
 
 
@@ -355,7 +355,7 @@ def tree_stage(lf, k, v):
     while pi[v] != -1:
         v = pi[v]
     return window_stage(AckermannTable(max(4, lf.max_n)), k,
-                        len(lf.tree_nodes(v, k)))
+                        len(subtree(lf.fc[k], lf.ns[k], v)))
 
 
 def check_link_invariants(lf):
@@ -381,7 +381,7 @@ def check_link_invariants(lf):
     top = lf.pi[lf.L]
     for root in [v for v in range(len(top)) if top[v] == -1]:
         k = lf.L
-        nodes = lf.tree_nodes(root, k)
+        nodes = subtree(lf.fc[k], lf.ns[k], root)
         while True:
             live[k].update(nodes)
             r = nodes[0]
@@ -431,7 +431,7 @@ def check_link_invariants(lf):
                 else:
                     assert lf.pi[k - 1][S.up] == lf.sub[k][pt].up
             assert kr is not None
-            nodes = lf.tree_nodes(kr, k - 1)
+            nodes = subtree(lf.fc[k - 1], lf.ns[k - 1], kr)
             assert set(nodes) == ups
             k -= 1
     for k, nodes in live.items():

@@ -39,6 +39,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, precondition, rule,
 from dynca import (AdaptiveLinkForest, CaTriple, Forest, IncrementalTree,
                    LinkForest, oracle_ca)
 from dynca import linkforest
+from dynca.forest import subtree
 from dynca.microset import PackedTree
 from dynca.multilevel import MultilevelInc
 from dynca.traces import GROWN
@@ -120,10 +121,7 @@ class Differential(RuleBasedStateMachine):
 
     def tree(self, v):
         """Members of v's tree, breadth-first from its root."""
-        order = [self.f.root_of(v)]
-        for u in order:
-            order += self.f.children[u]
-        return order
+        return subtree(self.f.fc, self.f.ns, self.f.root_of(v))
 
     def fresh(self):
         y = self.f.make_node()

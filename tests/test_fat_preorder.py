@@ -258,6 +258,39 @@ def test_static_multi_tree_forest(rng):
         assert sca.ca(x, y) == oracle_ca(f, x, y)
 
 
+@pytest.mark.parametrize("trees, n", [(1, 60), (3, 60), (5, 400)])
+def test_sibling_order_leaves_the_compression_alone(trees, n, rng):
+    """A twin forest whose children came in reverse order compresses alike.
+
+    The heavy child is the one past half its parent's size, whichever
+    sibling it is, so the order of siblings moves only where their
+    intervals are packed: successors, heavy-path depths, weights,
+    compressed parents, trees and the build's counters all match, and
+    on up to 60 nodes every pair's meet does too.
+    """
+    f = Forest()
+    for _ in range(trees):
+        f.make_node()
+    for _ in range(n - trees):
+        f.add_leaf(rng.randrange(len(f.parent)), f.make_node())
+    twin = Forest()
+    for _ in range(n):
+        twin.make_node()
+    for u in range(n):  # a parent's id is below its children's
+        for c in sorted((c for c in range(n) if f.parent[c] == u), reverse=True):
+            twin.add_leaf(u, c)
+    assert twin.parent == f.parent and twin.fc != f.fc
+    a, b = StaticCa(f), StaticCa(twin)
+    for col in ("succ", "pos", "sigma", "piD", "tree"):
+        assert list(getattr(a, col)) == list(getattr(b, col)), col
+    assert a.stats == b.stats
+    assert list(a.p) != list(b.p)
+    if n <= 60:
+        for x in range(n):
+            for y in range(n):
+                assert a.ca(x, y) == b.ca(x, y), (x, y)
+
+
 def test_static_build_work_counts_every_node(rng):
     """A build's work is n: each tree adds its own node count, and nothing else does."""
     for trees, n in ((1, 1), (1, 2), (4, 4), (3, 60), (5, 400)):

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynca import CaTriple, Forest, oracle_ca
+from dynca import CaTriple, Forest, IncrementalTree, LinkForest, oracle_ca
+from dynca.forest import subtree
 
 from _checks import build_random_tree, reroot_physical, rerooted_ca
 
@@ -123,7 +124,7 @@ def test_refused_growth_changes_nothing():
         f.make_node()
     f.add_leaf(0, 1)
     f.add_root(2, 0)  # 2 -> 0 -> 1; 3 is still fresh
-    before = (list(f.parent), [list(c) for c in f.children], list(f._raw),
+    before = (list(f.parent), list(f.fc), list(f.ns), list(f._raw),
               list(f._uf), list(f._size))
     for call, args, msg in [
             (f.add_leaf, (0, 1), "not a fresh node"),   # 1 has a parent
@@ -134,7 +135,7 @@ def test_refused_growth_changes_nothing():
             (f.add_root, (3, 0), "0 is not a root")]:
         with pytest.raises(ValueError, match=msg):
             call(*args)
-        assert (f.parent, f.children, f._raw, f._uf, f._size) == before, args
+        assert (f.parent, f.fc, f.ns, f._raw, f._uf, f._size) == before, args
     check_depth_labels(f)
 
 
@@ -231,7 +232,7 @@ def test_refused_link_changes_nothing(rng):
     for _ in range(120):
         random_forest_op(rng, f)
     n = len(f)
-    before = (list(f.parent), [list(c) for c in f.children], list(f._raw))
+    before = (list(f.parent), list(f.fc), list(f.ns), list(f._raw))
     refused = 0
     for _ in range(200):
         x, y = rng.randrange(n), rng.randrange(n)
@@ -240,7 +241,7 @@ def test_refused_link_changes_nothing(rng):
         with pytest.raises(ValueError):
             f.link(x, y)
         refused += 1
-        assert (f.parent, f.children, f._raw) == before
+        assert (f.parent, f.fc, f.ns, f._raw) == before
     assert refused > 100
     check_depth_labels(f)
 
@@ -301,3 +302,91 @@ def test_oracle_matches_ancestor_lists(rng):
                 else:
                     kinds["apart"] += 1
     assert min(kinds.values()) > 100, kinds
+
+
+def check_subtree(fc, ns, parent, born, r, skip=None):
+    """subtree(fc, ns, r, skip) against the parent column.
+
+    parent marks a root with None or -1, and born[v] orders the moments
+    each v became a child.  The walk must list r's descendants less
+    skip's, each once and after its parent, each node's children in one
+    run, newest first.
+    """
+    def under(v, a):
+        while v is not None and v >= 0:
+            if v == a:
+                return True
+            v = parent[v]
+        return False
+
+    got = subtree(fc, ns, r, skip)
+    want = {v for v in range(len(parent))
+            if under(v, r) and (skip is None or not under(v, skip))}
+    assert got[0] == r and len(got) == len(set(got)) and set(got) == want
+    at = {v: i for i, v in enumerate(got)}
+    runs = {}
+    for v in got[1:]:
+        assert at[parent[v]] < at[v], (r, v)
+        runs.setdefault(parent[v], []).append(v)
+    for u, kids in runs.items():
+        i = at[kids[0]]
+        assert got[i:i + len(kids)] == kids, (r, u)
+        assert sorted(kids, key=born.__getitem__, reverse=True) == kids, (r, u)
+    return got
+
+
+def test_subtree_walk_on_every_owner(rng):
+    """The one walk lists exactly a subtree on each owner of the columns.
+
+    A Forest grown by add_leaf, add_root and link, an IncrementalTree
+    grown by add_leaf and add_root, and the vertex level of a two-level
+    LinkForest after random links each hand subtree their fc and ns.
+    From every node, and again with a random proper descendant as skip,
+    check_subtree holds the walk to the parent column.
+    """
+    f = Forest()
+    for _ in range(5):
+        f.make_node()
+    born = {}
+    for tick in range(200):
+        before = list(f.parent)
+        random_forest_op(rng, f)
+        for v, p in enumerate(f.parent):
+            if v >= len(before) or p != before[v]:
+                born[v] = tick
+
+    t = IncrementalTree(200)
+    for _ in range(199):
+        if rng.random() < 0.2:
+            t.add_root()
+        else:
+            t.add_leaf(rng.randrange(t.n))
+
+    n = 300
+    lf = LinkForest(2, n)
+    g = Forest()
+    for _ in range(n):
+        lf.make_node()
+        g.make_node()
+    linked = {}
+    for tick in range(n - 30):
+        x = rng.randrange(n)
+        y = rng.choice([v for v in range(n)
+                        if lf.piT[v] < 0 and g._uf[v] != g._uf[x]])
+        lf.link(x, y)
+        g.link(x, y)
+        linked[y] = tick
+    k = lf.L
+    assert any(S is not None for S in lf.sub[k])
+
+    owners = [(f.fc, f.ns, f.parent, born),
+              (t.fc, t.ns, t.piT, range(t.n)),   # ids grow with time
+              (lf.fc[k], lf.ns[k], lf.pi[k], linked)]
+    for fc, ns, parent, when in owners:
+        skips = 0
+        for r in range(len(parent)):
+            got = check_subtree(fc, ns, parent, when, r)
+            if len(got) > 1:
+                check_subtree(fc, ns, parent, when, r, rng.choice(got[1:]))
+                skips += 1
+        assert skips > len(parent) // 4

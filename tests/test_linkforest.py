@@ -14,6 +14,7 @@ import pytest
 
 from dynca import linkforest
 from dynca.errors import check_id
+from dynca.forest import subtree
 from dynca.microset import PackedTree
 from dynca.multilevel import MultilevelInc
 from dynca import (AdaptiveLinkForest, CapacityError, Forest, LinkForest,
@@ -306,7 +307,7 @@ def _count_record_adds(monkeypatch):
         counted(cls, "_add_leaf", "add_leaf")
         counted(cls, "add_root", "add_root")
     counted(LinkForest, "_fill", "_fill")
-    counted(LinkForest, "tree_nodes", "tree_nodes")
+    counted(linkforest, "subtree", "subtree")
     return calls
 
 
@@ -317,7 +318,7 @@ def test_singleton_link_is_one_record_add(level, size, rng, monkeypatch):
 
     Hung below any vertex it is one add_leaf on that vertex's record;
     hung above the root, one add_root on the root's record.  Neither
-    enters _fill or tree_nodes, and each adds exactly 1 to eta.  The
+    enters _fill or subtree, and each adds exactly 1 to eta.  The
     tree holds 70 nodes in a packed record or 300 in a three-level one,
     and the 40 singleton links stay inside its stage.
     """
@@ -371,7 +372,7 @@ def test_singleton_link_promotes_a_full_packed_record(above, monkeypatch):
     The record holds PackedTree.CAP nodes, so the one add the link makes
     promotes it to a three-level tree and goes on there, below a vertex
     or above the root; the link still enters neither _fill nor
-    tree_nodes and adds exactly 1 to eta.
+    subtree and adds exactly 1 to eta.
     """
     seen = _record_promotions(monkeypatch)
     lf, f, link, top = _one_record_at(PackedTree.CAP, random.Random(6))
@@ -386,7 +387,7 @@ def test_singleton_link_promotes_a_full_packed_record(above, monkeypatch):
         link(100, v)
     assert lf.stats.eta == eta + 1
     assert len(seen) == 1 and seen[0][3] == 0
-    assert calls["_fill"] == calls["tree_nodes"] == 0
+    assert calls["_fill"] == calls["subtree"] == 0
     assert isinstance(S.inc, MultilevelInc) and S.inc.n == PackedTree.CAP + 1
     assert lf.sub[2][v] is S
     check_link_invariants(lf)
@@ -446,7 +447,7 @@ def test_refused_links_change_nothing(level, rng):
                 pickle.dumps((cols, lf.stats)))
 
     r, other = max(roots, key=lambda v: lf.ts[level][v]), roots[0]
-    inner = [v for v in lf.tree_nodes(r, level) if v != r]
+    inner = subtree(lf.fc[level], lf.ns[level], r)[1:]
     before = state()
     for x, y in ((other, inner[5]), (inner[0], r), (inner[3], inner[7]),
                  (other, n), (n, other), (-1, r), (r, -1),
@@ -1156,7 +1157,7 @@ def test_adaptive_replay_ends_with_multi_record_tree(rng, monkeypatch):
     assert af.level == af.L >= 2
     check_link_invariants(af)
     top = af.sub[af.L]
-    records = {id(top[v]) for v in af.tree_nodes(roots[0], af.L)}
+    records = {id(top[v]) for v in subtree(af.fc[af.L], af.ns[af.L], roots[0])}
     assert len(records) >= 2
     assert cross > 0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import re
@@ -526,6 +527,39 @@ def test_csv_splits_rebuilds_from_root_renumberings():
     assert rows["link"]["reorgs"] == str(len(e.stats.reorg_log))
     assert rows["inc"]["reorgs"] == "0"
     assert int(rows["inc"]["root_renumberings"]) >= 1
+
+
+def test_csv_header_is_every_stats_counter(tmp_path, capsys):
+    """--stats csv carries every Stats field, reorg_log as its length.
+
+    engine, n and m lead and wall_ms closes; each counter column holds
+    the engine's own Stats field, so a counter added to Stats reaches
+    the row with no edit here.
+    """
+    counters = ["reorgs" if f.name == "reorg_log" else f.name
+                for f in dataclasses.fields(dynca.Stats)]
+    assert CSV_HEADER.split(",") == (
+        ["engine", "n", "m"] + counters + ["arena_cells", "wall_ms"])
+    tr = generate(2, "leaf-heavy", 300, 400)
+    path = tmp_path / "g.trace"
+    path.write_text(format_trace(tr))
+    names = ["oracle", "static", "inc", "inc-log2", "inc-linear"]
+    assert main(["run", *(a for e in names for a in ("--engine", e)),
+                 "--trace", str(path), "--stats", "csv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == CSV_HEADER and len(out) == 1 + len(names)
+    for name, line in zip(names, out[1:]):
+        e = make_engine(name, tr.n_nodes)
+        for op in tr:
+            e.apply(op)
+        row = dict(zip(CSV_HEADER.split(","), line.split(",")))
+        assert row["engine"] == name and row["m"] == "400"
+        for f in dataclasses.fields(dynca.Stats):
+            v = getattr(e.stats, f.name)
+            k = "reorgs" if f.name == "reorg_log" else f.name
+            assert row[k] == str(len(v) if k == "reorgs" else v), (name, k)
+        # one tree, so every query is answered and counted once
+        assert row["queries"] == ("0" if name == "oracle" else "400"), name
 
 
 def test_link_arena_cells_sum_the_live_multilevel_records(tmp_path, capsys):
